@@ -1,12 +1,12 @@
-//! `serve_bench` support: the pinned multi-tenant serving benchmark and
-//! its CI regression gate (`dos-bench/serve-v1` schema, committed
-//! baseline `BENCH_9.json`).
+//! `serve_bench`: the pinned multi-tenant serving benchmark and its CI
+//! regression gate (`dos-bench/serve-v1` schema, committed golden
+//! `baselines/serve.json`).
 //!
-//! Unlike the kernel bench, every number here is *virtual-time*: the
-//! coordinator replays a pinned 200-job open-loop schedule against the
-//! Equation 1 cost model, so the report is a deterministic function of
-//! `(jobs, seed)` and the gate can be tight — a regression means the
-//! scheduling policy got worse, not that the machine was noisy.
+//! Every number here is *virtual-time*: the coordinator replays a pinned
+//! 200-job open-loop schedule against the Equation 1 cost model, so the
+//! report is a deterministic function of `(jobs, seed)` and the gate can
+//! be tight — a regression means the scheduling policy got worse, not
+//! that the machine was noisy.
 
 use serde::{Deserialize, Serialize};
 
@@ -14,6 +14,9 @@ use dos::hal::HardwareProfile;
 use dos::serve::{
     open_loop_schedule, Coordinator, JobSpec, OpenLoopOptions, ServeOptions, ORACLE_RATIO_FLOOR,
 };
+
+/// The committed golden report the CI gate compares against.
+pub const GOLDEN: &str = include_str!("../baselines/serve.json");
 
 /// Report schema tag; the gate refuses to compare across schemas.
 pub const SCHEMA: &str = "dos-bench/serve-v1";
@@ -117,6 +120,16 @@ pub fn run_serve_bench(jobs: usize, seed: u64) -> Result<ServeBenchReport, Strin
     })
 }
 
+/// The `serve_bench` registry entry: the pinned 200-job, seed-0 schedule
+/// gated against `golden`.
+///
+/// # Errors
+///
+/// As [`run_serve_bench`], or when `golden` does not parse.
+pub fn serve_bench(golden: &str) -> Result<crate::Gated, String> {
+    crate::gate(&run_serve_bench(200, 0)?, golden, render, regression_gate)
+}
+
 /// The CI gate: absolute serving invariants plus regression limits
 /// against the committed baseline.
 ///
@@ -201,7 +214,7 @@ mod tests {
 
     #[test]
     fn pinned_schedule_is_deterministic_and_passes_its_own_gate() {
-        // Small job count keeps the test fast; the bin defaults to 200.
+        // Small job count keeps the test fast; `serve_bench` pins 200.
         let a = run_serve_bench(40, 0).unwrap();
         let b = run_serve_bench(40, 0).unwrap();
         assert_eq!(a, b, "virtual-time bench must be deterministic");
@@ -226,6 +239,13 @@ mod tests {
         let mut no_preempt = report;
         no_preempt.preemptions = 0;
         assert!(regression_gate(&no_preempt, &no_preempt).is_err());
+        // The registry entry: in gate against the committed golden, out of
+        // it once one field of the golden moves.
+        assert_eq!(serve_bench(GOLDEN).unwrap().verdict, Ok(()));
+        let perturbed = GOLDEN.replace("\"oracle_ratio\": 0.8", "\"oracle_ratio\": 0.9");
+        assert_ne!(perturbed, GOLDEN);
+        let err = serve_bench(&perturbed).unwrap().verdict.unwrap_err();
+        assert!(err.contains("oracle ratio regressed"), "{err}");
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! `zenflow_bench` support: the pinned ZenFlowAsync-vs-DOS iteration-time
+//! `zenflow_bench`: the pinned ZenFlowAsync-vs-DOS iteration-time
 //! benchmark and its CI regression gate (`dos-bench/zenflow-v1` schema,
-//! committed baseline `BENCH_10.json`).
+//! committed golden `baselines/zenflow.json`).
 //!
 //! Every number is *virtual-time*: the discrete-event engine replays the
 //! pinned zoo config (20B on the JLSE 4×H100 profile, importance ratio
@@ -15,6 +15,9 @@ use dos::core::{DeepOptimizerStates, ZenFlowAsync, Zero3Offload};
 use dos::hal::HardwareProfile;
 use dos::nn::ModelSpec;
 use dos::sim::{simulate_iteration, simulate_training, TrainConfig};
+
+/// The committed golden report the CI gate compares against.
+pub const GOLDEN: &str = include_str!("../baselines/zenflow.json");
 
 /// Report schema tag; the gate refuses to compare across schemas.
 pub const SCHEMA: &str = "dos-bench/zenflow-v1";
@@ -115,6 +118,16 @@ pub fn run_zenflow_bench() -> Result<ZenFlowBenchReport, String> {
         gain_vs_sync: sync_avg / async_avg,
         gain_vs_zero3: zero3_avg / async_avg,
     })
+}
+
+/// The `zenflow_bench` registry entry: the pinned config gated against
+/// `golden`.
+///
+/// # Errors
+///
+/// As [`run_zenflow_bench`], or when `golden` does not parse.
+pub fn zenflow_bench(golden: &str) -> Result<crate::Gated, String> {
+    crate::gate(&run_zenflow_bench()?, golden, render, regression_gate)
 }
 
 /// The CI gate: absolute ZenFlow invariants plus regression limits
@@ -235,12 +248,13 @@ mod tests {
 
     #[test]
     fn committed_baseline_is_in_gate() {
-        // Keep BENCH_10.json in lockstep with the cost model: the CI
-        // step replays exactly this comparison.
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_10.json");
-        let text = std::fs::read_to_string(path).expect("BENCH_10.json");
-        let baseline: ZenFlowBenchReport = serde_json::from_str(&text).unwrap();
-        let fresh = run_zenflow_bench().unwrap();
-        regression_gate(&fresh, &baseline).unwrap();
+        // Keep baselines/zenflow.json in lockstep with the cost model:
+        // `dos-bench zenflow_bench` replays exactly this comparison.
+        assert_eq!(zenflow_bench(GOLDEN).unwrap().verdict, Ok(()));
+        // One moved field of the golden puts the same run out of gate.
+        let perturbed = GOLDEN.replace("\"gain_vs_zero3\": 1.2", "\"gain_vs_zero3\": 1.3");
+        assert_ne!(perturbed, GOLDEN);
+        let err = zenflow_bench(&perturbed).unwrap().verdict.unwrap_err();
+        assert!(err.contains("vs-zero3 gain regressed"), "{err}");
     }
 }

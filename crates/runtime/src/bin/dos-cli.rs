@@ -1,23 +1,11 @@
 //! `dos-cli` — run a Deep Optimizer States training simulation from a
 //! DeepSpeed-style JSON config file.
 //!
-//! ```text
-//! dos-cli <config.json> [--iterations N] [--compare] [--explain]
-//! dos-cli trace <config.json> [--out trace.json] [--analyze]
-//! dos-cli conformance [--quick] [--json] [--filter SUBSTR]
-//! dos-cli chaos <config.json> [--seed N] [--faults SPEC] [--trace-out FILE]
-//!               [--flight-out FILE]
-//! dos-cli monitor <config.json> [--listen ADDR] [--iterations N] [--seed N]
-//!                 [--prom-out FILE] [--health-out FILE] [--flight-dir DIR]
-//! dos-cli autotune <config.json> [--iterations N] [--seed N] [--faults SPEC]
-//!                  [--trace-out FILE] [--json]
-//! dos-cli calibrate [--elements N] [--rounds N] [--ug PPS] [--json]
-//! dos-cli serve <jobs.json> [--jobs N] [--open-loop RATE] [--seed S]
-//!               [--listen ADDR] [--ckpt-dir DIR] [--trace-out FILE]
-//!               [--out FILE] [--json] [--require-preemption]
-//! dos-cli check [--schedules N] [--fuzz N] [--seed S] [--scenario PREFIX] [--json]
-//!               [--corpus DIR] [--replay TOKEN]
+//! `dos-cli --help` prints one usage line per subcommand (the `COMMANDS`
+//! table below); the flags of each:
 //!
+//! ```text
+//! <config.json>: simulate the config's training run (the default mode).
 //!   --iterations N   simulate N iterations (default: 1, with breakdown)
 //!   --compare        also run the ZeRO-3 and TwinFlow baselines
 //!   --explain        print the schedule Equation 1 derives first
@@ -142,115 +130,82 @@
 
 use std::process::ExitCode;
 
+use dos_runtime::cli::{exit_code, wants_help, CliError, Flags};
 use dos_runtime::{
     run_autotune, run_chaos, run_iteration, run_monitor, run_training, trace_iteration,
     AutotuneOptions, ChaosOptions, FaultKind, MonitorOptions, RuntimeConfig,
 };
 
-struct Args {
-    config_path: String,
-    iterations: usize,
-    compare: bool,
-    explain: bool,
+/// One subcommand: its name, its usage line, and its body, which gets the
+/// arguments after the name and answers `Ok(true)` when every gate held.
+type Command = (&'static str, &'static str, fn(&[String]) -> Result<bool, CliError>);
+
+/// Every subcommand. The first entry is the fallback: a first argument
+/// that names no command is the default mode's config path.
+const COMMANDS: &[Command] = &[
+    ("", "dos-cli <config.json> [--iterations N] [--compare] [--explain]", run_default),
+    ("trace", "dos-cli trace <config.json> [--out trace.json] [--analyze]", run_trace),
+    ("conformance", "dos-cli conformance [--quick] [--json] [--filter SUBSTR]", run_conformance),
+    (
+        "chaos",
+        "dos-cli chaos <config.json> [--seed N] [--faults SPEC] [--trace-out FILE] [--flight-out FILE] [--transport-faults SPEC]",
+        run_chaos_cmd,
+    ),
+    (
+        "monitor",
+        "dos-cli monitor <config.json> [--listen ADDR] [--iterations N] [--seed N] [--prom-out FILE] [--health-out FILE] [--flight-dir DIR]",
+        run_monitor_cmd,
+    ),
+    (
+        "autotune",
+        "dos-cli autotune <config.json> [--iterations N] [--seed N] [--faults SPEC] [--trace-out FILE] [--json]",
+        run_autotune_cmd,
+    ),
+    ("calibrate", "dos-cli calibrate [--elements N] [--rounds N] [--ug PPS] [--json]", run_calibrate),
+    (
+        "serve",
+        "dos-cli serve <jobs.json> [--jobs N] [--open-loop RATE] [--seed S] [--listen ADDR] [--ckpt-dir DIR] [--trace-out FILE] [--out FILE] [--json] [--require-preemption]",
+        run_serve_cmd,
+    ),
+    (
+        "check",
+        "dos-cli check [--schedules N] [--fuzz N] [--seed S] [--scenario PREFIX] [--json] [--corpus DIR] [--replay TOKEN]",
+        run_check_cmd,
+    ),
+];
+
+fn read_file(path: &str) -> Result<String, String> {
+    std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let mut config_path = None;
-    let mut iterations = 1;
-    let mut compare = false;
-    let mut explain = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iterations" => {
-                let v = args.next().ok_or("--iterations needs a value")?;
-                iterations = v.parse().map_err(|_| format!("bad iteration count `{v}`"))?;
-            }
-            "--compare" => compare = true,
-            "--explain" => explain = true,
-            "--help" | "-h" => return Err(String::new()),
-            other if config_path.is_none() => config_path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    Ok(Args {
-        config_path: config_path.ok_or("missing config path")?,
-        iterations,
-        compare,
-        explain,
-    })
+/// Reads and parses a simulator config file.
+fn load_config(path: &str) -> Result<RuntimeConfig, String> {
+    RuntimeConfig::from_json(&read_file(path)?).map_err(|e| e.to_string())
 }
 
-fn usage() {
-    eprintln!("usage: dos-cli <config.json> [--iterations N] [--compare] [--explain]");
-    eprintln!("       dos-cli trace <config.json> [--out trace.json] [--analyze]");
-    eprintln!("       dos-cli conformance [--quick] [--json] [--filter SUBSTR]");
-    eprintln!(
-        "       dos-cli chaos <config.json> [--seed N] [--faults SPEC] [--trace-out FILE] [--flight-out FILE] [--transport-faults SPEC]"
-    );
-    eprintln!(
-        "       dos-cli monitor <config.json> [--listen ADDR] [--iterations N] [--seed N] [--prom-out FILE] [--health-out FILE] [--flight-dir DIR]"
-    );
-    eprintln!(
-        "       dos-cli autotune <config.json> [--iterations N] [--seed N] [--faults SPEC] [--trace-out FILE] [--json]"
-    );
-    eprintln!("       dos-cli calibrate [--elements N] [--rounds N] [--ug PPS] [--json]");
-    eprintln!(
-        "       dos-cli serve <jobs.json> [--jobs N] [--open-loop RATE] [--seed S] [--listen ADDR] [--ckpt-dir DIR] [--trace-out FILE] [--out FILE] [--json] [--require-preemption]"
-    );
-    eprintln!(
-        "       dos-cli check [--schedules N] [--fuzz N] [--seed S] [--scenario PREFIX] [--json] [--corpus DIR] [--replay TOKEN]"
-    );
+/// Serializes `value` as pretty JSON, naming it `what` on failure.
+fn pretty<T: serde::Serialize>(value: &T, what: &str) -> Result<String, String> {
+    serde_json::to_string_pretty(value).map_err(|e| format!("cannot serialize {what}: {e}"))
+}
+
+fn write_file(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 /// Runs the multi-tenant control plane over a submission file;
 /// `Ok(true)` means every serving gate held.
-fn run_serve_cmd(rest: &[String]) -> Result<bool, String> {
-    let mut spec_path = None;
-    let mut jobs: Option<usize> = None;
-    let mut rate: Option<f64> = None;
-    let mut seed: u64 = 0;
-    let mut listen: Option<String> = None;
-    let mut ckpt_dir: Option<std::path::PathBuf> = None;
-    let mut trace_out: Option<String> = None;
-    let mut out: Option<String> = None;
-    let mut json = false;
-    let mut require_preemption = false;
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--jobs" => {
-                let v = args.next().ok_or("--jobs needs a value")?;
-                jobs = Some(v.parse().map_err(|_| format!("bad job count `{v}`"))?);
-            }
-            "--open-loop" => {
-                let v = args.next().ok_or("--open-loop needs a rate")?;
-                rate = Some(v.parse().map_err(|_| format!("bad rate `{v}`"))?);
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--listen" => {
-                listen = Some(args.next().ok_or("--listen needs an address")?.to_string());
-            }
-            "--ckpt-dir" => {
-                ckpt_dir = Some(args.next().ok_or("--ckpt-dir needs a path")?.into());
-            }
-            "--trace-out" => {
-                trace_out = Some(args.next().ok_or("--trace-out needs a path")?.to_string());
-            }
-            "--out" => out = Some(args.next().ok_or("--out needs a path")?.to_string()),
-            "--json" => json = true,
-            "--require-preemption" => require_preemption = true,
-            other if spec_path.is_none() => spec_path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let spec_path = spec_path.ok_or("missing submission file path")?;
-    let text = std::fs::read_to_string(&spec_path)
-        .map_err(|e| format!("cannot read {spec_path}: {e}"))?;
-    let spec = dos_serve::ServeSpec::from_json(&text)?;
+fn run_serve_cmd(rest: &[String]) -> Result<bool, CliError> {
+    let mut flags = Flags::new(rest);
+    let jobs: Option<usize> = flags.value("--jobs")?;
+    let rate: Option<f64> = flags.value("--open-loop")?;
+    let seed: u64 = flags.value("--seed")?.unwrap_or(0);
+    let listen: Option<String> = flags.value("--listen")?;
+    let ckpt_dir: Option<std::path::PathBuf> = flags.value("--ckpt-dir")?;
+    let trace_out: Option<String> = flags.value("--trace-out")?;
+    let out: Option<String> = flags.value("--out")?;
+    let json = flags.switch("--json");
+    let require_preemption = flags.switch("--require-preemption");
+    let spec = dos_serve::ServeSpec::from_json(&read_file(flags.one("submission file path")?)?)?;
     spec.validate()?;
     let profile = spec.resolve_profile()?;
 
@@ -273,18 +228,17 @@ fn run_serve_cmd(rest: &[String]) -> Result<bool, String> {
 
     // The endpoint serves the live registry and the tenant table while
     // the virtual-time run executes; it stops when dropped.
-    let server = match &listen {
-        Some(addr) => Some(
+    let server = listen
+        .map(|addr| {
             dos_telemetry::MetricsServer::start_with_routes(
-                addr,
+                &addr,
                 coord.tracer().metrics().clone(),
                 None,
                 vec![("/tenants".to_string(), coord.tenants_doc().route())],
             )
-            .map_err(|e| format!("metrics server: {e}"))?,
-        ),
-        None => None,
-    };
+            .map_err(|e| format!("metrics server: {e}"))
+        })
+        .transpose()?;
 
     let report = coord.run(submission).map_err(|e| e.to_string())?;
 
@@ -295,7 +249,8 @@ fn run_serve_cmd(rest: &[String]) -> Result<bool, String> {
             return Err(format!(
                 "self-scrape of {addr}/metrics invalid (status {status}, tenant labels {})",
                 if prom.contains("tenant=\"") { "present" } else { "missing" }
-            ));
+            )
+            .into());
         }
         dos_telemetry::parse_prometheus(&prom)
             .map_err(|e| format!("self-scraped payload does not parse: {e}"))?;
@@ -303,22 +258,18 @@ fn run_serve_cmd(rest: &[String]) -> Result<bool, String> {
         let table: Vec<dos_serve::TenantReport> = serde_json::from_str(&tenants)
             .map_err(|e| format!("/tenants payload does not parse: {e}"))?;
         if status != 200 || table.is_empty() {
-            return Err(format!("/tenants invalid (status {status}, {} rows)", table.len()));
+            return Err(format!("/tenants invalid (status {status}, {} rows)", table.len()).into());
         }
         eprintln!("self-scrape of {addr} valid: tenant-labelled metrics + /tenants table");
     }
 
     if let Some(path) = &trace_out {
-        let trace = dos_telemetry::chrome_trace(coord.tracer());
-        let rendered = serde_json::to_string_pretty(&trace)
-            .map_err(|e| format!("cannot serialize trace: {e}"))?;
-        std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, &pretty(&dos_telemetry::chrome_trace(coord.tracer()), "trace")?)?;
     }
 
-    let rendered = serde_json::to_string_pretty(&report)
-        .map_err(|e| format!("cannot serialize report: {e}"))?;
+    let rendered = pretty(&report, "report")?;
     if let Some(path) = &out {
-        std::fs::write(path, &rendered).map_err(|e| format!("cannot write {path}: {e}"))?;
+        write_file(path, &rendered)?;
     }
     if json {
         println!("{rendered}");
@@ -376,40 +327,17 @@ fn run_serve_cmd(rest: &[String]) -> Result<bool, String> {
 
 /// Runs schedule exploration + differential fuzzing (or replays one
 /// token); `Ok(true)` means no divergence.
-fn run_check_cmd(rest: &[String]) -> Result<bool, String> {
+fn run_check_cmd(rest: &[String]) -> Result<bool, CliError> {
     let mut opts = dos_check::CheckOptions::default();
-    let mut json = false;
-    let mut replay: Option<String> = None;
-    let mut corpus: Option<String> = None;
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--schedules" => {
-                let v = args.next().ok_or("--schedules needs a value")?;
-                opts.schedules = v.parse().map_err(|_| format!("bad schedule count `{v}`"))?;
-            }
-            "--fuzz" => {
-                let v = args.next().ok_or("--fuzz needs a value")?;
-                opts.fuzz = v.parse().map_err(|_| format!("bad fuzz count `{v}`"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--json" => json = true,
-            "--scenario" => {
-                let v = args.next().ok_or("--scenario needs a coordinate prefix")?;
-                opts.scenario_filter = Some(v.to_string());
-            }
-            "--replay" => {
-                replay = Some(args.next().ok_or("--replay needs a token")?.to_string());
-            }
-            "--corpus" => {
-                corpus = Some(args.next().ok_or("--corpus needs a directory")?.to_string());
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
+    let mut flags = Flags::new(rest);
+    flags.set("--schedules", &mut opts.schedules)?;
+    flags.set("--fuzz", &mut opts.fuzz)?;
+    flags.set("--seed", &mut opts.seed)?;
+    opts.scenario_filter = flags.value("--scenario")?;
+    let json = flags.switch("--json");
+    let replay: Option<String> = flags.value("--replay")?;
+    let corpus: Option<String> = flags.value("--corpus")?;
+    flags.none()?;
 
     // Fault scenarios intentionally panic the virtual device worker
     // ("injected device fault …"); the pipeline contains and recovers from
@@ -461,45 +389,23 @@ fn run_check_cmd(rest: &[String]) -> Result<bool, String> {
 
 /// Races the adaptive controller against the static arm; `Ok(true)` means
 /// the controller met its acceptance bar.
-fn run_autotune_cmd(rest: &[String]) -> Result<bool, String> {
-    let mut config_path = None;
+fn run_autotune_cmd(rest: &[String]) -> Result<bool, CliError> {
     let mut opts = AutotuneOptions::default();
-    let mut json = false;
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--iterations" => {
-                let v = args.next().ok_or("--iterations needs a value")?;
-                opts.iterations = v.parse().map_err(|_| format!("bad iteration count `{v}`"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--faults" => {
-                let v = args.next().ok_or("--faults needs a spec")?;
-                opts.faults = v
-                    .split(',')
-                    .map(|s| dos_control::DegradationSpec::parse(s.trim()))
-                    .collect::<Result<Vec<_>, _>>()?;
-            }
-            "--trace-out" => {
-                opts.trace_out = Some(args.next().ok_or("--trace-out needs a path")?.into());
-            }
-            "--json" => json = true,
-            other if config_path.is_none() => config_path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
+    let mut flags = Flags::new(rest);
+    flags.set_positive("--iterations", &mut opts.iterations)?;
+    flags.set("--seed", &mut opts.seed)?;
+    if let Some(spec) = flags.value::<String>("--faults")? {
+        opts.faults = spec
+            .split(',')
+            .map(|s| dos_control::DegradationSpec::parse(s.trim()))
+            .collect::<Result<Vec<_>, _>>()?;
     }
-    let config_path = config_path.ok_or("missing config path")?;
-    let cfg_json = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("cannot read {config_path}: {e}"))?;
-    let config = RuntimeConfig::from_json(&cfg_json).map_err(|e| e.to_string())?;
+    opts.trace_out = flags.value("--trace-out")?;
+    let json = flags.switch("--json");
+    let config = load_config(flags.one("config path")?)?;
     let outcome = run_autotune(&config, &opts)?;
     if json {
-        let rendered = serde_json::to_string_pretty(&outcome)
-            .map_err(|e| format!("cannot serialize outcome: {e}"))?;
-        println!("{rendered}");
+        println!("{}", pretty(&outcome, "outcome")?);
     } else {
         print!("{}", outcome.report.render_table());
         println!(
@@ -513,35 +419,18 @@ fn run_autotune_cmd(rest: &[String]) -> Result<bool, String> {
 
 /// Measures Equation 1's CPU-side inputs on this machine; `Ok(true)`
 /// unless the measurements are unusable.
-fn run_calibrate(rest: &[String]) -> Result<bool, String> {
+fn run_calibrate(rest: &[String]) -> Result<bool, CliError> {
     let mut elements: usize = 1 << 22;
     let mut rounds: usize = 5;
     let mut ug: f64 = 25.0e9;
-    let mut json = false;
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--elements" => {
-                let v = args.next().ok_or("--elements needs a value")?;
-                elements = v.parse().map_err(|_| format!("bad element count `{v}`"))?;
-            }
-            "--rounds" => {
-                let v = args.next().ok_or("--rounds needs a value")?;
-                rounds = v.parse().map_err(|_| format!("bad round count `{v}`"))?;
-            }
-            "--ug" => {
-                let v = args.next().ok_or("--ug needs a value")?;
-                ug = v.parse().map_err(|_| format!("bad GPU rate `{v}`"))?;
-            }
-            "--json" => json = true,
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    if elements == 0 || rounds == 0 {
-        return Err("--elements and --rounds must be positive".to_string());
-    }
+    let mut flags = Flags::new(rest);
+    flags.set_positive("--elements", &mut elements)?;
+    flags.set_positive("--rounds", &mut rounds)?;
+    flags.set("--ug", &mut ug)?;
+    let json = flags.switch("--json");
+    flags.none()?;
     if !(ug.is_finite() && ug > 0.0) {
-        return Err("--ug must be a positive rate".to_string());
+        return Err(CliError::Usage("--ug must be a positive rate".to_string()));
     }
     let report = dos_core::calibrate_with(elements, rounds);
     let model = report.perf_model(ug);
@@ -564,7 +453,7 @@ fn run_calibrate(rest: &[String]) -> Result<bool, String> {
             spread: SpreadOut,
             optimal_stride: Option<usize>,
         }
-        let rendered = serde_json::to_string_pretty(&CalibrateOut {
+        let out = CalibrateOut {
             elements: report.elements,
             rounds: report.rounds,
             cpu_update_pps: report.cpu_update_pps,
@@ -577,9 +466,8 @@ fn run_calibrate(rest: &[String]) -> Result<bool, String> {
                 staging: report.spread.staging,
             },
             optimal_stride: stride,
-        })
-        .map_err(|e| format!("cannot serialize report: {e}"))?;
-        println!("{rendered}");
+        };
+        println!("{}", pretty(&out, "report")?);
     } else {
         println!(
             "calibrated over {} elements, median of {} rounds (spread = (max-min)/median):",
@@ -617,40 +505,17 @@ fn run_calibrate(rest: &[String]) -> Result<bool, String> {
 }
 
 /// Runs the seeded chaos campaign; `Ok(true)` means every invariant held.
-fn run_chaos_cmd(rest: &[String]) -> Result<bool, String> {
-    let mut config_path = None;
+fn run_chaos_cmd(rest: &[String]) -> Result<bool, CliError> {
     let mut opts = ChaosOptions::default();
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--faults" => {
-                let v = args.next().ok_or("--faults needs a spec")?;
-                opts.faults = FaultKind::parse_spec(v)?;
-            }
-            "--trace-out" => {
-                opts.trace_out =
-                    Some(args.next().ok_or("--trace-out needs a path")?.into());
-            }
-            "--flight-out" => {
-                opts.flight_out =
-                    Some(args.next().ok_or("--flight-out needs a path")?.into());
-            }
-            "--transport-faults" => {
-                opts.transport_faults =
-                    Some(args.next().ok_or("--transport-faults needs a spec")?.to_string());
-            }
-            other if config_path.is_none() => config_path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
+    let mut flags = Flags::new(rest);
+    flags.set("--seed", &mut opts.seed)?;
+    if let Some(spec) = flags.value::<String>("--faults")? {
+        opts.faults = FaultKind::parse_spec(&spec)?;
     }
-    let config_path = config_path.ok_or("missing config path")?;
-    let json = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("cannot read {config_path}: {e}"))?;
-    let config = RuntimeConfig::from_json(&json).map_err(|e| e.to_string())?;
+    opts.trace_out = flags.value("--trace-out")?;
+    opts.flight_out = flags.value("--flight-out")?;
+    opts.transport_faults = flags.value("--transport-faults")?;
+    let config = load_config(flags.one("config path")?)?;
     let report = run_chaos(&config, &opts).map_err(|e| e.to_string())?;
     print!("{}", report.render());
     Ok(report.passed())
@@ -658,40 +523,16 @@ fn run_chaos_cmd(rest: &[String]) -> Result<bool, String> {
 
 /// Runs real training with the metrics endpoint live; `Ok(true)` means
 /// every self-scrape served a valid payload.
-fn run_monitor_cmd(rest: &[String]) -> Result<bool, String> {
-    let mut config_path = None;
+fn run_monitor_cmd(rest: &[String]) -> Result<bool, CliError> {
     let mut opts = MonitorOptions::default();
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--listen" => {
-                opts.listen = args.next().ok_or("--listen needs an address")?.to_string();
-            }
-            "--iterations" => {
-                let v = args.next().ok_or("--iterations needs a value")?;
-                opts.iterations = v.parse().map_err(|_| format!("bad iteration count `{v}`"))?;
-            }
-            "--seed" => {
-                let v = args.next().ok_or("--seed needs a value")?;
-                opts.seed = v.parse().map_err(|_| format!("bad seed `{v}`"))?;
-            }
-            "--prom-out" => {
-                opts.prom_out = Some(args.next().ok_or("--prom-out needs a path")?.into());
-            }
-            "--health-out" => {
-                opts.health_out = Some(args.next().ok_or("--health-out needs a path")?.into());
-            }
-            "--flight-dir" => {
-                opts.flight_dir = Some(args.next().ok_or("--flight-dir needs a path")?.into());
-            }
-            other if config_path.is_none() => config_path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let config_path = config_path.ok_or("missing config path")?;
-    let json = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("cannot read {config_path}: {e}"))?;
-    let outcome = run_monitor(&json, &opts)?;
+    let mut flags = Flags::new(rest);
+    flags.set("--listen", &mut opts.listen)?;
+    flags.set_positive("--iterations", &mut opts.iterations)?;
+    flags.set("--seed", &mut opts.seed)?;
+    opts.prom_out = flags.value("--prom-out")?;
+    opts.health_out = flags.value("--health-out")?;
+    opts.flight_dir = flags.value("--flight-dir")?;
+    let outcome = run_monitor(&read_file(flags.one("config path")?)?, &opts)?;
     eprintln!(
         "monitored {} iteration(s) on {}: {} degraded, {} health event(s); payload valid",
         outcome.iterations, outcome.addr, outcome.degraded_steps, outcome.health_events
@@ -700,32 +541,21 @@ fn run_monitor_cmd(rest: &[String]) -> Result<bool, String> {
 }
 
 /// Runs the differential conformance matrix; `Ok(true)` means conformant.
-fn run_conformance(rest: &[String]) -> Result<bool, String> {
-    let mut quick = false;
-    let mut json = false;
-    let mut filter = None;
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json = true,
-            "--filter" => {
-                filter = Some(args.next().ok_or("--filter needs a substring")?.to_string());
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
+fn run_conformance(rest: &[String]) -> Result<bool, CliError> {
+    let mut flags = Flags::new(rest);
+    let quick = flags.switch("--quick");
+    let json = flags.switch("--json");
+    let filter: Option<String> = flags.value("--filter")?;
+    flags.none()?;
     let oracle = if quick { dos_oracle::Oracle::quick() } else { dos_oracle::Oracle::full() };
     let outcome = oracle.run_filtered(filter.as_deref());
     if let Some(f) = &filter {
         if outcome.report.cells_checked == 0 {
-            return Err(format!("--filter `{f}` matched no conformance cells"));
+            return Err(format!("--filter `{f}` matched no conformance cells").into());
         }
     }
     if json {
-        let rendered = serde_json::to_string_pretty(&outcome.report)
-            .map_err(|e| format!("cannot serialize report: {e}"))?;
-        println!("{rendered}");
+        println!("{}", pretty(&outcome.report, "report")?);
     } else {
         print!("{}", outcome.report.render_table());
     }
@@ -735,36 +565,23 @@ fn run_conformance(rest: &[String]) -> Result<bool, String> {
 /// Simulates one traced iteration and exports a Chrome trace-event JSON;
 /// `Ok(true)` means the export (and, with `--analyze`, every analyzer
 /// invariant) held.
-fn run_trace(rest: &[String]) -> Result<bool, String> {
-    let mut config_path = None;
-    let mut out = "trace.json".to_string();
-    let mut analyze = false;
-    let mut args = rest.iter();
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => out = args.next().ok_or("--out needs a path")?.to_string(),
-            "--analyze" => analyze = true,
-            other if config_path.is_none() => config_path = Some(other.to_string()),
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    let config_path = config_path.ok_or("missing config path")?;
-    let json = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("cannot read {config_path}: {e}"))?;
-    let config = RuntimeConfig::from_json(&json).map_err(|e| e.to_string())?;
+fn run_trace(rest: &[String]) -> Result<bool, CliError> {
+    let mut flags = Flags::new(rest);
+    let out: String = flags.value("--out")?.unwrap_or_else(|| "trace.json".to_string());
+    let analyze = flags.switch("--analyze");
+    let config = load_config(flags.one("config path")?)?;
     let (report, tracer) = trace_iteration(&config).map_err(|e| e.to_string())?;
 
     let trace = dos_telemetry::chrome_trace(&tracer);
-    let rendered = serde_json::to_string_pretty(&trace)
-        .map_err(|e| format!("cannot serialize trace: {e}"))?;
+    let rendered = pretty(&trace, "trace")?;
     // The file is only useful if a consumer can read it back; verify the
     // round trip before writing.
     let back: dos_telemetry::ChromeTrace = serde_json::from_str(&rendered)
         .map_err(|e| format!("exported trace does not parse back: {e}"))?;
     if back != trace {
-        return Err("exported trace does not round-trip losslessly".to_string());
+        return Err("exported trace does not round-trip losslessly".into());
     }
-    std::fs::write(&out, &rendered).map_err(|e| format!("cannot write {out}: {e}"))?;
+    write_file(&out, &rendered)?;
     println!(
         "{}: {} events on {} tracks, {:.3} simulated seconds -> {out}",
         report.scheduler,
@@ -789,18 +606,31 @@ fn run_trace(rest: &[String]) -> Result<bool, String> {
     Ok(true)
 }
 
-fn run(args: &Args) -> Result<(), String> {
-    let json = std::fs::read_to_string(&args.config_path)
-        .map_err(|e| format!("cannot read {}: {e}", args.config_path))?;
+/// The default mode: simulates the config (and, with `--compare`, the
+/// ZeRO-3 and TwinFlow baselines); `Ok(true)` once every line printed.
+fn run_default(rest: &[String]) -> Result<bool, CliError> {
+    let mut iterations = 1;
+    let mut flags = Flags::new(rest);
+    flags.set_positive("--iterations", &mut iterations)?;
+    let compare = flags.switch("--compare");
+    let explain = flags.switch("--explain");
+    let config_path = flags.one("config path")?;
+    let json = std::fs::read_to_string(config_path).map_err(|e| {
+        let commands: Vec<&str> = COMMANDS[1..].iter().map(|c| c.0).collect();
+        format!(
+            "`{config_path}` is neither a command ({}) nor a readable file ({e})",
+            commands.join(", ")
+        )
+    })?;
     let config = RuntimeConfig::from_json(&json).map_err(|e| e.to_string())?;
 
-    if args.explain {
+    if explain {
         let train = config.resolve().map_err(|e| e.to_string())?;
         println!("{}\n", dos_core::explain_schedule(&train));
     }
 
     let mut variants = vec![config.clone()];
-    if args.compare {
+    if compare {
         let mut baseline = config.clone();
         baseline.deep_optimizer_states.enabled = false;
         baseline.gpu_resident_ratio = 0.0;
@@ -813,7 +643,7 @@ fn run(args: &Args) -> Result<(), String> {
 
     let mut reference: Option<f64> = None;
     for cfg in &variants {
-        if args.iterations <= 1 {
+        if iterations == 1 {
             let r = run_iteration(cfg).map_err(|e| e.to_string())?;
             println!(
                 "{:>22} | fwd {:7.3}s | bwd {:7.3}s | upd {:7.3}s | total {:7.3}s | {:5.1} TFLOP/s/GPU{}{}",
@@ -828,7 +658,7 @@ fn run(args: &Args) -> Result<(), String> {
             );
             note_speedup(&mut reference, r.total_secs);
         } else {
-            let r = run_training(cfg, args.iterations).map_err(|e| e.to_string())?;
+            let r = run_training(cfg, iterations).map_err(|e| e.to_string())?;
             println!(
                 "{:>22} | {} iterations | total {:9.2}s | avg {:7.3}s/iter | stable: {}",
                 r.scheduler,
@@ -840,7 +670,7 @@ fn run(args: &Args) -> Result<(), String> {
             note_speedup(&mut reference, r.total_secs);
         }
     }
-    Ok(())
+    Ok(true)
 }
 
 fn note_speedup(reference: &mut Option<f64>, total: f64) {
@@ -852,108 +682,17 @@ fn note_speedup(reference: &mut Option<f64>, total: f64) {
 
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.first().map(String::as_str) == Some("conformance") {
-        return match run_conformance(&raw[1..]) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.first().map(String::as_str) == Some("chaos") {
-        return match run_chaos_cmd(&raw[1..]) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.first().map(String::as_str) == Some("monitor") {
-        return match run_monitor_cmd(&raw[1..]) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.first().map(String::as_str) == Some("autotune") {
-        return match run_autotune_cmd(&raw[1..]) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.first().map(String::as_str) == Some("calibrate") {
-        return match run_calibrate(&raw[1..]) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.first().map(String::as_str) == Some("serve") {
-        return match run_serve_cmd(&raw[1..]) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.first().map(String::as_str) == Some("check") {
-        return match run_check_cmd(&raw[1..]) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if raw.first().map(String::as_str) == Some("trace") {
-        return match run_trace(&raw[1..]) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(e) => {
-                eprintln!("error: {e}");
-                usage();
-                ExitCode::FAILURE
-            }
-        };
-    }
-    match parse_args() {
-        Ok(args) => match run(&args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        },
-        Err(e) => {
-            if !e.is_empty() {
-                eprintln!("error: {e}");
-            }
-            usage();
-            ExitCode::FAILURE
+    let named = COMMANDS[1..].iter().find(|c| Some(c.0) == raw.first().map(String::as_str));
+    let (&(name, usage, run), rest) = match named {
+        Some(command) => (command, &raw[1..]),
+        None => (&COMMANDS[0], &raw[..]),
+    };
+    if wants_help(rest) {
+        // `dos-cli --help` lists every command, `dos-cli <cmd> --help` one.
+        for (_, line, _) in COMMANDS.iter().filter(|c| name.is_empty() || c.0 == name) {
+            println!("{line}");
         }
+        return ExitCode::SUCCESS;
     }
+    exit_code(run(rest), usage, 1)
 }

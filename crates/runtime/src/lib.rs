@@ -28,6 +28,7 @@
 
 mod autotune;
 mod chaos;
+pub mod cli;
 mod config;
 mod functional;
 mod monitor;

@@ -1,7 +1,7 @@
 //! Seeded open-loop workload expansion: turning a handful of prototype
 //! jobs into a schedule of hundreds.
 //!
-//! `dos-cli serve --jobs N`, the `serve_bench` harness, and the CI smoke
+//! `dos-cli serve --jobs N`, `dos-bench serve_bench`, and the CI smoke
 //! test all need the same pinned schedule: N jobs cycled over the
 //! submission file's prototypes, arriving open-loop at a rate the cluster
 //! can *almost* keep up with. The default rate (1/0.9 of the Equation 1

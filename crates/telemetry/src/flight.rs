@@ -5,8 +5,8 @@
 //! The [`FlightRecorder`] keeps only the newest `capacity` events in a
 //! fixed ring of interned, `Copy` [`RawEvent`]s — recording is one mutex
 //! acquisition and one 64-byte write, cheap enough to leave on for the
-//! life of a job (the `dos-bench` overhead arm gates it at ≤3% end to
-//! end).
+//! life of a job (budget: ≤3% end to end, measured by `benchmark/` as
+//! `telemetry.trace_overhead_frac`).
 //!
 //! When an incident happens — a `fault:*` instant from the pipeline or
 //! the chaos harness, a checkpoint fallback, a `health:degraded`

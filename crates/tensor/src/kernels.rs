@@ -11,7 +11,8 @@
 //!
 //! The downscale is `D_c` in the paper's Eq. 1 — one of the two CPU-side
 //! throughput constants the adaptive controller steers on — so this is a
-//! measured hot path, not a micro-optimization; see `BENCH_7.json`.
+//! measured hot path, not a micro-optimization; `benchmark/` reports it as
+//! `tensor.downscale_params_per_s`.
 
 use crate::f16::F16;
 
