@@ -6,9 +6,10 @@ use dos::core::{DeepOptimizerStates, NvmeOffload, PerfModel, ZenFlowAsync, Zero3
 use dos::hal::HardwareProfile;
 use dos::nn::ModelSpec;
 use dos::sim::{
-    simulate_iteration, simulate_training, simulate_training_with_checkpoints, CheckpointPolicy,
-    TrainConfig,
+    simulate_iteration, simulate_training, simulate_training_with, CheckpointPolicy, TrainConfig,
 };
+
+use std::num::NonZeroUsize;
 
 use crate::support::{secs, speedup, TextTable};
 
@@ -57,23 +58,15 @@ pub fn extension_checkpointing() -> String {
     let spec = ModelSpec::by_name("20B").unwrap();
     let cfg = TrainConfig::deep_optimizer_states(spec, profile);
     const ITERS: usize = 12;
-    const EVERY: usize = 4;
+    const EVERY: NonZeroUsize = NonZeroUsize::new(4).unwrap();
     let sched = DeepOptimizerStates::default();
     let plain = simulate_training(&cfg, &sched, ITERS).unwrap();
-    let blocking = simulate_training_with_checkpoints(
-        &cfg,
-        &sched,
-        ITERS,
-        CheckpointPolicy { every: EVERY, asynchronous: false },
-    )
-    .unwrap();
-    let asynchronous = simulate_training_with_checkpoints(
-        &cfg,
-        &sched,
-        ITERS,
-        CheckpointPolicy { every: EVERY, asynchronous: true },
-    )
-    .unwrap();
+    let checkpointed = |asynchronous| {
+        let policy = CheckpointPolicy { every: EVERY, asynchronous };
+        simulate_training_with(&cfg, &sched, ITERS, Some(policy)).unwrap().0
+    };
+    let blocking = checkpointed(false);
+    let asynchronous = checkpointed(true);
     let end = |r: &dos::sim::TrainingReport| *r.iteration_ends.last().unwrap();
     let mut t = TextTable::new(["checkpointing", "12 iterations (s)", "overhead"]);
     t.row(["none".to_string(), secs(end(&plain)), "-".into()]);

@@ -8,7 +8,7 @@
 //! put to sleep for the sibling branches and stays asleep until some
 //! executed operation is *dependent* with `a`'s pending operation
 //! (conservatively: both touch the same channel — send/send pairs
-//! excepted, see [`dependent`] — or either is a thread-lifecycle
+//! excepted, see `dependent` — or either is a thread-lifecycle
 //! operation). Branches whose entire enabled set is
 //! asleep are abandoned — their terminal states are reachable through an
 //! already-explored commutation.

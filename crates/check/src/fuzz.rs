@@ -20,7 +20,7 @@
 //!   fuzzable events, not just unit-test concerns.
 //!
 //! A failing case is shrunk with the proptest shim's
-//! [`ShrinkValue`](proptest::strategy::ShrinkValue) halving walk — each
+//! [`ShrinkValue`] halving walk — each
 //! numeric field descends toward its floor while the failure holds — and
 //! rendered as JSON ready to be committed under `tests/corpus/`.
 

@@ -293,7 +293,7 @@ impl CheckScenario {
 
     /// The sequential oracle: `full_step` + full downscale on one thread
     /// (pipeline kinds), or the rank-order collective fold
-    /// ([`CheckScenario::rendezvous_expected`]).
+    /// (`CheckScenario::rendezvous_expected`).
     pub fn expected(&self) -> Observed {
         if self.kind == ScenarioKind::Rendezvous {
             return self.rendezvous_expected();

@@ -1,12 +1,12 @@
 //! The feedback controller: hysteresis-gated stride retuning, headroom-based
 //! resident sizing, and the degradation ladder with recovery edges.
 
-use crate::driver::{fault_plan_for, DegradationSpec};
+use crate::driver::{fault_plan_for, ControlledIteration, DegradationSpec, IterationController};
 use crate::estimator::InputEstimators;
 use crate::gate::SweepGate;
 use dos_core::{DeepOptimizerStates, PerfModel, StridePolicy};
 use dos_hal::PerfModelInputs;
-use dos_sim::{ControlledIteration, IterationController, IterationReport, TrainConfig};
+use dos_sim::{IterationReport, TrainConfig};
 use dos_telemetry::{TraceEvent, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -130,7 +130,7 @@ impl Default for ControllerConfig {
 }
 
 /// The adaptive control plane: estimator → solver → hysteresis → actuator,
-/// plugged into `dos-sim`'s per-iteration [`IterationController`] hook.
+/// plugged into the per-iteration [`IterationController`] hook.
 #[derive(Debug, Clone)]
 pub struct Controller {
     cfg: ControllerConfig,
@@ -512,8 +512,8 @@ impl Default for WallClockTunerConfig {
 
 /// The functional-trainer tuner: the same sweep + hysteresis loop as
 /// [`Controller`], fed purely from wall-clock spans recorded by the real
-/// threaded pipeline (`hybrid_update_traced`) — `U_c` from `update:sg*`
-/// spans, `D_c` from the pipeline's dedicated `downscale:sg*` spans, `B`
+/// threaded pipeline (a traced `hybrid_update_pooled` step) — `U_c` from
+/// `update:sg*` spans, `D_c` from the pipeline's dedicated `downscale:sg*` spans, `B`
 /// from the staging transfers. No contention compensation is applied —
 /// wall spans already measure the contended machine. When configured with
 /// [`ResidentPolicy::Headroom`], it additionally sizes the static-resident

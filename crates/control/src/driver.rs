@@ -6,8 +6,7 @@ use crate::controller::{ControlDecision, Controller, ControllerConfig, DecisionK
 use dos_core::{DeepOptimizerStates, PerfModel, StridePolicy};
 use dos_hal::{FaultPlan, SimError, SimTime};
 use dos_sim::{
-    simulate_training_controlled, ControlledIteration, IterationController, IterationReport,
-    TrainConfig,
+    simulate_iteration_with, IterationOptions, IterationReport, TrainConfig, UpdateScheduler,
 };
 use dos_telemetry::Tracer;
 use serde::{Deserialize, Serialize};
@@ -88,6 +87,72 @@ pub fn fault_plan_for(
         );
     }
     Some(plan)
+}
+
+/// One iteration's plan, produced by an [`IterationController`] before the
+/// iteration is submitted to the engine.
+pub struct ControlledIteration {
+    /// The update scheduler to run this iteration under.
+    pub scheduler: Box<dyn UpdateScheduler>,
+    /// Optional per-iteration override of the offload configuration (the
+    /// control plane resizes the GPU-resident tail against observed
+    /// `MemoryPool` headroom).
+    pub offload: Option<dos_zero::OffloadConfig>,
+    /// Optional fault plan to install on the iteration's engine (pinned
+    /// degradation windows expressed per iteration).
+    pub faults: Option<FaultPlan>,
+}
+
+/// The feedback hook called around every iteration of
+/// [`simulate_training_controlled`]: it closes the loop between observed
+/// update-phase timings and the next iteration's schedule (stride,
+/// resident set, degradation-ladder rung).
+pub trait IterationController {
+    /// Plans iteration `iteration` (0-based) given the run configuration.
+    fn plan_iteration(&mut self, iteration: usize, cfg: &TrainConfig) -> ControlledIteration;
+
+    /// Observes the finished iteration's report (timeline included), so
+    /// estimators can update before the next [`Self::plan_iteration`].
+    fn observe_iteration(&mut self, iteration: usize, report: &IterationReport);
+}
+
+/// Runs `iterations` iterations, each planned by `controller` and simulated
+/// on a fresh engine by [`simulate_iteration_with`] (so per-iteration fault
+/// plans and offload overrides apply cleanly; trailing flushes are
+/// contained within their iteration, unlike `dos_sim::simulate_training`'s
+/// shared engine).
+///
+/// If `trace` is given as `(tracer, index)`, iteration `index`'s full
+/// engine schedule (fault instants included) and phase boundaries are
+/// replayed into the tracer — the controller can add its own `control:*`
+/// instants on top.
+///
+/// # Errors
+///
+/// Propagates engine errors from any iteration.
+pub fn simulate_training_controlled(
+    cfg: &TrainConfig,
+    controller: &mut dyn IterationController,
+    iterations: usize,
+    trace: Option<(&Tracer, usize)>,
+) -> Result<Vec<IterationReport>, SimError> {
+    let mut reports = Vec::with_capacity(iterations);
+    for i in 0..iterations {
+        let plan = controller.plan_iteration(i, cfg);
+        let mut it_cfg = cfg.clone();
+        if let Some(offload) = plan.offload {
+            it_cfg.offload = offload;
+        }
+        let opts = IterationOptions {
+            rank: 0,
+            faults: plan.faults.as_ref(),
+            tracer: trace.and_then(|(tracer, index)| (index == i).then_some(tracer)),
+        };
+        let report = simulate_iteration_with(&it_cfg, plan.scheduler.as_ref(), opts)?;
+        controller.observe_iteration(i, &report);
+        reports.push(report);
+    }
+    Ok(reports)
 }
 
 /// The paper's static arm: `StridePolicy::Auto` resolved once from the

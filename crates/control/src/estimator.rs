@@ -198,8 +198,8 @@ impl InputEstimators {
         self.fold(agg, uc, dc, ug, comp);
     }
 
-    /// Feeds one functional iteration's wall-clock spans (from
-    /// `hybrid_update_traced`). Wall spans carry `work` directly in
+    /// Feeds one functional iteration's wall-clock spans (from a traced
+    /// `hybrid_update_pooled` step). Wall spans carry `work` directly in
     /// params (CPU/GPU updates) or bytes (staging transfers), so no
     /// nominal conversion is needed.
     pub fn observe_wall_events(&mut self, events: &[TraceEvent]) {

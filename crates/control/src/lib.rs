@@ -12,12 +12,14 @@
 //! * [`InputEstimators`] — per-input EWMA estimators of `U_c`, `U_g`, `B`
 //!   (per PCIe direction), and `D_c`, fed from either clock: simulated
 //!   interval logs ([`InputEstimators::observe_sim_timeline`]) or
-//!   wall-clock spans from `hybrid_update_traced`
+//!   wall-clock spans from a traced `dos_core::hybrid_update_pooled` step
 //!   ([`InputEstimators::observe_wall_events`]). Observed CPU throughputs
 //!   are divided by the known DRAM-contention factor while interleaving is
 //!   active, so the estimates stay comparable to the paper's standalone
 //!   measurements.
-//! * [`Controller`] — implements `dos-sim`'s `IterationController` hook:
+//! * [`Controller`] — implements the [`IterationController`] hook of
+//!   [`simulate_training_controlled`] (a loop of fresh-engine
+//!   `dos_sim::simulate_iteration_with` runs, one per planned iteration):
 //!   re-solves Equation 1 on the current estimates each iteration, retunes
 //!   the stride only when the *predicted* gain clears a hysteresis
 //!   threshold (so `k` never oscillates), sizes the GPU-resident tail
@@ -53,6 +55,9 @@ pub use controller::{
     ControlDecision, Controller, ControllerConfig, DecisionKind, LadderRung, ResidentPolicy,
     WallClockTuner, WallClockTunerConfig,
 };
-pub use driver::{fault_plan_for, race_adaptive_vs_static, DegradationSpec, RaceReport};
+pub use driver::{
+    fault_plan_for, race_adaptive_vs_static, simulate_training_controlled, ControlledIteration,
+    DegradationSpec, IterationController, RaceReport,
+};
 pub use estimator::{Ewma, InputEstimators};
 pub use gate::{SweepGate, SweepOutcome};

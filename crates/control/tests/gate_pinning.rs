@@ -6,11 +6,13 @@
 //! full decision logs are pinned verbatim. The gate extraction must not
 //! change a single decision, threshold crossing, or rendered gain.
 
-use dos_control::{Controller, ControllerConfig, WallClockTuner, WallClockTunerConfig};
+use dos_control::{
+    Controller, ControllerConfig, IterationController, WallClockTuner, WallClockTunerConfig,
+};
 use dos_core::StridePolicy;
 use dos_hal::HardwareProfile;
 use dos_nn::ModelSpec;
-use dos_sim::{IterationController, IterationReport, ResourceUtilization, TrainConfig};
+use dos_sim::{IterationReport, ResourceUtilization, TrainConfig};
 use dos_telemetry::{EventKind, Timeline, TraceEvent};
 
 fn train() -> TrainConfig {

@@ -16,10 +16,15 @@
 //! * the baselines it is evaluated against — [`Zero3Offload`] (DeepSpeed
 //!   ZeRO-3 CPU optimizer offload) and [`TwinFlow`] (ZeRO-Offload++ static
 //!   GPU/CPU split, Figure 5 top);
-//! * [`hybrid_update`] — the same interleaved schedule executed with *real
-//!   threads and real Adam numerics*, demonstrating the §4.1 correctness
-//!   claim: out-of-order, cross-device subgroup updates are bitwise
-//!   identical to a sequential CPU update.
+//! * [`hybrid_update_pooled`] — the same interleaved schedule executed with
+//!   *real threads and real Adam numerics*, demonstrating the §4.1
+//!   correctness claim: out-of-order, cross-device subgroup updates are
+//!   bitwise identical to a sequential CPU update. It is the one pipeline
+//!   body (optional tracer, caller-owned [`ArenaPool`]); [`hybrid_update`]
+//!   is its four-argument form for oracles and property tests, and
+//!   `dos_train::Trainer::step` its one production caller;
+//! * [`ZenFlowPipeline`] — the cross-iteration bounded-staleness driver, a
+//!   different algorithm kept beside the hybrid step rather than inside it.
 //!
 //! ```
 //! use dos_core::PerfModel;
@@ -55,7 +60,7 @@ pub use explain::{explain_schedule, ScheduleExplanation};
 pub use nvme::NvmeOffload;
 pub use perf_model::PerfModel;
 pub use pipeline::{
-    hybrid_update, hybrid_update_pooled, hybrid_update_traced, DeviceFault, PipelineConfig,
+    hybrid_update, hybrid_update_pooled, DeviceFault, PipelineConfig, CPU_TRACK, DEVICE_TRACK,
     PipelineDegradation, PipelineError, PipelineReport,
 };
 pub use schedulers::{DeepOptimizerStates, StridePolicy, TwinFlow, ZenFlowAsync, Zero3Offload};

@@ -17,16 +17,16 @@ use crate::arena::{ArenaPool, PooledF16, PooledF32};
 use crate::sync;
 
 use dos_optim::MixedPrecisionState;
-use dos_telemetry::Tracer;
+use dos_telemetry::{SpanGuard, Tracer};
 use dos_tensor::{kernels, F16};
 use dos_zero::SubgroupSpec;
 
 use crate::schedulers::StridePolicy;
 
 /// Track name for the calling (CPU) thread's spans.
-const CPU_TRACK: &str = "cpu";
+pub const CPU_TRACK: &str = "cpu";
 /// Track name for the spawned device worker's spans.
-const DEVICE_TRACK: &str = "device-worker";
+pub const DEVICE_TRACK: &str = "device-worker";
 
 /// Typed precondition failures of the hybrid pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -143,77 +143,19 @@ struct UpdatedSubgroup {
     p16: PooledF16,
 }
 
-/// Runs one interleaved hybrid optimizer step over `state` with `grads`,
-/// scheduling subgroups across the calling thread and a spawned device
-/// worker per `cfg`.
-///
-/// Equivalent to `state.full_step(grads)` followed by a full downscale —
-/// bitwise, for any stride and resident set (verified by the crate's
-/// property tests) — but executed with the paper's interleaved concurrency.
-///
-/// The pipeline is panic-safe: if the device worker dies mid-step (a real
-/// panic or a channel disconnect, injectable via
-/// [`PipelineConfig::fault_injection`]), the remaining subgroups degrade to
-/// the CPU-only path, any shipped-but-lost jobs are re-run on the CPU from
-/// their still-unmodified host state, and the step completes byte-exact
-/// with [`PipelineReport::degraded`] set.
-///
-/// # Errors
-///
-/// Returns [`PipelineError`] if `grads.len() != state.len()` or if
-/// `subgroups` do not tile `0..state.len()` contiguously. `state` is not
-/// modified on error.
-pub fn hybrid_update(
-    state: &mut MixedPrecisionState,
-    grads: &[f32],
-    subgroups: &[SubgroupSpec],
-    cfg: PipelineConfig,
-) -> Result<PipelineReport, PipelineError> {
-    hybrid_update_inner(state, grads, subgroups, cfg, None, None)
-}
-
-/// [`hybrid_update`] with wall-clock tracing: every pipeline stage emits a
-/// real-time span into `tracer` — `prefetch:sg{id}` (H2D staging) /
-/// `update:sg{id}` / `downscale:sg{id}` (FP32→FP16, `D_c`) /
-/// `flush:sg{id}` (D2H write-back) on the `"cpu"` track, and
-/// `update:sg{id}` / `flush:sg{id}` (on-device downscale + send) on the
-/// `"device-worker"` track — plus byte counters in the tracer's metrics
-/// registry. Numerics are identical to the untraced path (tracing only
-/// observes).
-///
-/// # Errors
-///
-/// Fails under the same conditions as [`hybrid_update`].
-pub fn hybrid_update_traced(
-    state: &mut MixedPrecisionState,
-    grads: &[f32],
-    subgroups: &[SubgroupSpec],
-    cfg: PipelineConfig,
-    tracer: &Tracer,
-) -> Result<PipelineReport, PipelineError> {
-    hybrid_update_inner(state, grads, subgroups, cfg, Some(tracer), None)
-}
-
-/// [`hybrid_update_traced`] with a caller-owned [`ArenaPool`] for the
-/// staging buffers, so steady-state steps recycle the same leases instead
-/// of allocating per subgroup. Trainers hold one pool across iterations;
-/// the pool's high-water gauge is what the resident-sizing policy observes.
-///
-/// Pass `tracer: None` for an untraced pooled step. Numerics are identical
-/// to [`hybrid_update`] either way.
-///
-/// # Errors
-///
-/// Fails under the same conditions as [`hybrid_update`].
-pub fn hybrid_update_pooled(
-    state: &mut MixedPrecisionState,
-    grads: &[f32],
-    subgroups: &[SubgroupSpec],
-    cfg: PipelineConfig,
+/// Opens the `{stage}:sg{id}` update-phase span of one pipeline stage on
+/// `track`, carrying `work` (params or bytes); `None` when untraced.
+fn stage_span(
     tracer: Option<&Tracer>,
-    pool: &ArenaPool,
-) -> Result<PipelineReport, PipelineError> {
-    hybrid_update_inner(state, grads, subgroups, cfg, tracer, Some(pool))
+    track: &str,
+    resource: &str,
+    stage: &str,
+    sg: &SubgroupSpec,
+    work: usize,
+) -> Option<SpanGuard> {
+    let mut guard = tracer?.span_on(track, resource, &format!("{stage}:sg{}", sg.id), "update");
+    guard.set_work(work as f64);
+    Some(guard)
 }
 
 /// Renders the payload of a worker panic for the degradation report.
@@ -227,13 +169,45 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn hybrid_update_inner(
+/// Runs one interleaved hybrid optimizer step over `state` with `grads`,
+/// scheduling subgroups across the calling thread and a spawned device
+/// worker per `cfg`, staging every shipped subgroup through leases from
+/// `pool`.
+///
+/// Equivalent to `state.full_step(grads)` followed by a full downscale —
+/// bitwise, for any stride and resident set (verified by the crate's
+/// property tests) — but executed with the paper's interleaved concurrency.
+///
+/// Trainers hold one [`ArenaPool`] across iterations, so steady-state steps
+/// recycle the same leases instead of allocating per subgroup; the pool's
+/// high-water gauge is what the resident-sizing policy observes.
+///
+/// With `tracer: Some(_)` every pipeline stage emits a wall-clock span —
+/// `prefetch:sg{id}` (H2D staging) / `update:sg{id}` / `downscale:sg{id}`
+/// (FP32→FP16, `D_c`) / `flush:sg{id}` (D2H write-back) on [`CPU_TRACK`],
+/// and `update:sg{id}` / `flush:sg{id}` (on-device downscale + send) on
+/// [`DEVICE_TRACK`] — plus `pipeline.*` counters in the tracer's metrics
+/// registry. Tracing only observes: numerics are identical either way.
+///
+/// The pipeline is panic-safe: if the device worker dies mid-step (a real
+/// panic or a channel disconnect, injectable via
+/// [`PipelineConfig::fault_injection`]), the remaining subgroups degrade to
+/// the CPU-only path, any shipped-but-lost jobs are re-run on the CPU from
+/// their still-unmodified host state, and the step completes byte-exact
+/// with [`PipelineReport::degraded`] set.
+///
+/// # Errors
+///
+/// Returns [`PipelineError`] if `grads.len() != state.len()` or if
+/// `subgroups` do not tile `0..state.len()` contiguously. `state` is not
+/// modified on error.
+pub fn hybrid_update_pooled(
     state: &mut MixedPrecisionState,
     grads: &[f32],
     subgroups: &[SubgroupSpec],
     cfg: PipelineConfig,
     tracer: Option<&Tracer>,
-    pool: Option<&ArenaPool>,
+    pool: &ArenaPool,
 ) -> Result<PipelineReport, PipelineError> {
     if grads.len() != state.len() {
         return Err(PipelineError::GradientLengthMismatch {
@@ -273,8 +247,6 @@ fn hybrid_update_inner(
     };
     let n = subgroups.len();
     let n_static = cfg.static_residents.min(n);
-    let dynamic = &subgroups[..n - n_static];
-    let residents = &subgroups[n - n_static..];
 
     state.begin_step();
     let step = state.step_count();
@@ -296,17 +268,6 @@ fn hybrid_update_inner(
     let mut worker_lost: Option<String> = None;
     let mut fp16 = vec![F16::ZERO; state.len()];
     let fault = cfg.fault_injection;
-    // Staging buffers come from an arena: the caller's long-lived pool when
-    // provided, otherwise a step-local one (still zero-copy *within* the
-    // step once the first stride's buffers cycle back).
-    let local_pool;
-    let pool = match pool {
-        Some(p) => p,
-        None => {
-            local_pool = ArenaPool::new();
-            &local_pool
-        }
-    };
     let worker_pool = pool.clone();
 
     sync::scope(|scope| {
@@ -322,17 +283,12 @@ fn hybrid_update_inner(
                     Some(DeviceFault::DisconnectAfter(n)) if processed == n => return,
                     _ => {}
                 }
-                let label = format!("update:sg{}", job.sg.id);
                 {
-                    let mut guard =
-                        tracer.map(|t| t.span_on(DEVICE_TRACK, "gpu", &label, "update"));
-                    if let Some(g) = guard.as_mut() {
-                        g.set_work(job.sg.len() as f64);
-                    }
+                    let _span =
+                        stage_span(tracer, DEVICE_TRACK, "gpu", "update", &job.sg, job.sg.len());
                     rule.apply(step, lr, &mut job.p, &job.g, &mut job.m, &mut job.v);
                 }
-                let flush = format!("flush:sg{}", job.sg.id);
-                let _guard = tracer.map(|t| t.span_on(DEVICE_TRACK, "gpu", &flush, "update"));
+                let _span = stage_span(tracer, DEVICE_TRACK, "gpu", "flush", &job.sg, 0);
                 let p16 = worker_pool.lease_f16_downscaled(&job.p);
                 let echo = UpdatedSubgroup { sg: job.sg, p: job.p, m: job.m, v: job.v, p16 };
                 if d2h_tx.send(echo).is_err() {
@@ -347,13 +303,9 @@ fn hybrid_update_inner(
         // device (prefetch = send), updating the rest locally and
         // downscaling them.
         let prefetch = |state: &MixedPrecisionState, sg: &SubgroupSpec| {
-            let label = format!("prefetch:sg{}", sg.id);
-            let mut guard = tracer.map(|t| t.span_on(CPU_TRACK, "pcie.h2d", &label, "update"));
-            let (p, m, v) = state.snapshot_range(sg.range());
             let bytes = 4 * (3 * sg.len() + sg.len()); // p, m, v + grads, f32
-            if let Some(g) = guard.as_mut() {
-                g.set_work(bytes as f64);
-            }
+            let _span = stage_span(tracer, CPU_TRACK, "pcie.h2d", "prefetch", sg, bytes);
+            let (p, m, v) = state.snapshot_range(sg.range());
             if let Some(t) = tracer {
                 t.metrics().inc_counter("pipeline.h2d.bytes", bytes as u64);
             }
@@ -374,63 +326,28 @@ fn hybrid_update_inner(
         let cpu_apply =
             |state: &mut MixedPrecisionState, fp16: &mut Vec<F16>, sg: &SubgroupSpec| {
                 {
-                    let label = format!("update:sg{}", sg.id);
-                    let mut guard = tracer.map(|t| t.span_on(CPU_TRACK, "cpu", &label, "update"));
-                    if let Some(g) = guard.as_mut() {
-                        g.set_work(sg.len() as f64);
-                    }
+                    let _span = stage_span(tracer, CPU_TRACK, "cpu", "update", sg, sg.len());
                     state.update_range(sg.range(), &grads[sg.range()]);
                 }
-                let label = format!("downscale:sg{}", sg.id);
-                let mut guard = tracer.map(|t| t.span_on(CPU_TRACK, "cpu", &label, "update"));
-                if let Some(g) = guard.as_mut() {
-                    g.set_work(sg.len() as f64);
-                }
+                let _span = stage_span(tracer, CPU_TRACK, "cpu", "downscale", sg, sg.len());
                 kernels::downscale(&state.params()[sg.range()], &mut fp16[sg.range()]);
             };
 
-        for (i, sg) in dynamic.iter().enumerate() {
-            let on_device =
-                worker_lost.is_none() && stride.is_some_and(|k| (i + 1) % k == 0);
-            if on_device {
-                match h2d_tx.send(prefetch(state, sg)) {
-                    Ok(()) => {
-                        pending.push(*sg);
-                        device_count += 1;
-                    }
-                    Err(_) => {
-                        // Worker hung up: this job never left the host.
-                        worker_lost = Some("device worker disconnected".to_string());
-                        cpu_apply(state, &mut fp16, sg);
-                        cpu_count += 1;
-                        lost_retried += 1;
-                    }
+        // Every k-th dynamic subgroup ships to the device, and so does the
+        // static-resident tail (conceptually already device-resident, so it
+        // updates there without the stride's say) — unless the device is
+        // gone, in which case everything falls back to the CPU.
+        for (i, sg) in subgroups.iter().enumerate() {
+            let on_device = i >= n - n_static || stride.is_some_and(|k| (i + 1) % k == 0);
+            if on_device && worker_lost.is_none() {
+                if h2d_tx.send(prefetch(state, sg)).is_ok() {
+                    pending.push(*sg);
+                    device_count += 1;
+                    continue;
                 }
-            } else {
-                cpu_apply(state, &mut fp16, sg);
-                cpu_count += 1;
-            }
-        }
-        // Static residents: updated on the device without staging; here the
-        // state is conceptually already device-resident, so ship them too —
-        // unless the device is gone, in which case they fall back to the
-        // CPU like everything else.
-        for sg in residents {
-            if worker_lost.is_none() {
-                match h2d_tx.send(prefetch(state, sg)) {
-                    Ok(()) => {
-                        pending.push(*sg);
-                        device_count += 1;
-                        continue;
-                    }
-                    Err(_) => {
-                        worker_lost = Some("device worker disconnected".to_string());
-                        lost_retried += 1;
-                        cpu_apply(state, &mut fp16, sg);
-                        cpu_count += 1;
-                        continue;
-                    }
-                }
+                // Worker hung up: this job never left the host.
+                worker_lost = Some("device worker disconnected".to_string());
+                lost_retried += 1;
             }
             cpu_apply(state, &mut fp16, sg);
             cpu_count += 1;
@@ -441,12 +358,8 @@ fn hybrid_update_inner(
         // when the worker drops its sender — normal completion, early
         // return, or unwinding alike.
         while let Ok(upd) = d2h_rx.recv() {
-            let label = format!("flush:sg{}", upd.sg.id);
-            let mut guard = tracer.map(|t| t.span_on(CPU_TRACK, "pcie.d2h", &label, "update"));
             let bytes = 4 * 3 * upd.sg.len() + 2 * upd.sg.len(); // f32 state + f16 params
-            if let Some(g) = guard.as_mut() {
-                g.set_work(bytes as f64);
-            }
+            let _span = stage_span(tracer, CPU_TRACK, "pcie.d2h", "flush", &upd.sg, bytes);
             if let Some(t) = tracer {
                 t.metrics().inc_counter("pipeline.d2h.bytes", bytes as u64);
             }
@@ -492,6 +405,23 @@ fn hybrid_update_inner(
         degraded: worker_lost
             .map(|reason| PipelineDegradation { reason, lost_jobs_retried_on_cpu: lost_retried }),
     })
+}
+
+/// [`hybrid_update_pooled`] untraced and over a step-local [`ArenaPool`]:
+/// the four-argument form the oracles, `dos-check` scenarios and property
+/// tests call. Buffers still recycle *within* the step once the first
+/// stride's leases cycle back.
+///
+/// # Errors
+///
+/// Fails under the same conditions as [`hybrid_update_pooled`].
+pub fn hybrid_update(
+    state: &mut MixedPrecisionState,
+    grads: &[f32],
+    subgroups: &[SubgroupSpec],
+    cfg: PipelineConfig,
+) -> Result<PipelineReport, PipelineError> {
+    hybrid_update_pooled(state, grads, subgroups, cfg, None, &ArenaPool::new())
 }
 
 #[cfg(test)]
@@ -591,9 +521,9 @@ mod tests {
         let (expected_p, expected_16) = reference(n);
         let (mut state, grads) = setup(n);
         let sgs = partition_into_subgroups(n, 64);
-        let tracer = Tracer::new();
+        let (tracer, cfg) = (Tracer::new(), PipelineConfig::default());
         let report =
-            hybrid_update_traced(&mut state, &grads, &sgs, PipelineConfig::default(), &tracer)
+            hybrid_update_pooled(&mut state, &grads, &sgs, cfg, Some(&tracer), &ArenaPool::new())
                 .unwrap();
         assert_eq!(state.params(), &expected_p[..]);
         assert_eq!(report.fp16_params, expected_16);
@@ -703,7 +633,9 @@ mod tests {
             fault_injection: Some(DeviceFault::PanicAfter(2)),
             ..Default::default()
         };
-        let report = hybrid_update_traced(&mut state, &grads, &sgs, cfg, &tracer).unwrap();
+        let report =
+            hybrid_update_pooled(&mut state, &grads, &sgs, cfg, Some(&tracer), &ArenaPool::new())
+                .unwrap();
         assert!(report.degraded.is_some());
         let events = tracer.events();
         let on = |track: &str, prefix: &str| {
@@ -723,7 +655,7 @@ mod tests {
         let (mut seq, grads) = setup(n);
         let (mut hyb, _) = setup(n);
         let sgs = partition_into_subgroups(n, 64);
-        let pool = crate::ArenaPool::new();
+        let pool = ArenaPool::new();
         for _ in 0..4 {
             seq.full_step(&grads);
             hybrid_update_pooled(&mut hyb, &grads, &sgs, PipelineConfig::default(), None, &pool)
@@ -751,7 +683,7 @@ mod tests {
         let (expected_p, _) = reference(n);
         let (mut state, grads) = setup(n);
         let sgs = partition_into_subgroups(n, 40);
-        let pool = crate::ArenaPool::new();
+        let pool = ArenaPool::new();
         let cfg = PipelineConfig {
             fault_injection: Some(DeviceFault::PanicAfter(2)),
             ..Default::default()

@@ -108,8 +108,8 @@ impl DeepOptimizerStates {
 /// instance must drive one engine: [`dos_sim::simulate_training`] (one
 /// shared engine) is the intended driver, and single-shot
 /// [`dos_sim::simulate_iteration`] calls are fine because each constructs
-/// a fresh scheduler. Do not reuse an instance across
-/// `simulate_training_controlled`'s per-iteration engines — the stashed
+/// a fresh scheduler. Do not reuse an instance across the per-iteration
+/// engines of `dos-control`'s controlled training loop — the stashed
 /// [`OpId`]s would not survive the engine swap.
 #[derive(Debug, Clone)]
 pub struct ZenFlowAsync {
@@ -441,18 +441,24 @@ mod tests {
         // The ZenFlow claim, machine-checked on the trace: deferred CPU
         // updates of iteration i overlap the GPU's forward/backward work
         // of iteration i+1. The synchronous baseline shows ~zero overlap.
-        use dos_sim::simulate_training_timeline;
+        use dos_sim::{simulate_training, simulate_training_with};
         use dos_telemetry::cross_phase_overlap_secs;
         let mut cfg = baseline_cfg("20B");
         cfg.offload.gpu_resident_ratio = 0.1;
-        let (_, tl) =
-            simulate_training_timeline(&cfg, &ZenFlowAsync::new(0.1, 1), 4).unwrap();
+        let (report, tl) =
+            simulate_training_with(&cfg, &ZenFlowAsync::new(0.1, 1), 4, None).unwrap();
+        // Without a checkpoint policy the report is `simulate_training`'s,
+        // and the timeline is the same engine's full schedule.
+        let short = simulate_training(&cfg, &ZenFlowAsync::new(0.1, 1), 4).unwrap();
+        assert_eq!(report.iteration_ends, short.iteration_ends);
+        assert_eq!(report.total_secs, short.total_secs);
+        assert!((tl.end_time() - report.total_secs).abs() < 1e-9);
         let covered = cross_phase_overlap_secs(&tl, "update", "cpu", "forward", "gpu")
             + cross_phase_overlap_secs(&tl, "update", "cpu", "backward", "gpu");
         assert!(covered > 1.0, "cold cpu updates not hidden under fwd/bwd: {covered:.3}s");
 
         let (_, tl3) =
-            simulate_training_timeline(&baseline_cfg("20B"), &Zero3Offload, 4).unwrap();
+            simulate_training_with(&baseline_cfg("20B"), &Zero3Offload, 4, None).unwrap();
         let covered3 = cross_phase_overlap_secs(&tl3, "update", "cpu", "forward", "gpu")
             + cross_phase_overlap_secs(&tl3, "update", "cpu", "backward", "gpu");
         assert!(
@@ -540,7 +546,7 @@ mod tests {
     #[test]
     fn k_star_shifts_only_under_severe_pcie_degradation() {
         use dos_hal::{FaultPlan, SimTime};
-        use dos_sim::simulate_iteration_faulted;
+        use dos_sim::{simulate_iteration_with, IterationOptions};
 
         let best_stride = |h2d_scale: f64| -> usize {
             let mut best = (0usize, f64::INFINITY);
@@ -555,9 +561,8 @@ mod tests {
                     SimTime::from_secs(1e9),
                     h2d_scale,
                 );
-                let tracer = dos_telemetry::Tracer::new();
-                let r = simulate_iteration_faulted(&dos_cfg("20B"), &sched, Some(&plan), &tracer)
-                    .unwrap();
+                let opts = IterationOptions { faults: Some(&plan), ..Default::default() };
+                let r = simulate_iteration_with(&dos_cfg("20B"), &sched, opts).unwrap();
                 if r.update_secs < best.1 {
                     best = (k, r.update_secs);
                 }

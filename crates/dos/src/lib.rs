@@ -17,8 +17,8 @@
 //! | [`check`] | `dos-check` | deterministic schedule exploration + differential fuzzing for the pipeline |
 //! | [`control`] | `dos-control` | adaptive control plane: online Eq. 1 re-solving, resident sizing, degradation ladder |
 //! | [`telemetry`] | `dos-telemetry` | tracer + metrics, timelines, Chrome/Perfetto export, overlap/stall analyzer, Gantt |
-//! | [`train`] | `dos-train` | JSON-configured Trainer facade over the pooled functional pipeline |
-//! | [`runtime`] | `dos-runtime` | trainer facade + JSON config |
+//! | [`train`] | `dos-train` | `Trainer`, the one owner of the functional update step (from JSON or over a shard) |
+//! | [`runtime`] | `dos-runtime` | multi-rank `train_functional` driver + JSON config onto the simulator |
 //! | [`oracle`] | `dos-oracle` | differential conformance harness (Eq. 1 vs simulator vs pipeline) |
 //! | [`serve`] | `dos-serve` | multi-tenant control plane: admission, fair-share scheduling, checkpoint preemption |
 //!

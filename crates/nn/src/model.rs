@@ -94,10 +94,25 @@ impl Gpt {
     ///
     /// Panics if `tokens.len() != batch * seq`.
     pub fn forward(&mut self, tokens: &[usize], batch: usize, seq: usize) -> Vec<f32> {
+        self.forward_keeping(tokens, batch, seq, None)
+    }
+
+    /// [`Gpt::forward`], pushing each block's input onto `block_inputs`
+    /// when given (the activation checkpoints a recomputing backward needs).
+    fn forward_keeping(
+        &mut self,
+        tokens: &[usize],
+        batch: usize,
+        seq: usize,
+        mut block_inputs: Option<&mut Vec<Vec<f32>>>,
+    ) -> Vec<f32> {
         assert_eq!(tokens.len(), batch * seq, "bad token count");
         let rows = batch * seq;
         let mut x = self.emb.forward(tokens, seq);
         for blk in &mut self.blocks {
+            if let Some(kept) = block_inputs.as_deref_mut() {
+                kept.push(x.clone());
+            }
             x = blk.forward(&x, batch, seq);
         }
         let x = self.ln_f.forward(&x, rows);
@@ -112,17 +127,27 @@ impl Gpt {
     ///
     /// Panics if `forward` has not run.
     pub fn backward(&mut self, dlogits: &[f32]) {
+        self.backward_recomputing(dlogits, &[]);
+    }
+
+    /// [`Gpt::backward`], re-running each block's forward from its kept
+    /// input immediately before its backward when `block_inputs` is
+    /// non-empty (one entry per block).
+    fn backward_recomputing(&mut self, dlogits: &[f32], block_inputs: &[Vec<f32>]) {
         assert!(self.cached_batch > 0, "backward before forward");
         let (batch, seq) = (self.cached_batch, self.cached_seq);
         let mut dx = self.ln_f.backward(&self.head.backward(dlogits));
-        for blk in self.blocks.iter_mut().rev() {
+        for (i, blk) in self.blocks.iter_mut().enumerate().rev() {
+            if let Some(input) = block_inputs.get(i) {
+                let _ = blk.forward(input, batch, seq);
+            }
             dx = blk.backward(&dx);
         }
         self.emb.backward(&dx);
-        let _ = (batch, seq);
     }
 
     /// Convenience: forward + cross-entropy + backward; returns the loss.
+    /// The plain form of [`Gpt::loss_and_backward_with`].
     ///
     /// # Panics
     ///
@@ -134,38 +159,48 @@ impl Gpt {
         batch: usize,
         seq: usize,
     ) -> f32 {
-        assert_eq!(targets.len(), tokens.len(), "targets must align with tokens");
-        let logits = self.forward(tokens, batch, seq);
-        let (loss, dlogits) = cross_entropy(&logits, targets, self.cfg.vocab_size);
-        self.backward(&dlogits);
-        loss
+        self.loss_and_backward_with(tokens, targets, batch, seq, None, false)
     }
 
-    /// Like [`Gpt::loss_and_backward`] but backpropagating a *scaled* loss
-    /// (`scale × L`), the mixed-precision loss-scaling recipe: gradients
-    /// come out multiplied by `scale` and must be unscaled (e.g. by
+    /// Forward + cross-entropy + backward with two orthogonal recipes.
+    ///
+    /// `scale: Some(s)` backpropagates a *scaled* loss (`s × L`), the
+    /// mixed-precision loss-scaling recipe: gradients come out multiplied
+    /// by `s` and must be unscaled (e.g. by
     /// `dos_optim::DynamicLossScaler::unscale_check`) before the optimizer
-    /// consumes them. Returns the *unscaled* loss.
+    /// consumes them. The returned loss is always the *unscaled* one.
+    ///
+    /// `recompute: true` is *activation checkpointing*: the forward pass
+    /// keeps only each block's input, and the backward pass recomputes a
+    /// block's forward immediately before its backward — the functional
+    /// counterpart of the recompute strategy the paper enables for all its
+    /// runs (§5.3, "33 % additional recomputations"). Gradients are
+    /// bitwise identical to the non-recomputing path.
     ///
     /// # Panics
     ///
     /// Panics if `targets.len() != tokens.len()` or `scale` is not positive.
-    pub fn loss_and_backward_scaled(
+    pub fn loss_and_backward_with(
         &mut self,
         tokens: &[usize],
         targets: &[usize],
         batch: usize,
         seq: usize,
-        scale: f32,
+        scale: Option<f32>,
+        recompute: bool,
     ) -> f32 {
         assert_eq!(targets.len(), tokens.len(), "targets must align with tokens");
-        assert!(scale > 0.0, "scale must be positive");
-        let logits = self.forward(tokens, batch, seq);
+        assert!(scale.is_none_or(|s| s > 0.0), "scale must be positive");
+        let mut block_inputs = Vec::new();
+        let keep = recompute.then_some(&mut block_inputs);
+        let logits = self.forward_keeping(tokens, batch, seq, keep);
         let (loss, mut dlogits) = cross_entropy(&logits, targets, self.cfg.vocab_size);
-        for d in dlogits.iter_mut() {
-            *d *= scale;
+        if let Some(scale) = scale {
+            for d in dlogits.iter_mut() {
+                *d *= scale;
+            }
         }
-        self.backward(&dlogits);
+        self.backward_recomputing(&dlogits, &block_inputs);
         loss
     }
 
@@ -173,48 +208,6 @@ impl Gpt {
     pub fn loss_only(&mut self, tokens: &[usize], targets: &[usize], batch: usize, seq: usize) -> f32 {
         let logits = self.forward(tokens, batch, seq);
         cross_entropy(&logits, targets, self.cfg.vocab_size).0
-    }
-
-    /// Like [`Gpt::loss_and_backward`] but with *activation checkpointing*:
-    /// the forward pass keeps only each block's input, and the backward
-    /// pass recomputes a block's forward immediately before its backward —
-    /// the functional counterpart of the recompute strategy the paper
-    /// enables for all its runs (§5.3, "33 % additional recomputations").
-    /// Gradients are identical to the plain path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets.len() != tokens.len()`.
-    pub fn loss_and_backward_checkpointed(
-        &mut self,
-        tokens: &[usize],
-        targets: &[usize],
-        batch: usize,
-        seq: usize,
-    ) -> f32 {
-        assert_eq!(targets.len(), tokens.len(), "targets must align with tokens");
-        let rows = batch * seq;
-        // Forward, checkpointing only the block inputs.
-        let mut x = self.emb.forward(tokens, seq);
-        let mut checkpoints: Vec<Vec<f32>> = Vec::with_capacity(self.blocks.len());
-        for blk in &mut self.blocks {
-            checkpoints.push(x.clone());
-            x = blk.forward(&x, batch, seq);
-            // The block's internal activation caches are conceptually
-            // discarded here; they will be recomputed during backward.
-        }
-        let xf = self.ln_f.forward(&x, rows);
-        let logits = self.head.forward(&xf, rows);
-        let (loss, dlogits) = cross_entropy(&logits, targets, self.cfg.vocab_size);
-
-        // Backward with per-block recomputation.
-        let mut dx = self.ln_f.backward(&self.head.backward(&dlogits));
-        for (blk, input) in self.blocks.iter_mut().zip(checkpoints).rev() {
-            let _ = blk.forward(&input, batch, seq); // recompute activations
-            dx = blk.backward(&dx);
-        }
-        self.emb.backward(&dx);
-        loss
     }
 
     /// Autoregressive generation: extends `prompt` with `max_new` tokens.
@@ -448,7 +441,7 @@ mod checkpoint_and_generation_tests {
         let tokens = [3usize, 9, 27, 17, 5, 6, 7, 8];
         let targets = [9usize, 27, 17, 5, 6, 7, 8, 1];
         let l1 = plain.loss_and_backward(&tokens, &targets, 2, 4);
-        let l2 = ckpt.loss_and_backward_checkpointed(&tokens, &targets, 2, 4);
+        let l2 = ckpt.loss_and_backward_with(&tokens, &targets, 2, 4, None, true);
         assert_eq!(l1, l2, "losses must match");
         assert_eq!(plain.gather_grads(), ckpt.gather_grads(), "grads must be bitwise equal");
     }
@@ -500,7 +493,7 @@ mod loss_scaling_tests {
     use rand::SeedableRng;
 
     #[test]
-    fn scaled_gradients_are_scale_times_plain() {
+    fn scaled_and_recomputed_gradients_are_scale_times_plain() {
         let mut rng = StdRng::seed_from_u64(5);
         let mut plain = Gpt::new(GptConfig::tiny(), &mut rng);
         let mut rng = StdRng::seed_from_u64(5);
@@ -508,7 +501,7 @@ mod loss_scaling_tests {
         let tokens = [1usize, 2, 3, 4];
         let targets = [2usize, 3, 4, 5];
         let l1 = plain.loss_and_backward(&tokens, &targets, 1, 4);
-        let l2 = scaled.loss_and_backward_scaled(&tokens, &targets, 1, 4, 1024.0);
+        let l2 = scaled.loss_and_backward_with(&tokens, &targets, 1, 4, Some(1024.0), false);
         assert_eq!(l1, l2, "reported loss is unscaled");
         let g1 = plain.gather_grads();
         let g2 = scaled.gather_grads();
@@ -516,6 +509,13 @@ mod loss_scaling_tests {
             // Scaling by a power of two is exact in floating point.
             assert_eq!(a * 1024.0, *b);
         }
+        // Scale and recomputation are orthogonal: both at once gives the
+        // scaled gradients bit for bit.
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut both = Gpt::new(GptConfig::tiny(), &mut rng);
+        let l3 = both.loss_and_backward_with(&tokens, &targets, 1, 4, Some(1024.0), true);
+        assert_eq!(l1, l3);
+        assert_eq!(both.gather_grads(), g2, "scaled + recomputed == scaled, bitwise");
     }
 }
 

@@ -27,7 +27,7 @@ use dos_collectives::TransportFaultPlan;
 use dos_core::{hybrid_update, DeviceFault, PipelineConfig};
 use dos_hal::{FaultPlan, SimTime};
 use dos_optim::{MixedPrecisionState, UpdateRule};
-use dos_sim::simulate_iteration_faulted;
+use dos_sim::{simulate_iteration_with, IterationOptions};
 use dos_telemetry::Tracer;
 use dos_zero::partition_into_subgroups;
 
@@ -646,9 +646,13 @@ fn check_sim_faults(
     let train = config.resolve()?;
     let sched = crate::sim_trainer::scheduler_for(config);
 
+    let run = |faults: Option<&FaultPlan>, tracer: &Tracer| {
+        let opts = IterationOptions { faults, tracer: Some(tracer), ..Default::default() };
+        simulate_iteration_with(&train, sched.as_ref(), opts)
+            .map_err(|e| ConfigError::Invalid { detail: e.to_string() })
+    };
     let clean_tracer = Tracer::new();
-    let clean = simulate_iteration_faulted(&train, sched.as_ref(), None, &clean_tracer)
-        .map_err(|e| ConfigError::Invalid { detail: e.to_string() })?;
+    let clean = run(None, &clean_tracer)?;
 
     let mut plan = FaultPlan::seeded(opts.seed);
     if degrade {
@@ -663,8 +667,7 @@ fn check_sim_faults(
     }
 
     let tracer = Tracer::new();
-    let faulted = simulate_iteration_faulted(&train, sched.as_ref(), Some(&plan), &tracer)
-        .map_err(|e| ConfigError::Invalid { detail: e.to_string() })?;
+    let faulted = run(Some(&plan), &tracer)?;
 
     let events = tracer.events();
     let instants: Vec<_> = events

@@ -19,13 +19,14 @@ use dos_collectives::{
 #[cfg(unix)]
 use dos_collectives::SocketTransport;
 use dos_control::{WallClockTuner, WallClockTunerConfig};
-use dos_core::{ArenaPool, PipelineConfig, PipelineError, StridePolicy};
+use dos_core::{PipelineConfig, PipelineError, StridePolicy};
 use dos_data::{DataLoader, TokenDataset};
 use dos_nn::{Gpt, GptConfig, VisitParams};
 use dos_optim::{clip_grad_norm, DynamicLossScaler, LrSchedule, MixedPrecisionState, UpdateRule};
-use dos_zero::{partition_into_subgroups, rank_range};
-
+use dos_telemetry::Tracer;
 use dos_train::checkpoint::{AsyncCheckpointer, CheckpointError, CheckpointStore, TrainingCheckpoint};
+use dos_train::{Trainer, TrainerError};
+use dos_zero::rank_range;
 
 /// Everything that can abort a functional training run.
 #[derive(Debug)]
@@ -44,6 +45,11 @@ pub enum TrainError {
         /// Description of the bind/serve failure.
         String,
     ),
+    /// The run configuration is unusable (zero world or subgroup size).
+    Invalid {
+        /// Description of the invalid value.
+        detail: String,
+    },
 }
 
 impl std::fmt::Display for TrainError {
@@ -54,6 +60,7 @@ impl std::fmt::Display for TrainError {
             TrainError::Collective(e) => write!(f, "collective failure: {e}"),
             TrainError::RankPanicked => write!(f, "a rank thread panicked"),
             TrainError::Monitor(detail) => write!(f, "metrics endpoint failure: {detail}"),
+            TrainError::Invalid { detail } => write!(f, "invalid training config: {detail}"),
         }
     }
 }
@@ -75,9 +82,12 @@ impl From<CheckpointError> for TrainError {
     }
 }
 
-impl From<PipelineError> for TrainError {
-    fn from(e: PipelineError) -> Self {
-        TrainError::Pipeline(e)
+impl From<TrainerError> for TrainError {
+    fn from(e: TrainerError) -> Self {
+        match e {
+            TrainerError::Pipeline(e) => TrainError::Pipeline(e),
+            other => TrainError::Invalid { detail: other.to_string() },
+        }
     }
 }
 
@@ -222,7 +232,7 @@ impl FunctionalConfig {
     }
 
     /// Applies the JSON `"collectives"` entry (the `dos-train` config
-    /// surface, re-exported by [`crate::config`]) onto this run: transport
+    /// surface, re-exported at this crate's root) onto this run: transport
     /// backend, per-collective deadline, and rank-failure policy.
     ///
     /// # Errors
@@ -303,19 +313,19 @@ fn pad_to_multiple(mut v: Vec<f32>, world: usize) -> Vec<f32> {
 ///
 /// # Errors
 ///
-/// Returns [`TrainError`] on checkpoint, pipeline, or collective failures,
-/// when resuming with `world != 1`, or when a rank thread panics.
-///
-/// # Panics
-///
-/// Panics if `cfg.world` is zero or the dataset cannot fill a micro-batch
-/// per rank.
+/// Returns [`TrainError::Invalid`] when `cfg.world` or `cfg.subgroup_size`
+/// is zero, and otherwise [`TrainError`] on checkpoint, pipeline, or
+/// collective failures, when a resume snapshot does not fit the model, or
+/// when a rank thread panics (the dataset cannot fill a micro-batch per
+/// rank, for one).
 pub fn train_functional(
     cfg: &FunctionalConfig,
     dataset: &TokenDataset,
     iterations: usize,
 ) -> Result<FunctionalReport, TrainError> {
-    assert!(cfg.world > 0, "world must be positive");
+    if cfg.world == 0 {
+        return Err(TrainError::Invalid { detail: "world must be positive".into() });
+    }
     // With a listen address, serve live metrics for the duration of the
     // run. A flight-only tracer (bounded ring, no unbounded store) is
     // attached when the caller did not configure one, so the pipeline's
@@ -525,7 +535,7 @@ fn run_rank(
     let padded_n = init.len();
     let shard = rank_range(padded_n, rank, world);
     let resume_at = resume.map_or(0, |c| c.iteration);
-    let mut state = match resume {
+    let state = match resume {
         // Snapshots hold the full optimizer state, so any world size can
         // resume: zero-pad the full space to this world's padded size and
         // slice out this rank's shard. The pad region's state is exactly
@@ -559,31 +569,24 @@ fn run_rank(
         }
         None => MixedPrecisionState::new(init[shard.clone()].to_vec(), cfg.rule, cfg.lr),
     };
-    let subgroups = partition_into_subgroups(shard.len(), cfg.subgroup_size);
-
     // Adaptive stride: each rank runs a wall-clock tuner that re-solves
     // Equation 1 from the pipeline's own spans every iteration. Stride
     // changes never affect the numerics (§4.1), so ranks may retune
-    // independently without breaking cross-rank consistency. The tuner
-    // reads spans from the shared tracer when one is configured,
-    // otherwise from a private per-rank tracer.
+    // independently without breaking cross-rank consistency.
     let mut tuner = (cfg.pipeline.stride == StridePolicy::Adaptive).then(|| {
-        let t = cfg.tracer.clone().unwrap_or_default();
         let mut tcfg = cfg.tuner;
         if tcfg.base_residents == 0 {
             tcfg.base_residents = cfg.pipeline.static_residents;
         }
-        (WallClockTuner::new(tcfg, shard.len(), cfg.subgroup_size), t)
+        WallClockTuner::new(tcfg, shard.len(), cfg.subgroup_size)
     });
-
-    // Per-rank staging arena: the hybrid pipeline leases its subgroup
-    // buffers here instead of allocating per subgroup, and the pool's
-    // high-water gauge is the memory signal the headroom policy observes.
-    // With a tracer attached, the gauges flow into its metrics registry.
-    let pool = match &cfg.tracer {
-        Some(t) => ArenaPool::with_metrics(t.metrics().clone()),
-        None => ArenaPool::new(),
-    };
+    // The shared run tracer when one is configured; otherwise a private
+    // per-rank one, and only when the tuner needs spans to read.
+    let tracer = cfg.tracer.clone().or_else(|| tuner.as_ref().map(|_| Tracer::default()));
+    // The one owner of this rank's update step: shard state, subgroups,
+    // staging arena (its high-water gauge is the memory signal the
+    // headroom policy observes) and pipeline configuration.
+    let mut trainer = Trainer::new(state, cfg.subgroup_size, cfg.pipeline, tracer.clone())?;
 
     let store = match &cfg.checkpoint_dir {
         Some(dir) if rank == 0 => Some(CheckpointStore::open(dir, cfg.checkpoint_keep)?),
@@ -601,25 +604,14 @@ fn run_rank(
         let batch = loader.next_batch(dataset);
         let fwd_span =
             cfg.tracer.as_ref().map(|t| t.span(&format!("fwd-bwd:it{it}"), "forward-backward"));
-        let loss = match (&scaler, cfg.activation_checkpointing) {
-            (Some(s), _) => model.loss_and_backward_scaled(
-                &batch.inputs,
-                &batch.targets,
-                batch.batch,
-                batch.seq_len,
-                s.scale(),
-            ),
-            (None, true) => model.loss_and_backward_checkpointed(
-                &batch.inputs,
-                &batch.targets,
-                batch.batch,
-                batch.seq_len,
-            ),
-            (None, false) => {
-                model.loss_and_backward(&batch.inputs, &batch.targets, batch.batch, batch.seq_len)
-            }
-        };
-
+        let loss = model.loss_and_backward_with(
+            &batch.inputs,
+            &batch.targets,
+            batch.batch,
+            batch.seq_len,
+            scaler.as_ref().map(DynamicLossScaler::scale),
+            cfg.activation_checkpointing,
+        );
         drop(fwd_span);
 
         // Average gradients across ranks; keep only this rank's shard
@@ -659,60 +651,35 @@ fn run_rank(
         }
         drop(comm_span);
         if let Some(schedule) = cfg.lr_schedule {
-            state.set_lr(schedule.lr_at(it as u64 + 1));
+            trainer.set_lr(schedule.lr_at(it as u64 + 1));
+        }
+        if let Some(tun) = &tuner {
+            trainer.set_schedule(tun.stride_policy(), tun.static_residents());
         }
 
         // Interleaved hybrid update of this rank's shard (real threads,
         // Algorithm 1's structure).
-        let report = match &mut tuner {
-            Some((tun, tt)) => {
-                let mut pipeline = cfg.pipeline;
-                pipeline.stride = tun.stride_policy();
-                pipeline.static_residents = tun.static_residents();
-                let mark = tt.now();
-                let report = {
-                    let _sp = tt.span(&format!("hybrid-update:it{it}"), "update");
-                    dos_core::hybrid_update_pooled(
-                        &mut state,
-                        &shard_grads,
-                        &subgroups,
-                        pipeline,
-                        Some(tt),
-                        &pool,
-                    )
-                }?;
-                // Feed only this iteration's spans back; under a shared
-                // tracer, concurrent ranks' spans in the same window are
-                // equally valid samples of the contended machine.
-                let fresh: Vec<_> =
-                    tt.events().into_iter().filter(|ev| ev.start >= mark).collect();
-                let before = tun.decisions().len();
-                tun.observe(&fresh);
-                // The arena's per-iteration staging peak drives the
-                // resident-sizing policy (a no-op under Fixed).
-                tun.observe_arena(pool.take_high_water_bytes());
-                if rank == 0 && cfg.tracer.is_some() {
-                    for d in &tun.decisions()[before..] {
-                        tt.control_decision(&d.detail, tt.now());
-                    }
+        let mark = tracer.as_ref().map_or(0.0, Tracer::now);
+        let report = {
+            let _sp = tracer.as_ref().map(|t| t.span(&format!("hybrid-update:it{it}"), "update"));
+            trainer.step(&shard_grads)
+        }?;
+        if let (Some(tun), Some(tt)) = (&mut tuner, &tracer) {
+            // Feed only this iteration's spans back; under a shared
+            // tracer, concurrent ranks' spans in the same window are
+            // equally valid samples of the contended machine.
+            let fresh: Vec<_> = tt.events().into_iter().filter(|ev| ev.start >= mark).collect();
+            let before = tun.decisions().len();
+            tun.observe(&fresh);
+            // The arena's per-iteration staging peak drives the
+            // resident-sizing policy (a no-op under Fixed).
+            tun.observe_arena(trainer.arena().take_high_water_bytes());
+            if rank == 0 && cfg.tracer.is_some() {
+                for d in &tun.decisions()[before..] {
+                    tt.control_decision(&d.detail, tt.now());
                 }
-                report
             }
-            None => {
-                let _sp = cfg
-                    .tracer
-                    .as_ref()
-                    .map(|t| t.span(&format!("hybrid-update:it{it}"), "update"));
-                dos_core::hybrid_update_pooled(
-                    &mut state,
-                    &shard_grads,
-                    &subgroups,
-                    cfg.pipeline,
-                    cfg.tracer.as_ref(),
-                    &pool,
-                )?
-            }
-        };
+        }
         if report.degraded.is_some() {
             degraded_steps += 1;
         }
@@ -736,6 +703,7 @@ fn run_rank(
         // and persists. The capture is an owned copy, so training
         // continues immediately.
         if cfg.checkpoint_dir.is_some() && (it + 1).is_multiple_of(cfg.checkpoint_every.max(1)) {
+            let state = trainer.state();
             let mut p = comm.all_gather_var(state.params())?;
             let mut m = comm.all_gather_var(state.momentum())?;
             let mut v = comm.all_gather_var(state.variance())?;
@@ -797,6 +765,18 @@ mod tests {
         let first: f32 = report.losses[..3].iter().sum::<f32>() / 3.0;
         let last: f32 = report.losses[9..].iter().sum::<f32>() / 3.0;
         assert!(last < first * 0.9, "loss did not improve: {first} -> {last}");
+    }
+
+    #[test]
+    fn zero_world_or_subgroup_size_is_a_typed_error() {
+        let ds = toy_dataset(8);
+        let zeroed: [fn(&mut FunctionalConfig); 2] = [|c| c.world = 0, |c| c.subgroup_size = 0];
+        for zero in zeroed {
+            let mut cfg = FunctionalConfig::small();
+            zero(&mut cfg);
+            let err = train_functional(&cfg, &ds, 1).unwrap_err();
+            assert!(matches!(err, TrainError::Invalid { .. }), "{err:?}");
+        }
     }
 
     #[test]
@@ -1059,6 +1039,12 @@ mod loss_scaling_tests {
         assert_eq!(plain.losses, scaled.losses);
         assert_eq!(plain.final_params, scaled.final_params);
         assert!(scaled.ranks_consistent);
+        // Scale and recomputation are orthogonal: turning activation
+        // checkpointing on as well changes nothing.
+        cfg.activation_checkpointing = true;
+        let both = train_functional(&cfg, &ds, 8).unwrap();
+        assert_eq!(both.losses, scaled.losses);
+        assert_eq!(both.final_params, scaled.final_params);
     }
 }
 

@@ -8,9 +8,12 @@
 //!   `"deep_optimizer_states"` entry; [`run_iteration`]/[`run_training`]
 //!   resolve it onto the calibrated simulator with the right scheduler;
 //! * [`train_functional`] — *real* data-parallel training: per-rank threads
-//!   with `dos-nn` models, `dos-collectives` reduce-scatter/all-gather,
-//!   ZeRO-sharded optimizer state, and the `dos-core` interleaved hybrid
-//!   pipeline doing the updates.
+//!   with `dos-nn` models, `dos-collectives` reduce-scatter/all-gather, and
+//!   one `dos_train::Trainer` per rank stepping that rank's slice of the
+//!   ZeRO-sharded optimizer state through the interleaved hybrid pipeline.
+//!   This crate owns the multi-rank loop (data, collectives, checkpoints,
+//!   elastic recovery, the adaptive tuner); the update step itself is the
+//!   trainer's.
 //!
 //! ```
 //! use dos_runtime::{run_iteration, RuntimeConfig};

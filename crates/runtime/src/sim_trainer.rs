@@ -2,7 +2,7 @@
 
 use dos_core::{DeepOptimizerStates, NvmeOffload, TwinFlow, Zero3Offload};
 use dos_sim::{
-    simulate_iteration, simulate_iteration_traced, simulate_training, IterationReport,
+    simulate_iteration_with, simulate_training, IterationOptions, IterationReport,
     TrainingReport, UpdateScheduler,
 };
 use dos_telemetry::Tracer;
@@ -33,6 +33,17 @@ pub fn scheduler_for(config: &RuntimeConfig) -> Box<dyn UpdateScheduler> {
     }
 }
 
+/// Simulates one iteration under the configured scheduler, optionally
+/// replaying the engine schedule into `tracer`.
+fn iteration(
+    config: &RuntimeConfig,
+    tracer: Option<&Tracer>,
+) -> Result<IterationReport, ConfigError> {
+    let opts = IterationOptions { tracer, ..IterationOptions::default() };
+    simulate_iteration_with(&config.resolve()?, scheduler_for(config).as_ref(), opts)
+        .map_err(|e| ConfigError::Invalid { detail: e.to_string() })
+}
+
 /// Simulates one iteration under the configured scheduler.
 ///
 /// # Errors
@@ -40,10 +51,7 @@ pub fn scheduler_for(config: &RuntimeConfig) -> Box<dyn UpdateScheduler> {
 /// Returns [`ConfigError`] for unresolvable configurations; engine errors
 /// are wrapped as [`ConfigError::Invalid`].
 pub fn run_iteration(config: &RuntimeConfig) -> Result<IterationReport, ConfigError> {
-    let train = config.resolve()?;
-    let sched = scheduler_for(config);
-    simulate_iteration(&train, sched.as_ref())
-        .map_err(|e| ConfigError::Invalid { detail: e.to_string() })
+    iteration(config, None)
 }
 
 /// Simulates one iteration under the configured scheduler with the engine
@@ -56,12 +64,8 @@ pub fn run_iteration(config: &RuntimeConfig) -> Result<IterationReport, ConfigEr
 /// Returns [`ConfigError`] for unresolvable configurations; engine errors
 /// are wrapped as [`ConfigError::Invalid`].
 pub fn trace_iteration(config: &RuntimeConfig) -> Result<(IterationReport, Tracer), ConfigError> {
-    let train = config.resolve()?;
-    let sched = scheduler_for(config);
     let tracer = Tracer::new();
-    let report = simulate_iteration_traced(&train, sched.as_ref(), &tracer)
-        .map_err(|e| ConfigError::Invalid { detail: e.to_string() })?;
-    Ok((report, tracer))
+    Ok((iteration(config, Some(&tracer))?, tracer))
 }
 
 /// Simulates a multi-iteration run under the configured scheduler.
@@ -74,9 +78,7 @@ pub fn run_training(
     config: &RuntimeConfig,
     iterations: usize,
 ) -> Result<TrainingReport, ConfigError> {
-    let train = config.resolve()?;
-    let sched = scheduler_for(config);
-    simulate_training(&train, sched.as_ref(), iterations)
+    simulate_training(&config.resolve()?, scheduler_for(config).as_ref(), iterations)
         .map_err(|e| ConfigError::Invalid { detail: e.to_string() })
 }
 

@@ -11,10 +11,15 @@
 //!   GEMMs, reduce-scatter, gradient flush) and exposes the update-phase
 //!   primitives (CPU/GPU subgroup updates, downscale, prefetch/flush over
 //!   dedicated streams) that `dos-core`'s schedulers compose;
-//! * [`UpdateScheduler`] + [`simulate_iteration`]/[`simulate_training`] —
-//!   the drivers producing [`IterationReport`]s with phase breakdowns,
-//!   achieved TFLOP/s, update throughput, memory peaks/OOM, and utilization
-//!   timelines — the raw material of Figures 2–4 and 7–17.
+//! * [`UpdateScheduler`] + the two drivers — [`simulate_iteration_with`]
+//!   (one iteration on a fresh engine; [`IterationOptions`] pick the rank,
+//!   a fault plan and a tracer) and [`simulate_training_with`]
+//!   (back-to-back iterations in one engine, optional checkpoint policy in,
+//!   multi-iteration timeline out), with [`simulate_iteration`] /
+//!   [`simulate_training`] as their short forms — producing
+//!   [`IterationReport`]s with phase breakdowns, achieved TFLOP/s, update
+//!   throughput, memory peaks/OOM, and utilization timelines — the raw
+//!   material of Figures 2–4 and 7–17.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,9 +32,7 @@ mod runner;
 pub use config::{GradientPath, TrainConfig};
 pub use report::{IterationReport, ResourceUtilization, TrainingReport};
 pub use runner::{
-    simulate_iteration, simulate_iteration_faulted, simulate_iteration_slowest,
-    simulate_iteration_traced, simulate_training, simulate_training_controlled,
-    simulate_training_timeline, simulate_training_with_checkpoints, CheckpointPolicy,
-    ControlledIteration, IterationController, UpdateScheduler,
+    simulate_iteration, simulate_iteration_with, simulate_training, simulate_training_with,
+    CheckpointPolicy, IterationOptions, UpdateScheduler,
 };
 pub use scenario::{FlushHandles, IterationScenario};

@@ -1,5 +1,7 @@
 //! Iteration and training-run drivers.
 
+use std::num::NonZeroUsize;
+
 use dos_hal::{OpId, SimError};
 
 use crate::config::TrainConfig;
@@ -74,7 +76,48 @@ fn window_utilization(
     }
 }
 
-/// Simulates one training iteration under the given update scheduler.
+/// Submits one iteration — forward, backward, the extra micro-steps of
+/// gradient accumulation, then the scheduler's update phase — after `prev`
+/// (the previous iteration's boundary in a shared engine, `None` at t = 0).
+/// Returns the ops at which forward, backward and update finish.
+fn submit_iteration(
+    scn: &mut IterationScenario,
+    sched: &dyn UpdateScheduler,
+    prev: Option<OpId>,
+) -> Result<(OpId, OpId, OpId), SimError> {
+    let fwd = scn.run_forward(prev)?;
+    let mut bwd = scn.run_backward(fwd)?;
+    for _ in 1..scn.cfg.grad_accumulation.max(1) {
+        let f = scn.run_forward(Some(bwd))?;
+        bwd = scn.run_backward(f)?;
+    }
+    let upd = sched.schedule_update(scn, bwd)?;
+    Ok((fwd, bwd, upd))
+}
+
+/// What [`simulate_iteration_with`] does beyond the plain run; the default
+/// is exactly [`simulate_iteration`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct IterationOptions<'a> {
+    /// The data-parallel rank to simulate. Shards differ by up to one
+    /// subgroup, and §5.4's "slowest process in the group dictates the
+    /// iteration time" is the maximum over `0..cfg.world`.
+    pub rank: usize,
+    /// Installed on the rank's engine before any op is submitted:
+    /// transfers hit degradation windows and failure/retry rules, and
+    /// exhausted retries surface as [`SimError::TransferFault`].
+    pub faults: Option<&'a dos_hal::FaultPlan>,
+    /// Replay the engine's full schedule into this tracer on the simulated
+    /// clock — one track per engine stream, injected faults as `fault:`
+    /// instants on the `faults` track — plus phase-boundary instants on
+    /// [`dos_telemetry::PHASE_TRACK`] at the collective join points, so
+    /// `analyze_tracer` segments interleaved phases correctly. Tracing
+    /// only observes: the report is identical either way.
+    pub tracer: Option<&'a dos_telemetry::Tracer>,
+}
+
+/// Simulates one training iteration of rank 0 under the given update
+/// scheduler: [`simulate_iteration_with`] with default options.
 ///
 /// # Errors
 ///
@@ -84,79 +127,37 @@ pub fn simulate_iteration(
     cfg: &TrainConfig,
     sched: &dyn UpdateScheduler,
 ) -> Result<IterationReport, SimError> {
-    simulate_iteration_for(cfg, sched, 0)
+    simulate_iteration_with(cfg, sched, IterationOptions::default())
 }
 
-/// Like [`simulate_iteration`], additionally replaying the engine's full
-/// schedule into `tracer` on the simulated clock — one track per engine
-/// stream — before the scenario is consumed, and publishing explicit
-/// phase-boundary instants (`phase-begin:`/`phase-end:` on the
-/// [`dos_telemetry::PHASE_TRACK`] track) at the collective join points, so
-/// `analyze_tracer` segments interleaved phases correctly. The returned
-/// report is identical to the untraced run (tracing only observes).
-///
-/// # Errors
-///
-/// Propagates engine errors, exactly as [`simulate_iteration`].
-pub fn simulate_iteration_traced(
-    cfg: &TrainConfig,
-    sched: &dyn UpdateScheduler,
-    tracer: &dos_telemetry::Tracer,
-) -> Result<IterationReport, SimError> {
-    simulate_iteration_faulted(cfg, sched, None, tracer)
-}
-
-/// Like [`simulate_iteration_traced`], additionally installing a
-/// [`dos_hal::FaultPlan`] on the rank's engine before any op is submitted:
-/// transfers hit degradation windows and failure/retry rules, injected
-/// fault occurrences replay into `tracer` as `fault:` instants on the
-/// `faults` track, and exhausted retries surface as
-/// [`SimError::TransferFault`]. `faults: None` is exactly the traced run.
+/// Simulates one training iteration on a fresh engine under the given
+/// update scheduler and [`IterationOptions`].
 ///
 /// # Errors
 ///
 /// Propagates engine errors, including [`SimError::TransferFault`] when a
-/// transfer exhausts its retry budget. The fault events recorded up to the
-/// failure are lost with the scenario in that case; campaigns that need
-/// them should widen the retry budget instead.
-pub fn simulate_iteration_faulted(
+/// transfer exhausts its retry budget under a fault plan. The fault events
+/// recorded up to the failure are lost with the scenario in that case;
+/// campaigns that need them should widen the retry budget instead.
+pub fn simulate_iteration_with(
     cfg: &TrainConfig,
     sched: &dyn UpdateScheduler,
-    faults: Option<&dos_hal::FaultPlan>,
-    tracer: &dos_telemetry::Tracer,
+    opts: IterationOptions<'_>,
 ) -> Result<IterationReport, SimError> {
-    let mut scn = IterationScenario::new_for_rank(cfg.clone(), 0);
-    if let Some(plan) = faults {
+    let mut scn = IterationScenario::new_for_rank(cfg.clone(), opts.rank);
+    if let Some(plan) = opts.faults {
         scn.rank.sim.install_fault_plan(plan.clone());
     }
-    let fwd = scn.run_forward(None)?;
-    let mut bwd = scn.run_backward(fwd)?;
-    for _ in 1..cfg.grad_accumulation.max(1) {
-        let f = scn.run_forward(Some(bwd))?;
-        bwd = scn.run_backward(f)?;
+    let (fwd, bwd, upd) = submit_iteration(&mut scn, sched, None)?;
+    let t_fwd = scn.rank.sim.finish_time(fwd).as_secs();
+    let t_bwd = scn.rank.sim.finish_time(bwd).as_secs();
+    let t_upd = scn.rank.sim.finish_time(upd).as_secs();
+    if let Some(tracer) = opts.tracer {
+        scn.record_into(tracer);
+        tracer.phase_boundary("forward", 0.0, t_fwd);
+        tracer.phase_boundary("backward", t_fwd, t_bwd);
+        tracer.phase_boundary("update", t_bwd, t_upd);
     }
-    let upd = sched.schedule_update(&mut scn, bwd)?;
-    scn.record_into(tracer);
-    let t_fwd = scn.rank.sim.finish_time(fwd).as_secs();
-    let t_bwd = scn.rank.sim.finish_time(bwd).as_secs();
-    let t_upd = scn.rank.sim.finish_time(upd).as_secs();
-    tracer.phase_boundary("forward", 0.0, t_fwd);
-    tracer.phase_boundary("backward", t_fwd, t_bwd);
-    tracer.phase_boundary("update", t_bwd, t_upd);
-    finalize_report(cfg, sched, scn, fwd, bwd, upd)
-}
-
-fn finalize_report(
-    cfg: &TrainConfig,
-    sched: &dyn UpdateScheduler,
-    scn: IterationScenario,
-    fwd: OpId,
-    bwd: OpId,
-    upd: OpId,
-) -> Result<IterationReport, SimError> {
-    let t_fwd = scn.rank.sim.finish_time(fwd).as_secs();
-    let t_bwd = scn.rank.sim.finish_time(bwd).as_secs();
-    let t_upd = scn.rank.sim.finish_time(upd).as_secs();
     let makespan = scn.rank.sim.makespan().as_secs();
 
     let model_flops = 3.0 * cfg.spec.forward_flops(cfg.micro_batch) * cfg.grad_accumulation as f64;
@@ -183,7 +184,8 @@ fn finalize_report(
 
 /// Simulates `iterations` back-to-back iterations in one engine, so that
 /// trailing asynchronous optimizer movement from iteration *i* competes with
-/// iteration *i+1* (the effect Figure 9 checks for).
+/// iteration *i+1* (the effect Figure 9 checks for):
+/// [`simulate_training_with`] without checkpoints, report only.
 ///
 /// # Errors
 ///
@@ -193,131 +195,7 @@ pub fn simulate_training(
     sched: &dyn UpdateScheduler,
     iterations: usize,
 ) -> Result<TrainingReport, SimError> {
-    simulate_training_timeline(cfg, sched, iterations).map(|(report, _)| report)
-}
-
-/// Like [`simulate_training`], additionally returning the shared engine's
-/// full multi-iteration [`dos_telemetry::Timeline`]. The timeline is what
-/// lets the analyzer check *cross-iteration* overlap — e.g. that a
-/// stall-free scheduler's `update`-phase CPU spans run concurrently with
-/// the next iteration's `forward`/`backward` GPU spans
-/// ([`dos_telemetry::cross_phase_overlap_secs`]).
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn simulate_training_timeline(
-    cfg: &TrainConfig,
-    sched: &dyn UpdateScheduler,
-    iterations: usize,
-) -> Result<(TrainingReport, dos_telemetry::Timeline), SimError> {
-    let mut scn = IterationScenario::new(cfg.clone());
-    let mut prev_update: Option<OpId> = None;
-    let mut ends = Vec::with_capacity(iterations);
-    for _ in 0..iterations {
-        let fwd = scn.run_forward(prev_update)?;
-        let mut bwd = scn.run_backward(fwd)?;
-        for _ in 1..cfg.grad_accumulation.max(1) {
-            let f = scn.run_forward(Some(bwd))?;
-            bwd = scn.run_backward(f)?;
-        }
-        let upd = sched.schedule_update(&mut scn, bwd)?;
-        prev_update = Some(upd);
-        ends.push(scn.rank.sim.finish_time(upd).as_secs());
-    }
-    let total = scn.rank.sim.makespan().as_secs();
-    let report = TrainingReport {
-        scheduler: sched.name().to_string(),
-        model: cfg.spec.name.clone(),
-        iterations,
-        total_secs: total,
-        avg_iteration_secs: ends.last().copied().unwrap_or(0.0) / iterations.max(1) as f64,
-        iteration_ends: ends,
-        oom: scn.rank.hbm.validate().err().map(|e| e.to_string()),
-    };
-    Ok((report, scn.timeline()))
-}
-
-/// One iteration's plan, produced by an [`IterationController`] before the
-/// iteration is submitted to the engine.
-pub struct ControlledIteration {
-    /// The update scheduler to run this iteration under.
-    pub scheduler: Box<dyn UpdateScheduler>,
-    /// Optional per-iteration override of the offload configuration (the
-    /// control plane resizes the GPU-resident tail against observed
-    /// `MemoryPool` headroom).
-    pub offload: Option<dos_zero::OffloadConfig>,
-    /// Optional fault plan to install on the iteration's engine (pinned
-    /// degradation windows expressed per iteration).
-    pub faults: Option<dos_hal::FaultPlan>,
-}
-
-/// The feedback hook `dos-control` implements: called around every
-/// iteration of [`simulate_training_controlled`], it closes the loop
-/// between observed update-phase timings and the next iteration's
-/// schedule (stride, resident set, degradation-ladder rung).
-pub trait IterationController {
-    /// Plans iteration `iteration` (0-based) given the run configuration.
-    fn plan_iteration(&mut self, iteration: usize, cfg: &TrainConfig) -> ControlledIteration;
-
-    /// Observes the finished iteration's report (timeline included), so
-    /// estimators can update before the next [`Self::plan_iteration`].
-    fn observe_iteration(&mut self, iteration: usize, report: &IterationReport);
-}
-
-/// Runs `iterations` iterations, each planned by `controller` and simulated
-/// on a fresh engine (so per-iteration fault plans and offload overrides
-/// apply cleanly; trailing flushes are contained within their iteration,
-/// unlike [`simulate_training`]'s shared engine).
-///
-/// If `trace` is given as `(tracer, index)`, iteration `index`'s full
-/// engine schedule (fault instants included) and phase boundaries are
-/// replayed into the tracer — the controller can add its own `control:*`
-/// instants on top.
-///
-/// # Errors
-///
-/// Propagates engine errors from any iteration.
-pub fn simulate_training_controlled(
-    cfg: &TrainConfig,
-    controller: &mut dyn IterationController,
-    iterations: usize,
-    trace: Option<(&dos_telemetry::Tracer, usize)>,
-) -> Result<Vec<IterationReport>, SimError> {
-    let mut reports = Vec::with_capacity(iterations);
-    for i in 0..iterations {
-        let plan = controller.plan_iteration(i, cfg);
-        let mut it_cfg = cfg.clone();
-        if let Some(offload) = plan.offload {
-            it_cfg.offload = offload;
-        }
-        let mut scn = IterationScenario::new_for_rank(it_cfg.clone(), 0);
-        if let Some(faults) = &plan.faults {
-            scn.rank.sim.install_fault_plan(faults.clone());
-        }
-        let fwd = scn.run_forward(None)?;
-        let mut bwd = scn.run_backward(fwd)?;
-        for _ in 1..it_cfg.grad_accumulation.max(1) {
-            let f = scn.run_forward(Some(bwd))?;
-            bwd = scn.run_backward(f)?;
-        }
-        let upd = plan.scheduler.schedule_update(&mut scn, bwd)?;
-        if let Some((tracer, index)) = trace {
-            if index == i {
-                scn.record_into(tracer);
-                let t_fwd = scn.rank.sim.finish_time(fwd).as_secs();
-                let t_bwd = scn.rank.sim.finish_time(bwd).as_secs();
-                let t_upd = scn.rank.sim.finish_time(upd).as_secs();
-                tracer.phase_boundary("forward", 0.0, t_fwd);
-                tracer.phase_boundary("backward", t_fwd, t_bwd);
-                tracer.phase_boundary("update", t_bwd, t_upd);
-            }
-        }
-        let report = finalize_report(&it_cfg, plan.scheduler.as_ref(), scn, fwd, bwd, upd)?;
-        controller.observe_iteration(i, &report);
-        reports.push(report);
-    }
-    Ok(reports)
+    simulate_training_with(cfg, sched, iterations, None).map(|(report, _)| report)
 }
 
 /// When and how to checkpoint during a simulated run.
@@ -328,115 +206,76 @@ pub fn simulate_training_controlled(
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint after every `every`-th iteration.
-    pub every: usize,
+    pub every: NonZeroUsize,
     /// Write asynchronously (overlapping subsequent iterations) instead of
     /// stalling training until the NVMe write completes.
     pub asynchronous: bool,
 }
 
-/// Simulates a run that checkpoints model + optimizer state to NVMe.
+/// Simulates `iterations` back-to-back iterations in one shared engine,
+/// optionally checkpointing model + optimizer state to NVMe per
+/// `checkpoints`, and returns the report together with the engine's full
+/// multi-iteration [`dos_telemetry::Timeline`]. The timeline is what lets
+/// the analyzer check *cross-iteration* overlap — e.g. that a stall-free
+/// scheduler's `update`-phase CPU spans run concurrently with the next
+/// iteration's `forward`/`backward` GPU spans
+/// ([`dos_telemetry::cross_phase_overlap_secs`]).
 ///
 /// # Errors
 ///
 /// Propagates engine errors.
-///
-/// # Panics
-///
-/// Panics if `policy.every` is zero.
-pub fn simulate_training_with_checkpoints(
+pub fn simulate_training_with(
     cfg: &TrainConfig,
     sched: &dyn UpdateScheduler,
     iterations: usize,
-    policy: CheckpointPolicy,
-) -> Result<TrainingReport, SimError> {
-    assert!(policy.every > 0, "checkpoint interval must be positive");
+    checkpoints: Option<CheckpointPolicy>,
+) -> Result<(TrainingReport, dos_telemetry::Timeline), SimError> {
     let mut scn = IterationScenario::new(cfg.clone());
     // Checkpoints drain host memory to NVMe on their own stream; they never
     // touch the GPU or its PCIe link (the offloading advantage of §2).
-    let ckpt_stream = scn.rank.sim.add_stream("checkpoint");
+    let checkpoints =
+        checkpoints.map(|policy| (policy, scn.rank.sim.add_stream("checkpoint")));
     // Per-rank checkpoint payload: FP32 optimizer state + FP16 model shard.
     let per_rank = cfg.params_per_rank() as f64;
     let ckpt_bytes = 12.0 * per_rank + 2.0 * per_rank;
     let nvme_secs = ckpt_bytes / cfg.profile.nvme_write_bw;
 
-    let mut prev_update: Option<OpId> = None;
+    let mut prev: Option<OpId> = None;
     let mut ends = Vec::with_capacity(iterations);
     for i in 0..iterations {
-        let fwd = scn.run_forward(prev_update)?;
-        let mut bwd = scn.run_backward(fwd)?;
-        for _ in 1..cfg.grad_accumulation.max(1) {
-            let f = scn.run_forward(Some(bwd))?;
-            bwd = scn.run_backward(f)?;
-        }
-        let upd = sched.schedule_update(&mut scn, bwd)?;
+        let (_, _, upd) = submit_iteration(&mut scn, sched, prev)?;
         let mut boundary = upd;
-        if (i + 1) % policy.every == 0 {
-            let ckpt = scn.rank.sim.submit(
-                dos_hal::OpSpec::occupy(
-                    scn.rank.res.nvme,
-                    dos_hal::SimTime::from_secs(nvme_secs),
-                    ckpt_bytes,
-                )
-                .on(ckpt_stream)
-                .after(upd)
-                .label(format!("checkpoint:{i}"))
-                .phase("checkpoint"),
-            )?;
-            if !policy.asynchronous {
-                boundary = ckpt;
+        if let Some((policy, stream)) = checkpoints {
+            if (i + 1) % policy.every.get() == 0 {
+                let ckpt = scn.rank.sim.submit(
+                    dos_hal::OpSpec::occupy(
+                        scn.rank.res.nvme,
+                        dos_hal::SimTime::from_secs(nvme_secs),
+                        ckpt_bytes,
+                    )
+                    .on(stream)
+                    .after(upd)
+                    .label(format!("checkpoint:{i}"))
+                    .phase("checkpoint"),
+                )?;
+                if !policy.asynchronous {
+                    boundary = ckpt;
+                }
             }
         }
-        prev_update = Some(boundary);
+        prev = Some(boundary);
         ends.push(scn.rank.sim.finish_time(boundary).as_secs());
     }
-    let total = scn.rank.sim.makespan().as_secs();
-    Ok(TrainingReport {
+    let report = TrainingReport {
         scheduler: sched.name().to_string(),
         model: cfg.spec.name.clone(),
         iterations,
-        total_secs: total,
+        total_secs: scn.rank.sim.makespan().as_secs(),
         avg_iteration_secs: ends.last().copied().unwrap_or(0.0) / iterations.max(1) as f64,
         iteration_ends: ends,
         oom: scn.rank.hbm.validate().err().map(|e| e.to_string()),
-    })
-}
-
-/// Simulates every data-parallel rank and returns the slowest one's report
-/// — §5.4: the blocking collectives at phase boundaries mean "the slowest
-/// process in the group dictates the iteration time" (shards differ by up
-/// to one subgroup under uneven partitioning).
-///
-/// # Errors
-///
-/// Propagates engine errors.
-pub fn simulate_iteration_slowest(
-    cfg: &TrainConfig,
-    sched: &dyn UpdateScheduler,
-) -> Result<IterationReport, SimError> {
-    let mut slowest: Option<IterationReport> = None;
-    for rank in 0..cfg.world {
-        let report = simulate_iteration_for(cfg, sched, rank)?;
-        if slowest.as_ref().is_none_or(|r| report.total_secs > r.total_secs) {
-            slowest = Some(report);
-        }
-    }
-    Ok(slowest.expect("world >= 1"))
-}
-
-fn simulate_iteration_for(
-    cfg: &TrainConfig,
-    sched: &dyn UpdateScheduler,
-    rank: usize,
-) -> Result<IterationReport, SimError> {
-    let mut scn = IterationScenario::new_for_rank(cfg.clone(), rank);
-    let fwd = scn.run_forward(None)?;
-    let mut bwd = scn.run_backward(fwd)?;
-    for _ in 1..cfg.grad_accumulation.max(1) {
-        let f = scn.run_forward(Some(bwd))?;
-        bwd = scn.run_backward(f)?;
-    }
-    let upd = sched.schedule_update(&mut scn, bwd)?;
-    finalize_report(cfg, sched, scn, fwd, bwd, upd)
+    };
+    Ok((report, scn.timeline()))
 }
 
 #[cfg(test)]
@@ -495,10 +334,17 @@ mod tests {
             HardwareProfile::jlse_h100(),
         );
         let plain = simulate_iteration(&cfg, &NaiveCpu).unwrap();
+        // Default options are the short form, bit for bit.
+        let with = simulate_iteration_with(&cfg, &NaiveCpu, IterationOptions::default()).unwrap();
+        assert_eq!(with.total_secs, plain.total_secs);
+        assert_eq!(with.update_secs, plain.update_secs);
+        assert_eq!(with.timeline, plain.timeline);
         let tracer = dos_telemetry::Tracer::new();
-        let traced = simulate_iteration_traced(&cfg, &NaiveCpu, &tracer).unwrap();
+        let opts = IterationOptions { tracer: Some(&tracer), ..Default::default() };
+        let traced = simulate_iteration_with(&cfg, &NaiveCpu, opts).unwrap();
         // Tracing only observes: the report is unchanged.
         assert_eq!(traced.total_secs, plain.total_secs);
+        assert_eq!(traced.update_secs, plain.update_secs);
         assert_eq!(traced.timeline, plain.timeline);
         // Every resource-backed interval became a tracer span; the tracer's
         // timeline view carries the same busy time per resource.
@@ -545,6 +391,11 @@ mod tests {
             HardwareProfile::jlse_h100(),
         );
         let r = simulate_training(&cfg, &NaiveCpu, 5).unwrap();
+        // The short form is the options-taking run without checkpoints.
+        let (with, timeline) = simulate_training_with(&cfg, &NaiveCpu, 5, None).unwrap();
+        assert_eq!(with.iteration_ends, r.iteration_ends);
+        assert_eq!(with.total_secs, r.total_secs);
+        assert!((timeline.end_time() - r.total_secs).abs() < 1e-9);
         assert_eq!(r.iterations, 5);
         assert_eq!(r.iteration_ends.len(), 5);
         assert!(r.is_stable(1, 0.05), "durations {:?}", r.iteration_durations());
@@ -599,20 +450,29 @@ mod fault_injection_tests {
         TrainConfig::baseline(ModelSpec::by_name("7B").unwrap(), HardwareProfile::jlse_h100())
     }
 
+    fn run(
+        faults: Option<&FaultPlan>,
+        tracer: &dos_telemetry::Tracer,
+    ) -> Result<IterationReport, SimError> {
+        let opts = IterationOptions { faults, tracer: Some(tracer), ..Default::default() };
+        simulate_iteration_with(&cfg(), &NaiveCpu, opts)
+    }
+
     #[test]
-    fn no_faults_matches_traced_run_exactly() {
+    fn empty_fault_plan_matches_traced_run_exactly() {
         let tracer = dos_telemetry::Tracer::new();
-        let traced = simulate_iteration_traced(&cfg(), &NaiveCpu, &tracer).unwrap();
+        let traced = run(None, &tracer).unwrap();
         let t2 = dos_telemetry::Tracer::new();
-        let faulted = simulate_iteration_faulted(&cfg(), &NaiveCpu, None, &t2).unwrap();
+        let faulted = run(Some(&FaultPlan::seeded(1)), &t2).unwrap();
         assert_eq!(faulted.total_secs, traced.total_secs);
         assert_eq!(faulted.timeline, traced.timeline);
+        assert_eq!(t2.events().len(), tracer.events().len());
     }
 
     #[test]
     fn traced_run_emits_phase_boundaries_for_the_analyzer() {
         let tracer = dos_telemetry::Tracer::new();
-        let r = simulate_iteration_traced(&cfg(), &NaiveCpu, &tracer).unwrap();
+        let r = run(None, &tracer).unwrap();
         let bounds = tracer.phase_boundaries();
         let names: Vec<&str> = bounds.iter().map(|b| b.phase.as_str()).collect();
         assert_eq!(names, ["forward", "backward", "update"]);
@@ -638,8 +498,7 @@ mod fault_injection_tests {
             0.25,
         );
         let tracer = dos_telemetry::Tracer::new();
-        let degraded =
-            simulate_iteration_faulted(&cfg(), &NaiveCpu, Some(&plan), &tracer).unwrap();
+        let degraded = run(Some(&plan), &tracer).unwrap();
         assert!(
             degraded.update_secs > baseline.update_secs * 1.5,
             "update {} should stretch past {} under 4x slower H2D",
@@ -655,8 +514,7 @@ mod fault_injection_tests {
         let plan = FaultPlan::seeded(3).fail_nth("pcie.h2d", 0, 2);
         let tracer = dos_telemetry::Tracer::new();
         let clean = simulate_iteration(&cfg(), &NaiveCpu).unwrap();
-        let faulted =
-            simulate_iteration_faulted(&cfg(), &NaiveCpu, Some(&plan), &tracer).unwrap();
+        let faulted = run(Some(&plan), &tracer).unwrap();
         assert!(faulted.total_secs >= clean.total_secs, "retries cannot speed things up");
         let fault_instants: Vec<_> = tracer
             .events()
@@ -775,13 +633,14 @@ mod extension_tests {
     fn async_checkpointing_is_cheaper_than_blocking() {
         // Interval chosen so the NVMe write (≈6 s for 7B's per-rank state)
         // fits inside the training time between checkpoints (≈9 s).
-        let policy_block = CheckpointPolicy { every: 3, asynchronous: false };
-        let policy_async = CheckpointPolicy { every: 3, asynchronous: true };
+        let every = NonZeroUsize::new(3).unwrap();
+        let policy_block = CheckpointPolicy { every, asynchronous: false };
+        let policy_async = CheckpointPolicy { every, asynchronous: true };
         let plain = simulate_training(&cfg(), &NaiveCpu2, 6).unwrap();
-        let blocking =
-            simulate_training_with_checkpoints(&cfg(), &NaiveCpu2, 6, policy_block).unwrap();
-        let asynchronous =
-            simulate_training_with_checkpoints(&cfg(), &NaiveCpu2, 6, policy_async).unwrap();
+        let (blocking, _) =
+            simulate_training_with(&cfg(), &NaiveCpu2, 6, Some(policy_block)).unwrap();
+        let (asynchronous, _) =
+            simulate_training_with(&cfg(), &NaiveCpu2, 6, Some(policy_async)).unwrap();
         let end = |r: &TrainingReport| *r.iteration_ends.last().unwrap();
         assert!(end(&blocking) > end(&plain) * 1.1, "blocking checkpoints cost time");
         assert!(
@@ -798,27 +657,32 @@ mod extension_tests {
 
     #[test]
     fn checkpoint_spans_are_recorded() {
-        let policy = CheckpointPolicy { every: 3, asynchronous: true };
-        let r = simulate_training_with_checkpoints(&cfg(), &NaiveCpu2, 6, policy).unwrap();
+        let policy =
+            CheckpointPolicy { every: NonZeroUsize::new(3).unwrap(), asynchronous: true };
+        let (r, timeline) = simulate_training_with(&cfg(), &NaiveCpu2, 6, Some(policy)).unwrap();
         assert_eq!(r.iterations, 6);
         // Two checkpoints (after iterations 3 and 6).
-        assert!(r.total_secs > 0.0);
+        let labels: Vec<&str> = timeline
+            .spans()
+            .iter()
+            .filter(|s| s.label.starts_with("checkpoint:"))
+            .map(|s| s.label.as_str())
+            .collect();
+        assert_eq!(labels, ["checkpoint:2", "checkpoint:5"]);
     }
 
     #[test]
     fn slowest_rank_dominates() {
-        let slowest = simulate_iteration_slowest(&cfg(), &NaiveCpu2).unwrap();
         let rank0 = simulate_iteration(&cfg(), &NaiveCpu2).unwrap();
+        let slowest = (0..cfg().world)
+            .map(|rank| {
+                let opts = IterationOptions { rank, ..Default::default() };
+                simulate_iteration_with(&cfg(), &NaiveCpu2, opts).unwrap().total_secs
+            })
+            .fold(0.0, f64::max);
         // Rank 0 holds the largest shard under uneven partitioning, so the
         // slowest rank is rank 0 (within float noise).
-        assert!(slowest.total_secs >= rank0.total_secs - 1e-9);
-        assert!((slowest.total_secs - rank0.total_secs) / rank0.total_secs < 0.02);
-    }
-
-    #[test]
-    #[should_panic(expected = "interval must be positive")]
-    fn zero_checkpoint_interval_rejected() {
-        let policy = CheckpointPolicy { every: 0, asynchronous: false };
-        let _ = simulate_training_with_checkpoints(&cfg(), &NaiveCpu2, 2, policy);
+        assert!(slowest >= rank0.total_secs - 1e-9);
+        assert!((slowest - rank0.total_secs) / rank0.total_secs < 0.02);
     }
 }

@@ -52,7 +52,7 @@ impl IterationScenario {
     /// Creates the scenario for an arbitrary rank. Because the update phase
     /// invokes blocking collectives at iteration boundaries, "the slowest
     /// process in the group dictates the iteration time" (§5.4) — see
-    /// [`simulate_iteration_slowest`](crate::simulate_iteration_slowest).
+    /// [`IterationOptions::rank`](crate::IterationOptions::rank).
     ///
     /// # Panics
     ///

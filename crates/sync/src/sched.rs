@@ -139,7 +139,7 @@ impl Shared {
 }
 
 /// Per-thread scheduler context: which run this thread belongs to and its
-/// virtual thread id. Installed in TLS by [`enter`].
+/// virtual thread id. Installed in TLS by `enter`.
 #[derive(Clone)]
 pub struct Ctx {
     shared: Arc<Shared>,
@@ -209,7 +209,7 @@ fn register_thread(shared: &Arc<Shared>) -> Tid {
 }
 
 /// Marks a thread finished when its body returns *or unwinds*, and clears
-/// the TLS context. Produced by [`enter`]; must outlive the body.
+/// the TLS context. Produced by `enter`; must outlive the body.
 pub struct ThreadGuard {
     shared: Arc<Shared>,
     tid: Tid,

@@ -1,14 +1,18 @@
-//! `dos-train`: the JSON-configured [`Trainer`] facade over the
-//! functional hybrid-update pipeline.
+//! `dos-train`: the [`Trainer`] — the one owner of the functional update
+//! step.
 //!
-//! The paper's middleware is "enabled and configured through a single
-//! JSON entry in the configuration file given to the training runtime"
-//! (§4.4). This crate is that surface for the *functional* stack: a
-//! [`TrainerConfig`] document (update rule, learning rate, subgroup
-//! partitioning, and the `"deep_optimizer_states"` entry) resolves into a
-//! [`Trainer`] that steps a [`dos_optim::MixedPrecisionState`] through
-//! [`dos_core::hybrid_update_pooled`] with a per-trainer staging
-//! [`dos_core::ArenaPool`].
+//! The paper's middleware sits behind one optimizer `step()`, "enabled and
+//! configured through a single JSON entry in the configuration file given
+//! to the training runtime" (§4.4). [`Trainer`] is that call for the
+//! *functional* stack: it assembles a [`dos_optim::MixedPrecisionState`]
+//! shard, its subgroup partition, a per-trainer staging
+//! [`dos_core::ArenaPool`], the pipeline configuration, the tracer and
+//! (when configured) the ZenFlow driver once, and [`Trainer::step`] is the
+//! only non-oracle caller of [`dos_core::hybrid_update_pooled`]. It is
+//! built either from a [`TrainerConfig`] document (update rule, learning
+//! rate, partitioning, the `"deep_optimizer_states"` entry, `"monitor"`,
+//! `"scheduler"`) or, typed, over an existing shard ([`Trainer::new`]) —
+//! which is how `dos-runtime`'s data-parallel loop holds one per rank.
 //!
 //! It sits *below* `dos-runtime` in the crate graph on purpose:
 //! `dos-check`'s differential fuzzer drives its numerics arm through this

@@ -1,9 +1,11 @@
-//! The [`Trainer`] facade: a JSON-configured optimizer shard stepped
-//! through the zero-copy hybrid-update pipeline.
+//! The [`Trainer`]: the one owner of the update step — optimizer shard,
+//! subgroup partition, staging arena, pipeline configuration, tracer and
+//! ZenFlow driver assembled once, stepped through the zero-copy
+//! hybrid-update pipeline.
 
 use dos_core::{
-    hybrid_update_pooled, ArenaPool, DeviceFault, PipelineConfig, PipelineReport,
-    ZenFlowPipeline,
+    hybrid_update_pooled, ArenaPool, DeviceFault, PipelineConfig, PipelineReport, StridePolicy,
+    ZenFlowPipeline, CPU_TRACK, DEVICE_TRACK,
 };
 use dos_optim::MixedPrecisionState;
 use dos_telemetry::{
@@ -14,26 +16,28 @@ use dos_zero::{partition_into_subgroups, SubgroupSpec};
 use crate::checkpoint::TrainingCheckpoint;
 use crate::config::{TrainerConfig, TrainerError};
 
-/// Track names the pipeline records its spans on (kept in sync with
-/// `dos-core`'s hybrid-update pipeline).
-const CPU_TRACK: &str = "cpu";
-const DEVICE_TRACK: &str = "device-worker";
-
 /// A functional trainer over one flat optimizer shard.
 ///
-/// Construction resolves the whole JSON surface — rule name, stride
-/// entry, partitioning — so that anything reachable through a
-/// configuration file exercises the exact production code path:
-/// [`hybrid_update_pooled`] with a per-trainer [`ArenaPool`], never a
-/// hand-assembled pipeline call.
+/// Every non-oracle update in the workspace goes through
+/// [`Trainer::step`]: JSON-configured single-shard trainers
+/// ([`Trainer::from_json`] resolves the whole document — rule name, stride
+/// entry, partitioning, `"monitor"`, `"scheduler"`) and the per-rank shards
+/// of `dos-runtime`'s data-parallel loop ([`Trainer::new`] over the rank's
+/// slice of the ZeRO-sharded state) exercise the exact same
+/// [`hybrid_update_pooled`] call with a per-trainer [`ArenaPool`], never a
+/// hand-assembled one.
 #[derive(Debug)]
 pub struct Trainer {
-    cfg: TrainerConfig,
     state: MixedPrecisionState,
     subgroups: Vec<SubgroupSpec>,
     pipeline: PipelineConfig,
     pool: ArenaPool,
     steps_taken: usize,
+    /// Where the pipeline records its spans and counters and the arena its
+    /// gauges: the caller's run tracer ([`Trainer::new`]) or the
+    /// flight-only tracer a `"monitor"` entry attaches.
+    tracer: Option<Tracer>,
+    /// Present when a `"monitor"` entry is configured; requires `tracer`.
     monitoring: Option<Monitoring>,
     /// Present when `"scheduler": "zenflow_async"` is configured: the
     /// cross-iteration bounded-staleness update driver that replaces the
@@ -41,11 +45,10 @@ pub struct Trainer {
     zenflow: Option<ZenFlowPipeline>,
 }
 
-/// Per-trainer monitoring state: a flight-only tracer feeding the ring
-/// and metrics, plus the online health detectors and their board.
-#[derive(Debug)]
+/// Per-trainer monitoring state: the online health detectors and their
+/// board, fed from the trainer's flight-only tracer after every step.
+#[derive(Debug, Default)]
 struct Monitoring {
-    tracer: Tracer,
     /// Whether detector events are emitted (instants + board); the EWMA
     /// baselines are maintained either way.
     detect: bool,
@@ -58,6 +61,43 @@ struct Monitoring {
 }
 
 impl Trainer {
+    /// Builds a hybrid-pipeline trainer over an existing optimizer shard.
+    ///
+    /// `tracer` is an *external* run tracer: the pipeline's spans and
+    /// counters and the arena gauges land in it, but it does not turn on
+    /// the per-step health detectors — only a `"monitor"` entry does.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TrainerError::Invalid`] when `subgroup_size` is zero.
+    pub fn new(
+        state: MixedPrecisionState,
+        subgroup_size: usize,
+        pipeline: PipelineConfig,
+        tracer: Option<Tracer>,
+    ) -> Result<Trainer, TrainerError> {
+        if subgroup_size == 0 {
+            return Err(TrainerError::Invalid { detail: "subgroup_size must be positive".into() });
+        }
+        let subgroups = partition_into_subgroups(state.len(), subgroup_size);
+        // The arena publishes its gauges into the tracer's registry so
+        // `/metrics` sees `arena.{in_use,high_water}_bytes`.
+        let pool = match &tracer {
+            Some(t) => ArenaPool::with_metrics(t.metrics().clone()),
+            None => ArenaPool::new(),
+        };
+        Ok(Trainer {
+            state,
+            subgroups,
+            pipeline,
+            pool,
+            steps_taken: 0,
+            tracer,
+            monitoring: None,
+            zenflow: None,
+        })
+    }
+
     /// Builds a trainer from a JSON document and the initial parameters.
     ///
     /// # Errors
@@ -76,6 +116,20 @@ impl Trainer {
         self.pipeline.fault_injection = fault;
     }
 
+    /// Sets the learning rate the next steps apply (per-iteration
+    /// schedules).
+    pub fn set_lr(&mut self, lr: f32) {
+        self.state.set_lr(lr);
+    }
+
+    /// Re-aims the interleaving for the next steps: the update stride and
+    /// the static-resident tail. This is the actuator of `dos-control`'s
+    /// wall-clock tuner; §4.1 guarantees the numerics never notice.
+    pub fn set_schedule(&mut self, stride: StridePolicy, static_residents: usize) {
+        self.pipeline.stride = stride;
+        self.pipeline.static_residents = static_residents;
+    }
+
     /// Runs one optimizer step over the full shard.
     ///
     /// # Errors
@@ -83,16 +137,16 @@ impl Trainer {
     /// Returns [`TrainerError::Invalid`] on a gradient-length mismatch and
     /// [`TrainerError::Pipeline`] when the pipeline rejects the step.
     pub fn step(&mut self, grads: &[f32]) -> Result<PipelineReport, TrainerError> {
-        if grads.len() != self.cfg.params {
+        if grads.len() != self.state.len() {
             return Err(TrainerError::Invalid {
                 detail: format!(
                     "gradient length {} != configured params {}",
                     grads.len(),
-                    self.cfg.params
+                    self.state.len()
                 ),
             });
         }
-        let window_start = self.monitoring.as_ref().map(|m| m.tracer.now());
+        let window = self.monitoring.as_ref().and(self.tracer.as_ref()).map(|t| t.now());
         let wall = std::time::Instant::now();
         let report = match &mut self.zenflow {
             Some(zf) => {
@@ -120,12 +174,12 @@ impl Trainer {
                 grads,
                 &self.subgroups,
                 self.pipeline,
-                self.monitoring.as_ref().map(|m| &m.tracer),
+                self.tracer.as_ref(),
                 &self.pool,
             )?,
         };
         self.steps_taken += 1;
-        if let Some(start) = window_start {
+        if let Some(start) = window {
             self.observe_iteration(start, wall.elapsed().as_secs_f64(), &report);
         }
         Ok(report)
@@ -136,16 +190,18 @@ impl Trainer {
     /// (a `health:degraded` instant also triggers the flight recorder's
     /// automatic dump), and publishes to the board.
     fn observe_iteration(&mut self, window_start: f64, iter_secs: f64, report: &PipelineReport) {
-        let params = self.cfg.params;
+        let params = self.state.len();
         let steps_taken = self.steps_taken;
         let hits = self.pool.reuse_hits();
         let misses = self.pool.allocation_misses();
         let high_water = self.pool.high_water_bytes();
-        let Some(mon) = self.monitoring.as_mut() else { return };
-        let window_end = mon.tracer.now();
-        let window_events = match mon.tracer.flight() {
+        let (Some(mon), Some(tracer)) = (self.monitoring.as_mut(), self.tracer.as_ref()) else {
+            return;
+        };
+        let window_end = tracer.now();
+        let window_events = match tracer.flight() {
             Some(flight) => flight.events(),
-            None => mon.tracer.events(),
+            None => tracer.events(),
         };
         let (stall_fraction, overlap_efficiency) =
             window_stats(&window_events, CPU_TRACK, DEVICE_TRACK, window_start, window_end);
@@ -168,7 +224,7 @@ impl Trainer {
         let events = mon.health.observe(&iter);
         if mon.detect {
             for ev in &events {
-                mon.tracer.instant_at(HEALTH_TRACK, ev.kind.instant_name(), "health", window_end);
+                tracer.instant_at(HEALTH_TRACK, ev.kind.instant_name(), "health", window_end);
             }
             mon.board.publish(iter, &events, &mon.health);
         } else {
@@ -188,9 +244,7 @@ impl Trainer {
     /// accumulated gradient applied before the state is copied, so the
     /// checkpoint is never torn across a cross-iteration update.
     pub fn checkpoint(&mut self) -> TrainingCheckpoint {
-        if let Some(zf) = &mut self.zenflow {
-            zf.drain(&mut self.state);
-        }
+        self.drain();
         TrainingCheckpoint {
             params: self.state.params().to_vec(),
             optimizer: self.state.clone(),
@@ -215,9 +269,10 @@ impl Trainer {
         self.zenflow.as_ref()
     }
 
-    /// The resolved configuration.
-    pub fn config(&self) -> &TrainerConfig {
-        &self.cfg
+    /// The optimizer shard (rule, learning rate, step count and the three
+    /// FP32 arrays) — what a full-state checkpoint gather reads.
+    pub fn state(&self) -> &MixedPrecisionState {
+        &self.state
     }
 
     /// The FP32 master parameters.
@@ -250,11 +305,12 @@ impl Trainer {
         &self.pool
     }
 
-    /// The monitoring tracer, when a `monitor` entry is configured. Its
-    /// flight recorder and [`dos_telemetry::MetricsRegistry`] carry the
-    /// live observability state.
+    /// The tracer the steps record into: the flight-only one a `monitor`
+    /// entry attaches (its flight recorder and
+    /// [`dos_telemetry::MetricsRegistry`] carry the live observability
+    /// state) or the external one handed to [`Trainer::new`].
     pub fn tracer(&self) -> Option<&Tracer> {
-        self.monitoring.as_ref().map(|m| &m.tracer)
+        self.tracer.as_ref()
     }
 
     /// The health board, when monitoring is configured.
@@ -285,14 +341,9 @@ impl TrainerConfig {
     /// names, or a length mismatch between `init` and `params`.
     pub fn build(self, init: Vec<f32>) -> Result<Trainer, TrainerError> {
         self.validate()?;
-        if init.len() != self.params {
-            return Err(TrainerError::Invalid {
-                detail: format!("init length {} != params {}", init.len(), self.params),
-            });
-        }
         let rule = self.resolve_rule()?;
-        let state = MixedPrecisionState::new(init, rule, self.lr);
-        self.assemble(state, 0)
+        let lr = self.lr;
+        self.assemble(MixedPrecisionState::new(init, rule, lr), 0, "init")
     }
 
     /// Rebuilds a [`Trainer`] from this configuration and a previously
@@ -307,48 +358,35 @@ impl TrainerConfig {
     pub fn resume(self, checkpoint: &TrainingCheckpoint) -> Result<Trainer, TrainerError> {
         self.validate()?;
         self.resolve_rule()?;
-        if checkpoint.optimizer.len() != self.params {
-            return Err(TrainerError::Invalid {
-                detail: format!(
-                    "checkpoint shard length {} != params {}",
-                    checkpoint.optimizer.len(),
-                    self.params
-                ),
-            });
-        }
-        self.assemble(checkpoint.optimizer.clone(), checkpoint.iteration)
+        self.assemble(checkpoint.optimizer.clone(), checkpoint.iteration, "checkpoint shard")
     }
 
     /// Shared tail of [`TrainerConfig::build`]/[`TrainerConfig::resume`]:
-    /// wires the pipeline, partition, monitoring, and staging arena around
-    /// an already-constructed optimizer state.
+    /// [`Trainer::new`] around an already-constructed optimizer state (the
+    /// `what` whose length must equal `params`), plus what only the JSON
+    /// surface selects — monitoring and ZenFlow.
     fn assemble(
         self,
         state: MixedPrecisionState,
         steps_taken: usize,
+        what: &str,
     ) -> Result<Trainer, TrainerError> {
-        let pipeline = self.pipeline();
-        let subgroups = partition_into_subgroups(self.params, self.subgroup_size);
-        let monitoring = self.monitor.as_ref().map(|entry| Monitoring {
-            tracer: Tracer::flight_only(entry.flight_capacity),
-            detect: entry.health,
-            health: HealthMonitor::default(),
-            board: HealthBoard::new(),
-            last_report: None,
-            last_events: Vec::new(),
-            prev_hits: 0,
-            prev_misses: 0,
-        });
-        // The arena publishes its gauges into the monitoring tracer's
-        // registry so `/metrics` sees `arena.{in_use,high_water}_bytes`.
-        let pool = match &monitoring {
-            Some(mon) => ArenaPool::with_metrics(mon.tracer.metrics().clone()),
-            None => ArenaPool::new(),
-        };
-        let zenflow = self
+        if state.len() != self.params {
+            return Err(TrainerError::Invalid {
+                detail: format!("{what} length {} != params {}", state.len(), self.params),
+            });
+        }
+        let tracer = self.monitor.as_ref().map(|entry| Tracer::flight_only(entry.flight_capacity));
+        let mut trainer = Trainer::new(state, self.subgroup_size, self.pipeline(), tracer)?;
+        trainer.steps_taken = steps_taken;
+        trainer.monitoring = self
+            .monitor
+            .as_ref()
+            .map(|entry| Monitoring { detect: entry.health, ..Monitoring::default() });
+        trainer.zenflow = self
             .is_zenflow()
-            .then(|| ZenFlowPipeline::new(subgroups.clone(), self.zenflow()));
-        Ok(Trainer { cfg: self, state, subgroups, pipeline, pool, steps_taken, monitoring, zenflow })
+            .then(|| ZenFlowPipeline::new(trainer.subgroups.clone(), self.zenflow()));
+        Ok(trainer)
     }
 }
 
@@ -385,6 +423,48 @@ mod tests {
         assert_eq!(trainer.steps_taken(), 3);
         assert_eq!(trainer.arena().in_use_bytes(), 0, "all leases returned");
         assert!(trainer.arena().high_water_bytes() > 0);
+    }
+
+    #[test]
+    fn trainer_over_an_existing_state_retunes_between_steps_bitwise() {
+        let n = 47;
+        let tracer = Tracer::new();
+        let state = MixedPrecisionState::new(init(n), UpdateRule::adam(), 0.01);
+        let mut trainer =
+            Trainer::new(state, 8, PipelineConfig::default(), Some(tracer.clone())).unwrap();
+        let mut seq = MixedPrecisionState::new(init(n), UpdateRule::adam(), 0.01);
+        let schedules = [
+            (StridePolicy::Fixed(2), 0),
+            (StridePolicy::Fixed(3), 2),
+            (StridePolicy::CpuOnly, 1),
+            (StridePolicy::Fixed(1), 0),
+        ];
+        for (step, (stride, residents)) in schedules.into_iter().enumerate() {
+            let g = grads(n, step);
+            let lr = 0.01 / (step + 1) as f32;
+            seq.set_lr(lr);
+            seq.full_step(&g);
+            trainer.set_lr(lr);
+            trainer.set_schedule(stride, residents);
+            let report = trainer.step(&g).unwrap();
+            assert_eq!(report.fp16_params, seq.downscale_range(0..n), "{stride:?}");
+        }
+        assert_eq!(trainer.params(), seq.params());
+        assert_eq!(trainer.momentum(), seq.momentum());
+        assert_eq!(trainer.variance(), seq.variance());
+        assert_eq!(trainer.state().step_count(), seq.step_count());
+        assert_eq!(trainer.arena().in_use_bytes(), 0, "all leases returned");
+        // The external tracer observes the pipeline and the arena...
+        let tracks = tracer.tracks();
+        assert!(tracks.iter().any(|t| t == CPU_TRACK), "{tracks:?}");
+        assert!(tracks.iter().any(|t| t == DEVICE_TRACK), "{tracks:?}");
+        assert!(tracer.metrics().gauge("arena.in_use_bytes").is_some());
+        // ...without turning on the `"monitor"` entry's health detectors.
+        assert!(trainer.last_iteration().is_none() && trainer.health_board().is_none());
+        assert!(matches!(
+            Trainer::new(seq, 0, PipelineConfig::default(), None),
+            Err(TrainerError::Invalid { .. })
+        ));
     }
 
     #[test]

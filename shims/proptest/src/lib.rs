@@ -270,7 +270,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    /// Length specification for [`vec`]: a fixed size or a half-open range.
+    /// Length specification for [`vec()`]: a fixed size or a half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         min: usize,

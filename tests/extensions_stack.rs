@@ -5,9 +5,7 @@
 use dos::core::{explain_schedule, PerfModel};
 use dos::hal::HardwareProfile;
 use dos::nn::ModelSpec;
-use dos::sim::{
-    simulate_training, simulate_training_with_checkpoints, CheckpointPolicy, TrainConfig,
-};
+use dos::sim::{simulate_training, simulate_training_with, CheckpointPolicy, TrainConfig};
 use dos_runtime::{run_iteration, scheduler_for, RuntimeConfig};
 
 /// The whole §6 NVMe story through the JSON config: a 65B model that
@@ -59,13 +57,9 @@ fn checkpointing_preserves_stability() {
     );
     let sched = dos::core::DeepOptimizerStates::default();
     let plain = simulate_training(&cfg, &sched, 9).unwrap();
-    let ckpt = simulate_training_with_checkpoints(
-        &cfg,
-        &sched,
-        9,
-        CheckpointPolicy { every: 3, asynchronous: true },
-    )
-    .unwrap();
+    let policy =
+        CheckpointPolicy { every: std::num::NonZeroUsize::new(3).unwrap(), asynchronous: true };
+    let (ckpt, _) = simulate_training_with(&cfg, &sched, 9, Some(policy)).unwrap();
     assert!(plain.is_stable(1, 0.05));
     // Async checkpoints must not destabilize the cadence either.
     let durs = ckpt.iteration_durations();
