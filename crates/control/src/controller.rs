@@ -3,8 +3,8 @@
 
 use crate::driver::{fault_plan_for, ControlledIteration, DegradationSpec, IterationController};
 use crate::estimator::InputEstimators;
-use crate::gate::SweepGate;
-use dos_core::{DeepOptimizerStates, PerfModel, StridePolicy};
+use crate::gate::{RetuneLoop, StrideMove, SweepGate};
+use dos_core::{DeepOptimizerStates, PerfModel, StridePolicy, UpdatePlan, DEFAULT_STRIDE};
 use dos_hal::PerfModelInputs;
 use dos_sim::{IterationReport, TrainConfig};
 use dos_telemetry::{TraceEvent, Tracer};
@@ -140,13 +140,14 @@ pub struct Controller {
     subgroup: f64,
     hbm_bytes: u64,
     base_ratio: f64,
-    stride: usize,
+    /// The `Dos` rung's retune loop. It only ever holds interleaved
+    /// strides: CPU-only is a ladder rung here, not a loop state.
+    retune: RetuneLoop,
     rung: LadderRung,
     pre_fault_stride: usize,
     resident_ratio: Option<f64>,
     decisions: Vec<ControlDecision>,
     retunes: usize,
-    last_retune: Option<usize>,
     clean_streak: usize,
     iters_in_residents: usize,
     interleaved_last: bool,
@@ -176,13 +177,16 @@ impl Controller {
             subgroup: train.offload.subgroup_params as f64,
             hbm_bytes: train.profile.gpu_hbm_bytes,
             base_ratio: train.offload.gpu_resident_ratio,
-            stride: 1,
+            retune: RetuneLoop::new(SweepGate {
+                hysteresis_gain: cfg.hysteresis_gain,
+                min_iters_between_retunes: cfg.min_iters_between_retunes,
+                max_stride: cfg.max_stride,
+            }),
             rung: LadderRung::Dos,
             pre_fault_stride: 1,
             resident_ratio: None,
             decisions: Vec::new(),
             retunes: 0,
-            last_retune: None,
             clean_streak: 0,
             iters_in_residents: 0,
             interleaved_last: false,
@@ -225,14 +229,21 @@ impl Controller {
     fn seed_from(&mut self, prior: PerfModelInputs) {
         match PerfModel::new(prior).optimal_stride() {
             Some(k) => {
-                self.stride = k.clamp(1, self.cfg.max_stride.max(1));
+                self.retune.hold(Some(k.clamp(1, self.cfg.max_stride.max(1))));
                 self.rung = LadderRung::Dos;
             }
             None => {
                 self.rung = LadderRung::ResidentsOnly;
             }
         }
-        self.pre_fault_stride = self.stride;
+        self.pre_fault_stride = self.stride();
+    }
+
+    /// The interleaved stride the `Dos` rung runs (or would resume) at: 1
+    /// until Equation 1 first admits a solution, so a controller seeded
+    /// straight onto `ResidentsOnly` probes and recovers at k1.
+    fn stride(&self) -> usize {
+        self.retune.stride().unwrap_or(1)
     }
 
     /// The full decision log, in order.
@@ -248,7 +259,7 @@ impl Controller {
     /// The stride policy the *next* planned iteration would run under.
     pub fn stride_policy(&self) -> StridePolicy {
         match self.rung {
-            LadderRung::Dos => StridePolicy::Fixed(self.stride.max(1)),
+            LadderRung::Dos => StridePolicy::Fixed(self.stride()),
             LadderRung::ResidentsOnly if self.probe_active => {
                 StridePolicy::Fixed(self.pre_fault_stride.max(1))
             }
@@ -274,59 +285,38 @@ impl Controller {
         self.decisions.push(ControlDecision { iteration, at_secs: self.clock, kind, detail });
     }
 
-    /// The shared sweep + hysteresis gate, parameterized by this
-    /// controller's tunables.
-    fn gate(&self) -> SweepGate {
-        SweepGate {
-            hysteresis_gain: self.cfg.hysteresis_gain,
-            min_iters_between_retunes: self.cfg.min_iters_between_retunes,
-            max_stride: self.cfg.max_stride,
-        }
-    }
-
-    /// Candidate sweep: best of {CPU-only, k = 1..=max_stride} on the
-    /// current estimates, with the calibrated DRAM-contention factor
-    /// applied to interleaved candidates (mirrors the scheduler's engine
-    /// behaviour). Returns `(best_k, best_secs, cpu_only_secs)`.
-    fn sweep(&self, inputs: PerfModelInputs) -> (Option<usize>, f64, f64) {
-        let pm = PerfModel::new(inputs).with_contention(self.contention);
-        let out = self.gate().sweep(&pm, self.params, self.subgroup);
-        (out.best_k, out.best_secs, out.cpu_secs)
-    }
-
     /// One step of the rung/stride state machine, taken at plan time on
     /// the estimates the previous observe left behind.
     fn step(&mut self, i: usize) {
         let Some(inputs) = self.est.inputs() else { return };
         let raw = PerfModel::new(inputs).raw_stride();
-        let (best_k, best_secs, cpu_secs) = self.sweep(inputs);
+        // Candidates are priced with the calibrated DRAM-contention factor
+        // applied to the interleaved ones (mirrors the scheduler's engine
+        // behaviour).
+        let pm = PerfModel::new(inputs).with_contention(self.contention);
+        let sweep = self.retune.sweep(&pm, self.params, self.subgroup);
         match self.rung {
             LadderRung::Dos => {
-                if raw.is_none() || best_k.is_none() {
+                if raw.is_none() || sweep.best_k.is_none() {
                     // Equation 1 no longer admits a solution (the PCIe
                     // link is too degraded for interleaving to pay off):
                     // park on the residents and remember where we were.
-                    self.pre_fault_stride = self.stride;
+                    self.pre_fault_stride = self.stride();
                     self.rung = LadderRung::ResidentsOnly;
                     self.iters_in_residents = 0;
                     self.decide(
                         i,
                         DecisionKind::Ladder,
-                        format!("descend:residents-only (eq1 unsolvable, was k{})", self.stride),
+                        format!("descend:residents-only (eq1 unsolvable, was k{})", self.stride()),
                     );
                     return;
                 }
-                let Some(k) = best_k else { return };
-                if k == self.stride {
-                    return;
-                }
-                let pm = PerfModel::new(inputs).with_contention(self.contention);
-                let cur = pm.predicted_update_secs(self.params, self.subgroup, Some(self.stride));
-                if let Some(gain) = self.gate().approve(i, self.last_retune, cur, best_secs) {
-                    let old = self.stride;
-                    self.stride = k;
+                let (params, subgroup) = (self.params, self.subgroup);
+                let price = |k| pm.predicted_update_secs(params, subgroup, k);
+                if let Some(StrideMove { from: Some(Some(old)), to: Some(k), gain }) =
+                    self.retune.step(i, &sweep, price)
+                {
                     self.retunes += 1;
-                    self.last_retune = Some(i);
                     self.decide(
                         i,
                         DecisionKind::Retune,
@@ -339,19 +329,20 @@ impl Controller {
                 // Recovery applies the hysteresis band but not the retune
                 // cooldown: climbing out of a degraded rung should not wait
                 // on the descent's own cooldown.
-                let gain = SweepGate::gain(cpu_secs, best_secs);
-                if raw.is_some() && best_k.is_some() && gain > self.cfg.hysteresis_gain {
+                let gain = SweepGate::gain(sweep.cpu_secs, sweep.best_secs);
+                if raw.is_some() && sweep.best_k.is_some() && gain > self.cfg.hysteresis_gain {
                     // The estimates say interleaving pays again, by more
                     // than the hysteresis margin: climb back up to the
                     // stride we ran before the descent (the next retune
                     // refines it if the link settled somewhere new).
                     self.rung = LadderRung::Dos;
-                    self.stride = self.pre_fault_stride.clamp(1, self.cfg.max_stride.max(1));
+                    let k = self.pre_fault_stride.clamp(1, self.cfg.max_stride.max(1));
+                    self.retune.hold(Some(k));
                     self.probe_active = false;
                     self.decide(
                         i,
                         DecisionKind::Recover,
-                        format!("recover:dos k{} (predicted gain {:.1}%)", self.stride, gain * 100.0),
+                        format!("recover:dos k{k} (predicted gain {:.1}%)", gain * 100.0),
                     );
                 } else if self.cfg.recovery_patience > 0
                     && self.iters_in_residents.is_multiple_of(self.cfg.recovery_patience)
@@ -410,13 +401,13 @@ impl IterationController for Controller {
         if !self.seeded {
             self.seeded = true;
             let detail = match self.rung {
-                LadderRung::Dos => format!("seed:k{}", self.stride),
+                LadderRung::Dos => format!("seed:k{}", self.stride()),
                 _ => format!("seed:{}", self.rung.as_str()),
             };
             self.decide(iteration, DecisionKind::Seed, detail);
             // The seed is itself a stride decision: start the retune
             // cooldown from here, so the first retune isn't exempt.
-            self.last_retune = Some(iteration);
+            self.retune.start_cooldown(iteration);
         } else {
             self.step(iteration);
         }
@@ -434,15 +425,11 @@ impl IterationController for Controller {
             None
         };
 
-        // Mirror the scheduler's interleaving condition so the estimator
-        // knows whether this iteration's CPU spans ran under contention.
+        // The estimator needs to know whether this iteration's CPU spans
+        // ran under contention: ask the plan the scheduler will build.
         let n = cfg.params_per_rank().div_ceil(cfg.offload.subgroup_params.max(1));
-        let n_static = ((ratio * n as f64).ceil() as usize).min(n);
-        let dynamic = n - n_static;
-        self.interleaved_last = match policy {
-            StridePolicy::Fixed(k) => dynamic > k.saturating_sub(1),
-            _ => false,
-        };
+        self.interleaved_last =
+            UpdatePlan::with_resident_ratio(n, ratio, policy.resolve(|| None)).interleaving();
 
         ControlledIteration {
             scheduler: Box::new(DeepOptimizerStates { stride: policy, residents_at_tail: true }),
@@ -459,7 +446,7 @@ impl IterationController for Controller {
             self.clean_streak = 0;
             if self.rung != LadderRung::CpuOnly {
                 if self.rung == LadderRung::Dos {
-                    self.pre_fault_stride = self.stride;
+                    self.pre_fault_stride = self.stride();
                 }
                 self.rung = LadderRung::CpuOnly;
                 self.decide(iteration, DecisionKind::Ladder, "descend:cpu-only (gpu oom)".into());
@@ -482,7 +469,8 @@ pub struct WallClockTunerConfig {
     pub min_iters_between_retunes: usize,
     /// Largest stride considered.
     pub max_stride: usize,
-    /// Stride used until the first wall-clock samples arrive.
+    /// Stride used until the first wall-clock samples arrive
+    /// ([`DEFAULT_STRIDE`] unless configured).
     pub seed_stride: usize,
     /// Static-resident sizing policy. `Headroom` resizes the resident tail
     /// against the arena pool's per-iteration high-water gauge (fed via
@@ -502,7 +490,7 @@ impl Default for WallClockTunerConfig {
             hysteresis_gain: 0.05,
             min_iters_between_retunes: 1,
             max_stride: 8,
-            seed_stride: 2,
+            seed_stride: DEFAULT_STRIDE,
             residents: ResidentPolicy::Fixed,
             host_budget_bytes: 0,
             base_residents: 0,
@@ -526,11 +514,12 @@ pub struct WallClockTuner {
     params: f64,
     subgroup: f64,
     n_subgroups: usize,
-    stride: usize,
+    /// The retune loop; CPU-only is one of the strides it may hold (no
+    /// contention factor is applied: wall spans measure the contended
+    /// machine directly).
+    retune: RetuneLoop,
     residents: usize,
-    cpu_only: bool,
     iter: usize,
-    last_retune: Option<usize>,
     retunes: usize,
     decisions: Vec<ControlDecision>,
 }
@@ -540,16 +529,20 @@ impl WallClockTuner {
     /// subgroups of `subgroup_params`.
     pub fn new(cfg: WallClockTunerConfig, params_per_rank: usize, subgroup_params: usize) -> Self {
         let n_subgroups = params_per_rank.div_ceil(subgroup_params.max(1));
+        let mut retune = RetuneLoop::new(SweepGate {
+            hysteresis_gain: cfg.hysteresis_gain,
+            min_iters_between_retunes: cfg.min_iters_between_retunes,
+            max_stride: cfg.max_stride,
+        });
+        retune.hold(Some(cfg.seed_stride.clamp(1, cfg.max_stride.max(1))));
         WallClockTuner {
             est: InputEstimators::wall(cfg.alpha),
             params: params_per_rank as f64,
             subgroup: subgroup_params.max(1) as f64,
             n_subgroups,
-            stride: cfg.seed_stride.clamp(1, cfg.max_stride.max(1)),
+            retune,
             residents: cfg.base_residents.min(n_subgroups),
-            cpu_only: false,
             iter: 0,
-            last_retune: None,
             retunes: 0,
             decisions: Vec::new(),
             cfg,
@@ -558,11 +551,7 @@ impl WallClockTuner {
 
     /// The stride policy the next iteration should run under.
     pub fn stride_policy(&self) -> StridePolicy {
-        if self.cpu_only {
-            StridePolicy::CpuOnly
-        } else {
-            StridePolicy::Fixed(self.stride.max(1))
-        }
+        self.retune.stride().map_or(StridePolicy::CpuOnly, StridePolicy::Fixed)
     }
 
     /// Number of hysteresis-approved changes so far.
@@ -619,67 +608,29 @@ impl WallClockTuner {
         });
     }
 
-    /// The shared sweep + hysteresis gate, parameterized by this tuner's
-    /// tunables (no contention factor: wall spans measure the contended
-    /// machine directly).
-    fn gate(&self) -> SweepGate {
-        SweepGate {
-            hysteresis_gain: self.cfg.hysteresis_gain,
-            min_iters_between_retunes: self.cfg.min_iters_between_retunes,
-            max_stride: self.cfg.max_stride,
-        }
-    }
-
-    /// Feeds one finished iteration's wall-clock trace events and re-runs
-    /// the sweep + hysteresis gate.
+    /// Feeds one finished iteration's wall-clock trace events and takes
+    /// one turn of the retune loop on the refreshed estimates.
     pub fn observe(&mut self, events: &[TraceEvent]) {
         self.est.observe_wall_events(events);
         self.iter += 1;
         let Some(inputs) = self.est.inputs() else { return };
         let pm = PerfModel::new(inputs);
-        let best = self.gate().sweep(&pm, self.params, self.subgroup);
-        let i = self.iter;
-        let cur_secs = if self.cpu_only {
-            best.cpu_secs
-        } else {
-            pm.predicted_update_secs(self.params, self.subgroup, Some(self.stride))
+        let (params, subgroup) = (self.params, self.subgroup);
+        let sweep = self.retune.sweep(&pm, params, subgroup);
+        let price = |k| pm.predicted_update_secs(params, subgroup, k);
+        let Some(mv) = self.retune.step(self.iter, &sweep, price) else { return };
+        self.retunes += 1;
+        let label = |k: Option<usize>| k.map_or("cpu-only".to_string(), |k| format!("k{k}"));
+        let from = mv.from.flatten();
+        let kind = match (from, mv.to) {
+            (Some(_), None) => DecisionKind::Ladder,
+            (None, Some(_)) => DecisionKind::Recover,
+            _ => DecisionKind::Retune,
         };
-        // All three moves share the same hysteresis + cooldown gate.
-        let Some(gain) = self.gate().approve(i, self.last_retune, cur_secs, best.best_secs) else {
-            return;
-        };
-        match best.best_k {
-            None if !self.cpu_only => {
-                self.cpu_only = true;
-                self.retunes += 1;
-                self.last_retune = Some(i);
-                self.decide(
-                    DecisionKind::Ladder,
-                    format!("k{}->cpu-only (predicted gain {:.1}%)", self.stride, gain * 100.0),
-                );
-            }
-            Some(k) if self.cpu_only => {
-                self.cpu_only = false;
-                self.stride = k;
-                self.retunes += 1;
-                self.last_retune = Some(i);
-                self.decide(
-                    DecisionKind::Recover,
-                    format!("cpu-only->k{k} (predicted gain {:.1}%)", gain * 100.0),
-                );
-            }
-            Some(k) if k != self.stride => {
-                let old = self.stride;
-                self.stride = k;
-                self.retunes += 1;
-                self.last_retune = Some(i);
-                self.decide(
-                    DecisionKind::Retune,
-                    format!("k{old}->k{k} (predicted gain {:.1}%)", gain * 100.0),
-                );
-            }
-            _ => {}
-        }
+        self.decide(
+            kind,
+            format!("{}->{} (predicted gain {:.1}%)", label(from), label(mv.to), mv.gain * 100.0),
+        );
     }
 }
 

@@ -17,12 +17,17 @@
 //!   are divided by the known DRAM-contention factor while interleaving is
 //!   active, so the estimates stay comparable to the paper's standalone
 //!   measurements.
+//! * [`RetuneLoop`] — the one "hold k → sweep → approve → move" loop: the
+//!   held stride, the cooldown clock, and a move to the sweep's winner
+//!   only when the *predicted* gain clears the [`SweepGate`]'s hysteresis
+//!   band after its cooldown (so `k` never oscillates). The [`Controller`],
+//!   the [`WallClockTuner`] and `dos-serve`'s per-tenant control all drive
+//!   it; each keeps its own decision text and counters.
 //! * [`Controller`] — implements the [`IterationController`] hook of
 //!   [`simulate_training_controlled`] (a loop of fresh-engine
 //!   `dos_sim::simulate_iteration_with` runs, one per planned iteration):
-//!   re-solves Equation 1 on the current estimates each iteration, retunes
-//!   the stride only when the *predicted* gain clears a hysteresis
-//!   threshold (so `k` never oscillates), sizes the GPU-resident tail
+//!   re-sweeps Equation 1 on the current estimates each iteration, runs
+//!   the retune loop on its `Dos` rung, sizes the GPU-resident tail
 //!   against observed `MemoryPool` headroom ([`ResidentPolicy`]), and
 //!   drives the degradation ladder ([`LadderRung`]: DOS → residents-only →
 //!   CPU-only) as explicit state transitions *with recovery edges*.
@@ -31,8 +36,9 @@
 //!   under a pinned, iteration-indexed fault plan ([`DegradationSpec`])
 //!   and reports both arms' update times plus the full decision log.
 //! * [`WallClockTuner`] — the functional-trainer variant: the same
-//!   hysteresis loop fed purely from wall-clock pipeline spans, used by
-//!   `dos-runtime` when a config selects `"adaptive"` stride.
+//!   retune loop fed purely from wall-clock pipeline spans (CPU-only is
+//!   one of the strides it may hold), used by `dos-runtime` when a config
+//!   selects `"adaptive"` stride.
 //!
 //! Every decision is recorded as a [`ControlDecision`] and, when a tracer
 //! is attached, as a `control:*` instant on the dedicated `control` track
@@ -60,4 +66,4 @@ pub use driver::{
     DegradationSpec, IterationController, RaceReport,
 };
 pub use estimator::{Ewma, InputEstimators};
-pub use gate::{SweepGate, SweepOutcome};
+pub use gate::{RetuneLoop, StrideMove, SweepGate};

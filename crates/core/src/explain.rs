@@ -12,6 +12,7 @@ use dos_sim::TrainConfig;
 use dos_zero::ZeroPartition;
 
 use crate::perf_model::PerfModel;
+use crate::schedulers::UpdatePlan;
 
 /// The resolved update schedule for one configuration, with the model's
 /// reasoning.
@@ -95,15 +96,9 @@ pub fn explain_schedule(cfg: &TrainConfig) -> ScheduleExplanation {
     let part = ZeroPartition::new(cfg.stage, cfg.world, 0);
     let subgroups =
         part.subgroups(cfg.spec.param_count() as usize, cfg.offload.subgroup_params).len();
-    let static_residents =
-        ((cfg.offload.gpu_resident_ratio * subgroups as f64).ceil() as usize).min(subgroups);
-    let dynamic = subgroups - static_residents;
-    let gpu_subgroups = match stride {
-        Some(k) => dynamic / k,
-        None => 0,
-    };
+    let plan = UpdatePlan::with_resident_ratio(subgroups, cfg.offload.gpu_resident_ratio, stride);
 
-    let params = cfg.params_per_rank() as f64 * (dynamic as f64 / subgroups.max(1) as f64);
+    let params = cfg.params_per_rank() as f64 * (plan.n_dynamic() as f64 / subgroups.max(1) as f64);
     let sg = cfg.offload.subgroup_params as f64;
     ScheduleExplanation {
         machine: cfg.profile.name.clone(),
@@ -112,9 +107,9 @@ pub fn explain_schedule(cfg: &TrainConfig) -> ScheduleExplanation {
         raw_stride,
         stride,
         subgroups,
-        static_residents,
-        gpu_subgroups,
-        cpu_subgroups: dynamic - gpu_subgroups,
+        static_residents: plan.n_static(),
+        gpu_subgroups: plan.n_interleaved(),
+        cpu_subgroups: plan.n_cpu(),
         predicted_cpu_only_secs: model.predicted_update_secs(params, sg, None),
         predicted_chosen_secs: model.predicted_update_secs(params, sg, stride),
     }

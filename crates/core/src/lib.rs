@@ -8,6 +8,12 @@
 //!   subgroup updates to leave on the CPU for every one scheduled on the
 //!   GPU, balancing CPU update + downscale time against PCIe staging and
 //!   GPU update time (§4.2);
+//! * [`StridePolicy`] and [`UpdatePlan`] — the two scheduling decisions,
+//!   each written once for both clocks: [`StridePolicy::resolve`] is the
+//!   only place a policy (`auto` / fixed `k` / `cpu_only` / `adaptive`)
+//!   becomes a stride, and the plan the only place a stride becomes a
+//!   placement — where subgroup `i` runs (every k-th dynamic subgroup and
+//!   the static residents on the device) and how many run where;
 //! * [`DeepOptimizerStates`] — Algorithm 1 as an update scheduler for the
 //!   `dos-sim` engine: every k-th subgroup prefetched over dedicated
 //!   p/m/v streams, updated on the GPU, and flushed back, fully overlapped
@@ -58,10 +64,13 @@ pub use arena::{ArenaPool, PooledF16, PooledF32};
 pub use calibration::{calibrate, calibrate_with, CalibrationReport, CalibrationSpread};
 pub use explain::{explain_schedule, ScheduleExplanation};
 pub use nvme::NvmeOffload;
-pub use perf_model::PerfModel;
+pub use perf_model::{PerfModel, SweepOutcome};
 pub use pipeline::{
     hybrid_update, hybrid_update_pooled, DeviceFault, PipelineConfig, CPU_TRACK, DEVICE_TRACK,
     PipelineDegradation, PipelineError, PipelineReport,
 };
-pub use schedulers::{DeepOptimizerStates, StridePolicy, TwinFlow, ZenFlowAsync, Zero3Offload};
+pub use schedulers::{
+    DeepOptimizerStates, StridePolicy, TwinFlow, UpdatePlan, ZenFlowAsync, Zero3Offload,
+    DEFAULT_STRIDE,
+};
 pub use zenflow::{zenflow_reference, ZenFlowConfig, ZenFlowPipeline, ZenFlowStepReport};

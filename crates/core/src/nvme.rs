@@ -12,7 +12,7 @@ use dos_hal::{OpId, SimError};
 use dos_sim::{IterationScenario, UpdateScheduler};
 
 use crate::perf_model::PerfModel;
-use crate::schedulers::StridePolicy;
+use crate::schedulers::{StridePolicy, UpdatePlan};
 
 /// Update scheduler for NVMe-resident optimizer state.
 ///
@@ -37,27 +37,23 @@ impl Default for NvmeOffload {
 }
 
 impl NvmeOffload {
-    fn resolve_stride(&self, scn: &IterationScenario) -> Option<usize> {
-        if !self.interleave {
-            return None;
-        }
-        match self.stride {
-            StridePolicy::Auto | StridePolicy::Adaptive => {
-                // On the NVMe tier the effective staging rate `B` of
-                // Equation 1 is bounded by the drive, not PCIe: streaming a
-                // subgroup's 12-byte-per-parameter state through NVMe caps
-                // B at `nvme_bw / 12` params/s. On spinning-rust-adjacent
-                // bandwidths the denominator goes non-positive and the
-                // model (correctly) refuses to interleave.
-                let mut inputs = scn.cfg.profile.perf_model_inputs();
-                let b_nvme = scn.cfg.profile.nvme_read_bw.min(scn.cfg.profile.nvme_write_bw)
-                    / 12.0;
-                inputs.b = inputs.b.min(b_nvme);
-                PerfModel::new(inputs).optimal_stride()
-            }
-            StridePolicy::Fixed(k) => Some(k.max(1)),
-            StridePolicy::CpuOnly => None,
-        }
+    /// The placement over the scenario's subgroups (this tier keeps no
+    /// static residents).
+    fn plan(&self, scn: &IterationScenario) -> UpdatePlan {
+        let stride = self.stride.resolve(|| {
+            // On the NVMe tier the effective staging rate `B` of
+            // Equation 1 is bounded by the drive, not PCIe: streaming a
+            // subgroup's 12-byte-per-parameter state through NVMe caps
+            // B at `nvme_bw / 12` params/s. On spinning-rust-adjacent
+            // bandwidths the denominator goes non-positive and the
+            // model (correctly) refuses to interleave.
+            let mut inputs = scn.cfg.profile.perf_model_inputs();
+            let b_nvme =
+                scn.cfg.profile.nvme_read_bw.min(scn.cfg.profile.nvme_write_bw) / 12.0;
+            inputs.b = inputs.b.min(b_nvme);
+            PerfModel::new(inputs).optimal_stride()
+        });
+        UpdatePlan::new(scn.subgroups().len(), 0, stride.filter(|_| self.interleave))
     }
 }
 
@@ -76,7 +72,7 @@ impl UpdateScheduler for NvmeOffload {
         grads_ready: OpId,
     ) -> Result<OpId, SimError> {
         let sgs = scn.subgroups().to_vec();
-        let stride = self.resolve_stride(scn);
+        let plan = self.plan(scn);
         let mut completion: Vec<OpId> = Vec::new();
         let mut prev_gpu_update: Option<OpId> = None;
         // The staging window holds 4 subgroups: the read of subgroup i must
@@ -89,8 +85,7 @@ impl UpdateScheduler for NvmeOffload {
                 read_deps.push(drains[i - 4]);
             }
             let read = scn.nvme_read_subgroup(sg, &read_deps)?;
-            let on_gpu = stride.is_some_and(|k| (i + 1) % k == 0);
-            let drained = if on_gpu {
+            let drained = if plan.on_device(i) {
                 let mut pre_deps = vec![read];
                 if let Some(op) = prev_gpu_update {
                     pre_deps.push(op);
@@ -156,7 +151,7 @@ mod tests {
     fn auto_stride_refuses_gpu_on_nvme_tier() {
         let cfg = nvme_cfg("20B");
         let scn = dos_sim::IterationScenario::new(cfg);
-        assert_eq!(NvmeOffload::default().resolve_stride(&scn), None);
+        assert!(!NvmeOffload::default().plan(&scn).interleaving());
     }
 
     #[test]

@@ -117,19 +117,31 @@ impl PerfModel {
         }
     }
 
-    /// Sweeps strides `1..=max_k` (plus CPU-only) and returns the stride
-    /// with the lowest predicted update time.
-    pub fn best_stride_by_prediction(&self, params: f64, subgroup: f64, max_k: usize) -> Option<usize> {
-        let mut best: (Option<usize>, f64) =
-            (None, self.predicted_update_secs(params, subgroup, None));
-        for k in 1..=max_k {
+    /// Sweeps {CPU-only, k = 1..=max_k} through
+    /// [`Self::predicted_update_secs`] and returns the winner. Ties go to
+    /// the earlier candidate (CPU-only first).
+    pub fn sweep(&self, params: f64, subgroup: f64, max_k: usize) -> SweepOutcome {
+        let cpu_secs = self.predicted_update_secs(params, subgroup, None);
+        let mut best = (None, cpu_secs);
+        for k in 1..=max_k.max(1) {
             let t = self.predicted_update_secs(params, subgroup, Some(k));
             if t < best.1 {
                 best = (Some(k), t);
             }
         }
-        best.0
+        SweepOutcome { best_k: best.0, best_secs: best.1, cpu_secs }
     }
+}
+
+/// Result of one candidate sweep ([`PerfModel::sweep`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SweepOutcome {
+    /// Best interleaved stride, or `None` when CPU-only wins the sweep.
+    pub best_k: Option<usize>,
+    /// Predicted update seconds of the winning candidate.
+    pub best_secs: f64,
+    /// Predicted update seconds of the CPU-only candidate.
+    pub cpu_secs: f64,
 }
 
 #[cfg(test)]
@@ -158,9 +170,10 @@ mod tests {
         // Equation 1 has no S: predictions scale linearly with params but the
         // argmin over k is unchanged.
         let m = PerfModel::new(PerfModelInputs { b: 3.0e9, ug: 35.0e9, uc: 2.0e9, dc: 8.7e9 });
-        let a = m.best_stride_by_prediction(5e9, 1e8, 6);
-        let b = m.best_stride_by_prediction(5e9, 1e9, 6);
-        assert_eq!(a, b);
+        let a = m.sweep(5e9, 1e8, 6);
+        let b = m.sweep(5e9, 1e9, 6);
+        assert_eq!(a.best_k, b.best_k);
+        assert!(a.best_k.is_some() && a.best_secs < a.cpu_secs, "{a:?}");
     }
 
     #[test]

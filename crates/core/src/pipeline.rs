@@ -21,7 +21,7 @@ use dos_telemetry::{SpanGuard, Tracer};
 use dos_tensor::{kernels, F16};
 use dos_zero::SubgroupSpec;
 
-use crate::schedulers::StridePolicy;
+use crate::schedulers::{StridePolicy, UpdatePlan, DEFAULT_STRIDE};
 
 /// Track name for the calling (CPU) thread's spans.
 pub const CPU_TRACK: &str = "cpu";
@@ -80,7 +80,7 @@ pub enum DeviceFault {
 pub struct PipelineConfig {
     /// Update stride: every k-th subgroup goes to the device worker
     /// (`Fixed(k)`); `CpuOnly` keeps everything on the calling thread;
-    /// `Auto` behaves as `Fixed(2)`, the paper's measured optimum.
+    /// `Auto` runs at [`DEFAULT_STRIDE`], the paper's measured optimum.
     pub stride: StridePolicy,
     /// Number of trailing subgroups treated as static device residents
     /// (updated on the device without staging transfers).
@@ -237,16 +237,11 @@ pub fn hybrid_update_pooled(
         });
     }
 
-    let stride = match cfg.stride {
-        // The controller-driven trainer rewrites `Adaptive` to `Fixed(k)`
-        // every iteration; reaching the pipeline unresolved, it falls back
-        // to the same paper-default seed as `Auto`.
-        StridePolicy::Auto | StridePolicy::Adaptive => Some(2),
-        StridePolicy::Fixed(k) => Some(k.max(1)),
-        StridePolicy::CpuOnly => None,
-    };
-    let n = subgroups.len();
-    let n_static = cfg.static_residents.min(n);
+    // No hardware profile exists on this clock to solve Equation 1 on, so
+    // `Auto` — and an `Adaptive` no tuner rewrote to `Fixed(k)` — run at
+    // the paper's measured optimum.
+    let stride = cfg.stride.resolve(|| Some(DEFAULT_STRIDE));
+    let plan = UpdatePlan::new(subgroups.len(), cfg.static_residents, stride);
 
     state.begin_step();
     let step = state.step_count();
@@ -338,8 +333,7 @@ pub fn hybrid_update_pooled(
         // updates there without the stride's say) — unless the device is
         // gone, in which case everything falls back to the CPU.
         for (i, sg) in subgroups.iter().enumerate() {
-            let on_device = i >= n - n_static || stride.is_some_and(|k| (i + 1) % k == 0);
-            if on_device && worker_lost.is_none() {
+            if plan.on_device(i) && worker_lost.is_none() {
                 if h2d_tx.send(prefetch(state, sg)).is_ok() {
                     pending.push(*sg);
                     device_count += 1;

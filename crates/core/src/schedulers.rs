@@ -8,17 +8,39 @@
 //! 2505.12242): the important subgroups update on-GPU inside the
 //! iteration while the cold bulk's CPU updates spill into the next
 //! iteration's forward/backward under a bounded-staleness window.
+//!
+//! The two scheduling decisions themselves are written once, here, for both
+//! clocks: [`StridePolicy::resolve`] is the only place a policy becomes a
+//! stride (Equation 1, §4.2), and [`UpdatePlan`] the only place a stride
+//! becomes a placement (Algorithm 1, §4.1: every k-th dynamic subgroup on
+//! the GPU, static residents at the tail). The threaded pipeline, the
+//! simulated schedulers, the NVMe tier, the controller's contention
+//! bookkeeping, `--explain` and the serving cost model all ask the plan
+//! where subgroup `i` runs and how many run where. (`dos-oracle::perf`
+//! re-derives both on purpose: it is the independent reference the
+//! conformance matrix compares against.)
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use dos_hal::{OpId, SimError};
 use dos_sim::{IterationScenario, UpdateScheduler};
 use dos_zero::SubgroupSpec;
+use serde::{Deserialize, Error, Serialize, Value};
 
 use crate::perf_model::PerfModel;
 
+/// The stride `Auto` runs at where no hardware profile exists to solve
+/// Equation 1 on — the wall-clock pipeline and the wall-clock tuner's seed:
+/// the paper's measured optimum (Figure 16).
+pub const DEFAULT_STRIDE: usize = 2;
+
 /// How Deep Optimizer States chooses its update stride.
+///
+/// (De)serialises as the `"update_stride"` JSON value: an integer for
+/// [`Fixed`](StridePolicy::Fixed), or `"auto"` / `"cpu_only"` /
+/// `"adaptive"`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StridePolicy {
     /// Solve Equation 1 for the scenario's hardware profile (§4.2).
@@ -34,6 +56,143 @@ pub enum StridePolicy {
     /// [`StridePolicy::Auto`]; controller-driven loops re-resolve it every
     /// iteration through a hysteresis band.
     Adaptive,
+}
+
+impl StridePolicy {
+    /// Turns the policy into a stride (`None` = every dynamic subgroup
+    /// stays on the CPU). `Fixed(k)` is clamped to at least 1; `Auto` and
+    /// `Adaptive` take whatever Equation 1 source the caller hands in — a
+    /// hardware profile's inputs in the simulator and the serving cost
+    /// model, the drive-capped inputs on the NVMe tier, a tenant's retune
+    /// loop in the coordinator, [`DEFAULT_STRIDE`] in the threaded pipeline.
+    pub fn resolve(self, equation_1: impl FnOnce() -> Option<usize>) -> Option<usize> {
+        match self {
+            StridePolicy::Auto | StridePolicy::Adaptive => equation_1(),
+            StridePolicy::Fixed(k) => Some(k.max(1)),
+            StridePolicy::CpuOnly => None,
+        }
+    }
+}
+
+impl Serialize for StridePolicy {
+    fn to_value(&self) -> Value {
+        match self {
+            StridePolicy::Fixed(k) => k.to_value(),
+            StridePolicy::Auto => "auto".to_value(),
+            StridePolicy::CpuOnly => "cpu_only".to_value(),
+            StridePolicy::Adaptive => "adaptive".to_value(),
+        }
+    }
+}
+
+impl Deserialize for StridePolicy {
+    fn from_value(value: &Value) -> Result<Self, Error> {
+        match value.as_str() {
+            Some("auto") => Ok(StridePolicy::Auto),
+            Some("cpu_only") => Ok(StridePolicy::CpuOnly),
+            Some("adaptive") => Ok(StridePolicy::Adaptive),
+            Some(other) => Err(Error::custom(format!(
+                "unknown stride policy `{other}` (expected an integer, \"auto\", \"cpu_only\" \
+                 or \"adaptive\")"
+            ))),
+            None => usize::from_value(value).map(StridePolicy::Fixed),
+        }
+    }
+}
+
+/// Where every subgroup of one update phase runs (Algorithm 1): the static
+/// residents update on the device, and so does every k-th dynamic subgroup;
+/// the rest stay on the CPU.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UpdatePlan {
+    n: usize,
+    n_static: usize,
+    stride: Option<usize>,
+    residents_at_tail: bool,
+}
+
+impl UpdatePlan {
+    /// A plan over `n_subgroups` with the last `n_static` of them resident
+    /// (clamped to `n_subgroups`) under `stride` — a value
+    /// [`StridePolicy::resolve`] returned, so at least 1 when set.
+    pub fn new(n_subgroups: usize, n_static: usize, stride: Option<usize>) -> UpdatePlan {
+        debug_assert!(stride != Some(0), "a stride is at least 1");
+        UpdatePlan {
+            n: n_subgroups,
+            n_static: n_static.min(n_subgroups),
+            stride,
+            residents_at_tail: true,
+        }
+    }
+
+    /// [`UpdatePlan::new`] with the resident count given as the
+    /// TwinFlow-style ratio: `ceil(ratio × n_subgroups)` subgroups.
+    pub fn with_resident_ratio(
+        n_subgroups: usize,
+        ratio: f64,
+        stride: Option<usize>,
+    ) -> UpdatePlan {
+        UpdatePlan::new(n_subgroups, (ratio * n_subgroups as f64).ceil() as usize, stride)
+    }
+
+    /// Places the residents at the tail of the subgroup order (the paper's
+    /// placement, §4.1, and the default) or, with `false`, at the head
+    /// (TwinFlow's, and the `ablation_static_placement` configuration).
+    pub fn residents_at_tail(mut self, tail: bool) -> UpdatePlan {
+        self.residents_at_tail = tail;
+        self
+    }
+
+    /// Indices of the static residents.
+    pub fn residents(&self) -> Range<usize> {
+        if self.residents_at_tail {
+            self.n - self.n_static..self.n
+        } else {
+            0..self.n_static
+        }
+    }
+
+    /// Whether subgroup `i` updates on the device: a static resident, or
+    /// every k-th of the dynamic subgroups counted in order.
+    pub fn on_device(&self, i: usize) -> bool {
+        if self.residents().contains(&i) {
+            return true;
+        }
+        let nth_dynamic = if self.residents_at_tail { i } else { i - self.n_static };
+        self.stride.is_some_and(|k| (nth_dynamic + 1) % k == 0)
+    }
+
+    /// Static residents.
+    pub fn n_static(&self) -> usize {
+        self.n_static
+    }
+
+    /// Dynamic (host-resident) subgroups.
+    pub fn n_dynamic(&self) -> usize {
+        self.n - self.n_static
+    }
+
+    /// Dynamic subgroups staged to the device: one per full stride cycle.
+    pub fn n_interleaved(&self) -> usize {
+        self.stride.map_or(0, |k| self.n_dynamic() / k)
+    }
+
+    /// Subgroups updated on the device (residents + interleaved).
+    pub fn n_device(&self) -> usize {
+        self.n_static + self.n_interleaved()
+    }
+
+    /// Subgroups updated on the CPU.
+    pub fn n_cpu(&self) -> usize {
+        self.n - self.n_device()
+    }
+
+    /// Whether any dynamic subgroup reaches the device, i.e. PCIe staging
+    /// traffic runs concurrently with the CPU updates (Figure 15's DRAM
+    /// contention).
+    pub fn interleaving(&self) -> bool {
+        self.n_interleaved() > 0
+    }
 }
 
 /// DeepSpeed ZeRO-3 with the optimizer fully offloaded to the CPU: every
@@ -73,15 +232,18 @@ impl Default for DeepOptimizerStates {
 }
 
 impl DeepOptimizerStates {
-    /// Resolves the stride for a scenario.
-    pub fn resolve_stride(&self, scn: &IterationScenario) -> Option<usize> {
-        match self.stride {
-            StridePolicy::Auto | StridePolicy::Adaptive => {
-                PerfModel::new(scn.cfg.profile.perf_model_inputs()).optimal_stride()
-            }
-            StridePolicy::Fixed(k) => Some(k.max(1)),
-            StridePolicy::CpuOnly => None,
-        }
+    /// The placement this scheduler runs `scn` under: the scenario's
+    /// resident ratio, and for `Auto` Equation 1 on its hardware profile.
+    fn plan(&self, scn: &IterationScenario) -> UpdatePlan {
+        let stride = self
+            .stride
+            .resolve(|| PerfModel::new(scn.cfg.profile.perf_model_inputs()).optimal_stride());
+        UpdatePlan::with_resident_ratio(
+            scn.subgroups().len(),
+            scn.cfg.offload.gpu_resident_ratio,
+            stride,
+        )
+        .residents_at_tail(self.residents_at_tail)
     }
 }
 
@@ -154,7 +316,7 @@ impl UpdateScheduler for ZenFlowAsync {
         grads_ready: OpId,
     ) -> Result<OpId, SimError> {
         let ratio = self.importance_ratio.clamp(0.0, 1.0);
-        let (hot, cold) = split_residents(scn.subgroups(), ratio, true);
+        let (hot, cold) = head_residents(scn.subgroups(), ratio);
 
         let mut completion: Vec<OpId> = Vec::new();
         // Hot subset: GPU-resident importance set, updated immediately —
@@ -191,23 +353,16 @@ impl UpdateScheduler for ZenFlowAsync {
     }
 }
 
-/// Splits subgroups into static GPU residents and dynamic ones.
-/// `residents_first` picks TwinFlow's head placement; Deep Optimizer States
-/// places residents at the tail (§4.1).
-fn split_residents(
+/// TwinFlow's head placement: the first `ceil(ratio × n)` subgroups are
+/// static GPU residents, the rest dynamic.
+fn head_residents(
     subgroups: &[SubgroupSpec],
     ratio: f64,
-    residents_first: bool,
 ) -> (Vec<SubgroupSpec>, Vec<SubgroupSpec>) {
-    let n = subgroups.len();
-    let n_static = ((ratio * n as f64).ceil() as usize).min(n);
-    if residents_first {
-        let (r, d) = subgroups.split_at(n_static);
-        (r.to_vec(), d.to_vec())
-    } else {
-        let (d, r) = subgroups.split_at(n - n_static);
-        (r.to_vec(), d.to_vec())
-    }
+    let plan =
+        UpdatePlan::with_resident_ratio(subgroups.len(), ratio, None).residents_at_tail(false);
+    let (residents, dynamic) = subgroups.split_at(plan.n_static());
+    (residents.to_vec(), dynamic.to_vec())
 }
 
 /// The blocking CPU chain shared by both baselines: update → downscale →
@@ -251,7 +406,7 @@ impl UpdateScheduler for TwinFlow {
         grads_ready: OpId,
     ) -> Result<OpId, SimError> {
         let ratio = scn.cfg.offload.gpu_resident_ratio;
-        let (residents, dynamic) = split_residents(scn.subgroups(), ratio, true);
+        let (residents, dynamic) = head_residents(scn.subgroups(), ratio);
         // GPU updates the static residents while the CPU idles
         // (§4.1 observation (a)).
         let mut last = grads_ready;
@@ -272,12 +427,11 @@ impl UpdateScheduler for DeepOptimizerStates {
         scn: &mut IterationScenario,
         grads_ready: OpId,
     ) -> Result<OpId, SimError> {
-        let ratio = scn.cfg.offload.gpu_resident_ratio;
-        let (residents, dynamic) =
-            split_residents(scn.subgroups(), ratio, !self.residents_at_tail);
-        let stride = self.resolve_stride(scn);
+        let sgs = scn.subgroups().to_vec();
+        let plan = self.plan(scn);
+        let residents = &sgs[plan.residents()];
 
-        let interleaving = stride.is_some_and(|k| dynamic.len() > k.saturating_sub(1));
+        let interleaving = plan.interleaving();
         if interleaving {
             // Concurrent PCIe traffic contends with CPU updates for DRAM
             // bandwidth (Figure 15's CPU-utilization dip).
@@ -295,7 +449,7 @@ impl UpdateScheduler for DeepOptimizerStates {
             // end of the phase and simply fill idle GPU gaps between the
             // dynamic subgroups' updates, overlapping all pending transfers
             // (§4.1). They depend only on gradient availability.
-            for sg in &residents {
+            for sg in residents {
                 let upd = scn.gpu_update(sg, &[grads_ready])?;
                 completion.push(upd);
             }
@@ -303,7 +457,7 @@ impl UpdateScheduler for DeepOptimizerStates {
             // Ablation: TwinFlow-style head placement — the dynamic
             // pipeline cannot start until the residents are done.
             let mut prev = grads_ready;
-            for sg in &residents {
+            for sg in residents {
                 prev = scn.gpu_update(sg, &[prev])?;
                 completion.push(prev);
             }
@@ -323,9 +477,9 @@ impl UpdateScheduler for DeepOptimizerStates {
                 Ok(())
             };
 
-        for (i, sg) in dynamic.iter().enumerate() {
-            let on_gpu = stride.is_some_and(|k| (i + 1) % k == 0);
-            if on_gpu {
+        let dynamic = sgs.iter().enumerate().filter(|(i, _)| !plan.residents().contains(i));
+        for (i, sg) in dynamic {
+            if plan.on_device(i) {
                 // Prefetch was launched as soon as the previous GPU update
                 // finished (Algorithm 1 lines 8–10); the first prefetch
                 // starts with the update phase itself.
@@ -348,7 +502,6 @@ impl UpdateScheduler for DeepOptimizerStates {
         }
         drain(scn, &mut cycle_cpu, &mut completion)?;
 
-
         if interleaving {
             scn.clear_update_contention();
         }
@@ -364,6 +517,7 @@ mod tests {
     use dos_nn::ModelSpec;
     use dos_sim::{simulate_iteration, simulate_training, TrainConfig};
     use dos_zero::OffloadConfig;
+    use proptest::prelude::*;
 
     fn baseline_cfg(model: &str) -> TrainConfig {
         TrainConfig::baseline(ModelSpec::by_name(model).unwrap(), HardwareProfile::jlse_h100())
@@ -593,12 +747,17 @@ mod tests {
         let sgs: Vec<SubgroupSpec> = (0..10)
             .map(|i| SubgroupSpec { id: i, start: i * 10, end: (i + 1) * 10 })
             .collect();
-        let (r_head, d_head) = split_residents(&sgs, 0.2, true);
-        assert_eq!(r_head.iter().map(|s| s.id).collect::<Vec<_>>(), vec![0, 1]);
+        let ids = |sgs: &[SubgroupSpec]| sgs.iter().map(|s| s.id).collect::<Vec<_>>();
+        let (r_head, d_head) = head_residents(&sgs, 0.2);
+        assert_eq!(ids(&r_head), vec![0, 1]);
         assert_eq!(d_head.len(), 8);
-        let (r_tail, d_tail) = split_residents(&sgs, 0.2, false);
-        assert_eq!(r_tail.iter().map(|s| s.id).collect::<Vec<_>>(), vec![8, 9]);
-        assert_eq!(d_tail.len(), 8);
+        let tail = UpdatePlan::with_resident_ratio(sgs.len(), 0.2, None);
+        assert_eq!(ids(&sgs[tail.residents()]), vec![8, 9]);
+        assert_eq!(tail.n_dynamic(), 8);
+        // Head placement counts the stride over the dynamic subgroups only.
+        let head = UpdatePlan::new(6, 2, Some(2)).residents_at_tail(false);
+        let placed: Vec<bool> = (0..6).map(|i| head.on_device(i)).collect();
+        assert_eq!(placed, [true, true, false, true, false, true]);
     }
 
     #[test]
@@ -663,5 +822,39 @@ mod tests {
             zero3.update_utilization
         );
         assert!(dos.update_utilization.pcie_h2d > zero3.update_utilization.pcie_h2d);
+    }
+
+    #[test]
+    fn policies_resolve_once() {
+        let eq1 = || Some(3);
+        assert_eq!(StridePolicy::Auto.resolve(eq1), Some(3));
+        assert_eq!(StridePolicy::Adaptive.resolve(eq1), Some(3));
+        assert_eq!(StridePolicy::Adaptive.resolve(|| None), None);
+        assert_eq!(StridePolicy::Fixed(4).resolve(eq1), Some(4));
+        assert_eq!(StridePolicy::Fixed(0).resolve(eq1), Some(1), "clamped, not a division by zero");
+        assert_eq!(StridePolicy::CpuOnly.resolve(eq1), None);
+    }
+
+    proptest! {
+        /// The closed-form counts are a count of `on_device`, under either
+        /// placement.
+        #[test]
+        fn counts_equal_a_count_of_on_device(
+            n in 0usize..80,
+            n_static in 0usize..90,
+            stride in 0usize..10,
+            tail in any::<bool>(),
+        ) {
+            let stride = (stride > 0).then_some(stride);
+            let plan = UpdatePlan::new(n, n_static, stride).residents_at_tail(tail);
+            let on_device = (0..n).filter(|&i| plan.on_device(i)).count();
+            prop_assert_eq!(plan.n_device(), on_device);
+            prop_assert_eq!(plan.n_cpu(), n - on_device);
+            prop_assert_eq!(plan.n_static(), plan.residents().len());
+            prop_assert_eq!(plan.n_static() + plan.n_dynamic(), n);
+            // The schedulers' historical spelling of the interleaving test.
+            let spelled = stride.is_some_and(|k| plan.n_dynamic() > k.saturating_sub(1));
+            prop_assert_eq!(plan.interleaving(), spelled);
+        }
     }
 }

@@ -2,8 +2,11 @@
 //! gradients, subgroup size, stride, and resident set, the threaded
 //! hybrid update is bitwise identical to the sequential baseline.
 
-use dos_core::{hybrid_update, PipelineConfig, StridePolicy};
+use dos_core::{hybrid_update, DeepOptimizerStates, PipelineConfig, StridePolicy, UpdatePlan};
+use dos_hal::HardwareProfile;
+use dos_nn::ModelSpec;
 use dos_optim::{MixedPrecisionState, UpdateRule};
+use dos_sim::{simulate_iteration, IterationScenario, TrainConfig};
 use dos_tensor::F16;
 use dos_zero::partition_into_subgroups;
 use proptest::prelude::*;
@@ -52,10 +55,50 @@ proptest! {
         prop_assert_eq!(reference.momentum(), hybrid.momentum());
         prop_assert_eq!(reference.variance(), hybrid.variance());
         prop_assert_eq!(report.fp16_params, ref_fp16);
-        prop_assert_eq!(
-            report.device_subgroups + report.cpu_subgroups,
-            subgroups.len()
+        // A healthy step places exactly what the plan says it places.
+        let plan = UpdatePlan::new(subgroups.len(), residents, Some(stride));
+        prop_assert_eq!(report.device_subgroups, plan.n_device());
+        prop_assert_eq!(report.cpu_subgroups, plan.n_cpu());
+    }
+
+    /// The simulated schedule sends exactly the plan's subgroups to the
+    /// GPU — the two clocks place through the same `UpdatePlan`.
+    #[test]
+    fn simulated_schedule_submits_the_plans_gpu_set(
+        target in 1usize..40,
+        residents in 0usize..6,
+        stride in 0usize..6,
+        residents_at_tail in any::<bool>(),
+    ) {
+        let mut cfg = TrainConfig::deep_optimizer_states(
+            ModelSpec::by_name("7B").unwrap(),
+            HardwareProfile::jlse_h100(),
         );
+        cfg.offload.subgroup_params = cfg.params_per_rank().div_ceil(target);
+        let sgs = IterationScenario::new(cfg.clone()).subgroups().to_vec();
+        cfg.offload.gpu_resident_ratio = residents.min(sgs.len()) as f64 / sgs.len() as f64;
+        let policy = if stride == 0 { StridePolicy::CpuOnly } else { StridePolicy::Fixed(stride) };
+
+        let report =
+            simulate_iteration(&cfg, &DeepOptimizerStates { stride: policy, residents_at_tail })
+                .unwrap();
+        let mut on_gpu: Vec<usize> = report
+            .timeline
+            .spans()
+            .iter()
+            .filter_map(|s| s.label.strip_prefix("gpu-update:sg")?.parse().ok())
+            .collect();
+        on_gpu.sort_unstable();
+
+        let plan = UpdatePlan::with_resident_ratio(
+            sgs.len(),
+            cfg.offload.gpu_resident_ratio,
+            policy.resolve(|| None),
+        )
+        .residents_at_tail(residents_at_tail);
+        let planned: Vec<usize> =
+            sgs.iter().enumerate().filter(|(i, _)| plan.on_device(*i)).map(|(_, s)| s.id).collect();
+        prop_assert_eq!(on_gpu, planned);
     }
 
     /// Multiple consecutive hybrid steps with changing strides track the

@@ -79,29 +79,47 @@ impl DynamicLossScaler {
     /// Returns `true` if the gradients are finite and the optimizer step
     /// should proceed; `false` if an overflow was detected — the gradients
     /// are zeroed, the step must be skipped, and the scale has been reduced.
+    /// This is [`Self::unscale`] + [`Self::record`] for a caller that owns
+    /// the whole gradient; data-parallel ranks call the two halves around
+    /// an agreement on the verdict.
     pub fn unscale_check(&mut self, grads: &mut [f32]) -> bool {
+        let finite = self.unscale(grads);
+        if !finite {
+            grads.fill(0.0);
+        }
+        self.record(finite);
+        finite
+    }
+
+    /// Unscales `grads` in place and returns whether every value was finite,
+    /// leaving the scale dynamics untouched. On `false` the contents of
+    /// `grads` are unspecified (the pass stops at the first non-finite
+    /// value).
+    pub fn unscale(&self, grads: &mut [f32]) -> bool {
         let inv = 1.0 / self.scale;
-        let mut overflow = false;
         for g in grads.iter_mut() {
             if !g.is_finite() {
-                overflow = true;
-                break;
+                return false;
             }
             *g *= inv;
         }
-        if overflow {
-            grads.fill(0.0);
-            self.scale = (self.scale * self.backoff_factor).max(1.0);
-            self.clean_steps = 0;
-            self.overflows += 1;
-            false
-        } else {
+        true
+    }
+
+    /// Records one step's verdict: an overflow (`finite == false`) backs
+    /// the scale off and restarts the clean-step window; a clean step
+    /// counts toward the next growth.
+    pub fn record(&mut self, finite: bool) {
+        if finite {
             self.clean_steps += 1;
             if self.clean_steps >= self.growth_interval {
                 self.scale = (self.scale * self.growth_factor).min(f32::MAX / 4.0);
                 self.clean_steps = 0;
             }
-            true
+        } else {
+            self.scale = (self.scale * self.backoff_factor).max(1.0);
+            self.clean_steps = 0;
+            self.overflows += 1;
         }
     }
 }
@@ -130,7 +148,7 @@ mod tests {
         let mut s = DynamicLossScaler::new(1024.0);
         let mut g = vec![1.0f32, f32::INFINITY];
         assert!(!s.unscale_check(&mut g));
-        assert_eq!(g, vec![0.0, 0.0], "gradients zeroed so a step is a no-op");
+        assert_eq!(g, vec![0.0, 0.0], "nothing of an overflowed gradient survives");
         assert_eq!(s.scale(), 512.0);
         assert_eq!(s.overflow_count(), 1);
         let mut g = vec![f32::NAN];

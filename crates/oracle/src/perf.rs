@@ -168,7 +168,7 @@ pub fn predict_update_secs(cfg: &TrainConfig, kind: SchedulerKind) -> f64 {
     let subgroup = cfg.offload.subgroup_params as f64;
     let sgs = partition_into_subgroups(cfg.params_per_rank(), cfg.offload.subgroup_params);
     let n = sgs.len();
-    let n_static = ((cfg.offload.gpu_resident_ratio * n as f64).ceil() as usize).min(n);
+    let n_static = static_residents(n, cfg.offload.gpu_resident_ratio);
 
     match kind {
         SchedulerKind::Zero3Offload => model.predicted_update_secs(params, subgroup, None),
@@ -188,21 +188,13 @@ pub fn predict_update_secs(cfg: &TrainConfig, kind: SchedulerKind) -> f64 {
             let resident_params: f64 = sgs[n - n_static..].iter().map(|s| s.len() as f64).sum();
             let dynamic_params = params - resident_params;
             let n_dynamic = n - n_static;
-            let stride = match policy {
-                StridePolicy::Auto | StridePolicy::Adaptive => model.optimal_stride(),
-                StridePolicy::Fixed(k) => Some(k.max(1)),
-                StridePolicy::CpuOnly => None,
-            };
-            let interleaving = stride.is_some_and(|k| n_dynamic > k.saturating_sub(1));
+            let (n_gpu, interleaving) = dos_placement(n_dynamic, policy, &model);
             let s = subgroup;
             if n_dynamic == 0 {
                 return resident_params / inputs.ug;
             }
             if interleaving {
-                let k = stride.expect("interleaving implies a stride");
-                // The scheduler sends every k-th dynamic subgroup to the
-                // GPU: exactly n_dynamic / k of them.
-                let n_gpu = (n_dynamic / k) as f64;
+                let n_gpu = n_gpu as f64;
                 let n_cpu = n_dynamic as f64 - n_gpu;
                 let uc_eff = inputs.uc * cfg.profile.dram_contention_cpu_factor;
                 // CPU side: updates and downscales serialize on the CPU;
@@ -251,6 +243,32 @@ pub fn predict_update_secs(cfg: &TrainConfig, kind: SchedulerKind) -> f64 {
             let write = 12.0 * params / cfg.profile.nvme_write_bw;
             read + write + params / inputs.uc
         }
+    }
+}
+
+/// The oracle's own count of static GPU residents among `n` subgroups (see
+/// [`dos_placement`] for why it is not `dos_core::UpdatePlan`'s).
+fn static_residents(n: usize, ratio: f64) -> usize {
+    ((ratio * n as f64).ceil() as usize).min(n)
+}
+
+/// The oracle's own derivation of where Deep Optimizer States places
+/// `n_dynamic` dynamic subgroups under `policy`: how many go to the GPU and
+/// whether the schedule interleaves at all. Deliberately *not*
+/// `dos_core::UpdatePlan` — the schedulers place through that, and two
+/// derivations agreeing is the cross-check (pinned cell by cell in this
+/// module's tests).
+fn dos_placement(n_dynamic: usize, policy: StridePolicy, model: &PerfModel) -> (usize, bool) {
+    let stride = match policy {
+        StridePolicy::Auto | StridePolicy::Adaptive => model.optimal_stride(),
+        StridePolicy::Fixed(k) => Some(k.max(1)),
+        StridePolicy::CpuOnly => None,
+    };
+    match stride {
+        // The scheduler sends every k-th dynamic subgroup to the GPU:
+        // exactly n_dynamic / k of them.
+        Some(k) if n_dynamic > k.saturating_sub(1) => (n_dynamic / k, true),
+        _ => (0, false),
     }
 }
 
@@ -446,6 +464,42 @@ mod tests {
                 cell.predicted_secs
             );
         }
+    }
+
+    /// The schedulers place through `dos_core::UpdatePlan`; the oracle
+    /// derives the same three facts on its own. They must agree on every
+    /// Deep Optimizer States coordinate of the full matrix.
+    #[test]
+    fn placement_agrees_with_the_update_plan_on_every_matrix_cell() {
+        use dos_core::UpdatePlan;
+        let profile = HardwareProfile::jlse_h100();
+        let model = PerfModel::new(profile.perf_model_inputs());
+        let models: Vec<String> = ModelSpec::table2_zoo().into_iter().map(|m| m.name).collect();
+        let ratios = [0.0, 0.1, 0.2, 0.3, 0.4, 0.5];
+        let mut cells = 0;
+        for (name, kind, ratio) in matrix_specs(&models, &[1, 2, 3, 4, 5], &ratios) {
+            let SchedulerKind::DeepOptimizerStates(policy) = kind else { continue };
+            let cfg = TrainConfig::deep_optimizer_states(
+                ModelSpec::by_name(&name).unwrap(),
+                profile.clone(),
+            );
+            let n =
+                partition_into_subgroups(cfg.params_per_rank(), cfg.offload.subgroup_params).len();
+            let n_static = static_residents(n, ratio);
+            let (n_gpu, interleaving) = dos_placement(n - n_static, policy, &model);
+
+            let stride = policy.resolve(|| model.optimal_stride());
+            let plan = UpdatePlan::with_resident_ratio(n, ratio, stride);
+            let cell =
+                cell_coordinates(&name, "deep-optimizer-states", &kind.stride_label(), ratio);
+            assert_eq!(
+                (n_static, n_gpu, interleaving),
+                (plan.n_static(), plan.n_interleaved(), plan.interleaving()),
+                "{cell}"
+            );
+            cells += 1;
+        }
+        assert_eq!(cells, 5 * (1 + 6 * 6), "cpu-only + (auto + five strides) x six ratios");
     }
 
     #[test]

@@ -133,7 +133,8 @@ use std::process::ExitCode;
 use dos_runtime::cli::{exit_code, wants_help, CliError, Flags};
 use dos_runtime::{
     run_autotune, run_chaos, run_iteration, run_monitor, run_training, trace_iteration,
-    AutotuneOptions, ChaosOptions, FaultKind, MonitorOptions, RuntimeConfig,
+    with_quiet_injected_panics, AutotuneOptions, ChaosOptions, FaultKind, MonitorOptions,
+    RuntimeConfig,
 };
 
 /// One subcommand: its name, its usage line, and its body, which gets the
@@ -339,52 +340,39 @@ fn run_check_cmd(rest: &[String]) -> Result<bool, CliError> {
     let corpus: Option<String> = flags.value("--corpus")?;
     flags.none()?;
 
-    // Fault scenarios intentionally panic the virtual device worker
-    // ("injected device fault …"); the pipeline contains and recovers from
-    // those, so silence their default-hook noise — anything else still
-    // prints.
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let msg = info
-            .payload()
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .or_else(|| info.payload().downcast_ref::<&str>().copied());
-        if msg.is_some_and(|m| m.contains("injected device fault")) {
-            return;
+    // Fault scenarios intentionally panic the virtual device worker; the
+    // pipeline contains and recovers from those.
+    with_quiet_injected_panics(|| {
+        if let Some(token) = replay {
+            return match dos_check::replay_token(&token)? {
+                Some(failure) => {
+                    println!("token reproduces: {failure}");
+                    Ok(false)
+                }
+                None => {
+                    println!("schedule replayed clean (terminal state matches the oracle)");
+                    Ok(true)
+                }
+            };
         }
-        default_hook(info);
-    }));
 
-    if let Some(token) = replay {
-        return match dos_check::replay_token(&token)? {
-            Some(failure) => {
-                println!("token reproduces: {failure}");
-                Ok(false)
-            }
+        opts.corpus_dir = match corpus {
+            Some(dir) if dir.is_empty() => None,
+            Some(dir) => Some(dir.into()),
+            // Default: the committed corpus, when running from the repo root.
             None => {
-                println!("schedule replayed clean (terminal state matches the oracle)");
-                Ok(true)
+                let default = std::path::PathBuf::from("tests/corpus");
+                default.is_dir().then_some(default)
             }
         };
-    }
-
-    opts.corpus_dir = match corpus {
-        Some(dir) if dir.is_empty() => None,
-        Some(dir) => Some(dir.into()),
-        // Default: the committed corpus, when running from the repo root.
-        None => {
-            let default = std::path::PathBuf::from("tests/corpus");
-            default.is_dir().then_some(default)
+        let report = dos_check::run_check(&opts)?;
+        if json {
+            println!("{}", report.render_json());
+        } else {
+            print!("{}", report.render_human());
         }
-    };
-    let report = dos_check::run_check(&opts)?;
-    if json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_human());
-    }
-    Ok(report.passed)
+        Ok(report.passed)
+    })
 }
 
 /// Races the adaptive controller against the static arm; `Ok(true)` means

@@ -20,7 +20,7 @@
 //! the CLI exit nonzero.
 
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use dos_collectives::TransportFaultPlan;
@@ -127,6 +127,18 @@ pub struct ChaosCheck {
     pub detail: String,
 }
 
+impl ChaosCheck {
+    /// Files a check's verdict under its stable name: `Ok` carries what was
+    /// injected and observed, `Err` the invariant that broke.
+    fn new(name: &str, verdict: Result<String, String>) -> ChaosCheck {
+        let (passed, detail) = match verdict {
+            Ok(detail) => (true, detail),
+            Err(detail) => (false, detail),
+        };
+        ChaosCheck { name: name.to_string(), passed, detail }
+    }
+}
+
 /// Outcome of a chaos campaign.
 #[derive(Debug, Clone)]
 pub struct ChaosReport {
@@ -176,34 +188,44 @@ pub fn run_chaos(
 ) -> Result<ChaosReport, ConfigError> {
     with_quiet_injected_panics(|| {
         let mut checks = Vec::new();
+        let mut check = |name, verdict| checks.push(ChaosCheck::new(name, verdict));
         let kill = opts.faults.contains(&FaultKind::WorkerKill);
         let degrade = opts.faults.contains(&FaultKind::Degrade);
         let transfer = opts.faults.contains(&FaultKind::TransferFail);
         let corrupt = opts.faults.contains(&FaultKind::CkptCorrupt);
+        let flight_out = opts.flight_out.as_deref();
 
         if kill {
-            checks.push(check_degraded_pipeline(opts.seed));
-            checks.push(check_degraded_training(opts.seed));
-            checks.push(check_monitored_incident(opts.seed, opts.flight_out.as_deref()));
+            check("pipeline-degradation-byte-exact", degraded_pipeline(opts.seed));
+            check("degraded-training-matches-healthy", degraded_training(opts.seed));
+            check("monitored-incident-flight-dump", monitored_incident(opts.seed, flight_out));
         }
         if corrupt {
-            checks.push(check_checkpoint_recovery(opts.seed));
+            let verdict =
+                with_scratch_dir("ckpt", opts.seed, |dir| checkpoint_recovery(opts.seed, dir));
+            check("checkpoint-recovery-bitwise", verdict);
         }
         if degrade || transfer {
-            checks.push(check_sim_faults(config, opts, degrade, transfer)?);
+            check("sim-faults-traced-not-dropped", sim_faults(config, opts, degrade, transfer)?);
         }
         if let Some(spec) = &opts.transport_faults {
-            checks.push(check_transport_faults(opts.seed, spec, opts.flight_out.as_deref()));
+            let verdict = with_scratch_dir("transport", opts.seed, |dir| {
+                transport_faults(opts.seed, spec, dir, flight_out)
+            });
+            check("transport-faults-dp-training", verdict);
         }
 
         Ok(ChaosReport { seed: opts.seed, checks })
     })
 }
 
-/// The worker-kill checks deliberately panic device-worker threads; keep
-/// those expected backtraces off the campaign's stderr while leaving every
-/// other panic loud.
-fn with_quiet_injected_panics<T>(f: impl FnOnce() -> T) -> T {
+/// Runs `f` with the panic hook filtered: fault scenarios (the worker-kill
+/// checks here, `dos-check`'s fault scenarios) deliberately panic device
+/// workers with an "injected device fault" message that the pipeline
+/// contains and recovers from, so those expected reports stay off stderr
+/// while every other panic stays loud. The previous hook is restored
+/// afterwards.
+pub fn with_quiet_injected_panics<T>(f: impl FnOnce() -> T) -> T {
     use std::panic;
     use std::sync::Arc;
 
@@ -229,10 +251,19 @@ fn with_quiet_injected_panics<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
+/// Runs `f` over a fresh per-process, per-seed scratch directory and
+/// removes it afterwards, whatever the verdict.
+fn with_scratch_dir<T>(tag: &str, seed: u64, f: impl FnOnce(&Path) -> T) -> T {
+    let dir = std::env::temp_dir().join(format!("dos-chaos-{tag}-{}-{seed:x}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = f(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
 /// Worker kills at seeded points: the degraded hybrid update must stay
 /// byte-exact with `full_step` and account for every subgroup.
-fn check_degraded_pipeline(seed: u64) -> ChaosCheck {
-    let name = "pipeline-degradation-byte-exact".to_string();
+fn degraded_pipeline(seed: u64) -> Result<String, String> {
     let mut rng = seed;
     let n = 1500 + (splitmix64(&mut rng) % 500) as usize;
     let sg = 64 + (splitmix64(&mut rng) % 64) as usize;
@@ -252,66 +283,38 @@ fn check_degraded_pipeline(seed: u64) -> ChaosCheck {
         for fault in [DeviceFault::PanicAfter(at), DeviceFault::DisconnectAfter(at)] {
             let mut state = MixedPrecisionState::new(init.clone(), UpdateRule::adam(), 0.01);
             let cfg = PipelineConfig { fault_injection: Some(fault), ..Default::default() };
-            let report = match hybrid_update(&mut state, &grads, &subgroups, cfg) {
-                Ok(r) => r,
-                Err(e) => {
-                    return ChaosCheck {
-                        name,
-                        passed: false,
-                        detail: format!("{fault:?}: pipeline error {e}"),
-                    }
-                }
-            };
+            let report = hybrid_update(&mut state, &grads, &subgroups, cfg)
+                .map_err(|e| format!("{fault:?}: pipeline error {e}"))?;
             if state.params() != reference.params()
                 || state.momentum() != reference.momentum()
                 || state.variance() != reference.variance()
             {
-                return ChaosCheck {
-                    name,
-                    passed: false,
-                    detail: format!("{fault:?}: degraded update diverged from full_step"),
-                };
+                return Err(format!("{fault:?}: degraded update diverged from full_step"));
             }
             if report.device_subgroups + report.cpu_subgroups != subgroups.len() {
-                return ChaosCheck {
-                    name,
-                    passed: false,
-                    detail: format!(
-                        "{fault:?}: {} + {} subgroups accounted, expected {}",
-                        report.device_subgroups,
-                        report.cpu_subgroups,
-                        subgroups.len()
-                    ),
-                };
+                return Err(format!(
+                    "{fault:?}: {} + {} subgroups accounted, expected {}",
+                    report.device_subgroups,
+                    report.cpu_subgroups,
+                    subgroups.len()
+                ));
             }
-            match report.degraded {
-                Some(d) => lost_total += d.lost_jobs_retried_on_cpu,
-                None => {
-                    return ChaosCheck {
-                        name,
-                        passed: false,
-                        detail: format!("{fault:?}: worker loss went unreported"),
-                    }
-                }
-            }
+            let degraded =
+                report.degraded.ok_or_else(|| format!("{fault:?}: worker loss went unreported"))?;
+            lost_total += degraded.lost_jobs_retried_on_cpu;
             cases += 1;
         }
     }
-    ChaosCheck {
-        name,
-        passed: true,
-        detail: format!(
-            "{cases} worker kills over {} subgroups, all byte-exact; {lost_total} lost jobs \
-             retried on CPU",
-            subgroups.len()
-        ),
-    }
+    Ok(format!(
+        "{cases} worker kills over {} subgroups, all byte-exact; {lost_total} lost jobs \
+         retried on CPU",
+        subgroups.len()
+    ))
 }
 
 /// End-to-end: training with a worker that dies every step must match a
 /// healthy run bitwise.
-fn check_degraded_training(seed: u64) -> ChaosCheck {
-    let name = "degraded-training-matches-healthy".to_string();
+fn degraded_training(seed: u64) -> Result<String, String> {
     let mut rng = seed;
     let stream: Vec<usize> = (0..1500).map(|i| (i * 7 + 3) % 61).collect();
     let ds = dos_data::TokenDataset::from_stream(&stream, 8);
@@ -321,43 +324,23 @@ fn check_degraded_training(seed: u64) -> ChaosCheck {
     cfg.seed = seed ^ 0xC0DE;
     let iters = 4;
 
-    let healthy = match train_functional(&cfg, &ds, iters) {
-        Ok(r) => r,
-        Err(e) => return ChaosCheck { name, passed: false, detail: format!("healthy run: {e}") },
-    };
+    let healthy = train_functional(&cfg, &ds, iters).map_err(|e| format!("healthy run: {e}"))?;
     let kill_at = (splitmix64(&mut rng) % 3) as usize;
     for fault in [DeviceFault::PanicAfter(kill_at), DeviceFault::DisconnectAfter(kill_at)] {
         let mut faulty = cfg.clone();
         faulty.pipeline.fault_injection = Some(fault);
-        let run = match train_functional(&faulty, &ds, iters) {
-            Ok(r) => r,
-            Err(e) => {
-                return ChaosCheck { name, passed: false, detail: format!("{fault:?}: {e}") }
-            }
-        };
+        let run = train_functional(&faulty, &ds, iters).map_err(|e| format!("{fault:?}: {e}"))?;
         if run.losses != healthy.losses || run.final_params != healthy.final_params {
-            return ChaosCheck {
-                name,
-                passed: false,
-                detail: format!("{fault:?}: degraded training diverged from healthy run"),
-            };
+            return Err(format!("{fault:?}: degraded training diverged from healthy run"));
         }
         if run.degraded_steps == 0 {
-            return ChaosCheck {
-                name,
-                passed: false,
-                detail: format!("{fault:?}: no step reported degradation"),
-            };
+            return Err(format!("{fault:?}: no step reported degradation"));
         }
     }
-    ChaosCheck {
-        name,
-        passed: true,
-        detail: format!(
-            "worker killed after {kill_at} jobs every step (panic + disconnect), \
-             {iters}-iteration runs bitwise identical to healthy"
-        ),
-    }
+    Ok(format!(
+        "worker killed after {kill_at} jobs every step (panic + disconnect), \
+         {iters}-iteration runs bitwise identical to healthy"
+    ))
 }
 
 /// A monitored trainer under an injected worker kill: the incident must
@@ -365,8 +348,7 @@ fn check_degraded_training(seed: u64) -> ChaosCheck {
 /// degraded iteration report, a `health:degraded` instant, and an
 /// automatic flight-recorder dump whose ring context still contains the
 /// pipeline's `fault:device-worker` instant.
-fn check_monitored_incident(seed: u64, flight_out: Option<&std::path::Path>) -> ChaosCheck {
-    let name = "monitored-incident-flight-dump".to_string();
+fn monitored_incident(seed: u64, flight_out: Option<&Path>) -> Result<String, String> {
     let mut rng = seed;
     let n = 1000 + (splitmix64(&mut rng) % 200) as usize;
     let json = format!(
@@ -376,95 +358,50 @@ fn check_monitored_incident(seed: u64, flight_out: Option<&std::path::Path>) -> 
     );
     let init: Vec<f32> = (0..n).map(|i| ((i * 13 + 5) % 31) as f32 / 31.0 - 0.4).collect();
     let grads: Vec<f32> = (0..n).map(|i| ((i * 7 + 1) % 29) as f32 / 29.0 - 0.5).collect();
-    let mut trainer = match dos_train::Trainer::from_json(&json, init) {
-        Ok(t) => t,
-        Err(e) => return ChaosCheck { name, passed: false, detail: format!("build: {e}") },
-    };
+    let mut trainer =
+        dos_train::Trainer::from_json(&json, init).map_err(|e| format!("build: {e}"))?;
     // Healthy steps first, so the dump has pre-incident ring context.
     for _ in 0..2 {
-        if let Err(e) = trainer.step(&grads) {
-            return ChaosCheck { name, passed: false, detail: format!("healthy step: {e}") };
-        }
+        trainer.step(&grads).map_err(|e| format!("healthy step: {e}"))?;
     }
     let kill_at = (splitmix64(&mut rng) % 2) as usize;
     trainer.inject_fault(Some(DeviceFault::PanicAfter(kill_at)));
-    let report = match trainer.step(&grads) {
-        Ok(r) => r,
-        Err(e) => return ChaosCheck { name, passed: false, detail: format!("faulted step: {e}") },
-    };
+    let report = trainer.step(&grads).map_err(|e| format!("faulted step: {e}"))?;
     if report.degraded.is_none() {
-        return ChaosCheck {
-            name,
-            passed: false,
-            detail: "injected worker kill did not degrade the step".to_string(),
-        };
+        return Err("injected worker kill did not degrade the step".to_string());
     }
     if !trainer.last_iteration().is_some_and(|r| r.degraded) {
-        return ChaosCheck {
-            name,
-            passed: false,
-            detail: "iteration report did not carry the degradation".to_string(),
-        };
+        return Err("iteration report did not carry the degradation".to_string());
     }
-    let Some(dump) = trainer.tracer().and_then(|t| t.flight()).and_then(|f| f.last_dump())
-    else {
-        return ChaosCheck {
-            name,
-            passed: false,
-            detail: "no automatic flight dump was produced".to_string(),
-        };
-    };
+    let dump = trainer
+        .tracer()
+        .and_then(|t| t.flight())
+        .and_then(|f| f.last_dump())
+        .ok_or_else(|| "no automatic flight dump was produced".to_string())?;
     let has_fault = dump.events.iter().any(|e| e.name == "fault:device-worker");
     let has_health = dump.reason.starts_with("health:degraded")
         || dump.events.iter().any(|e| e.name == "health:degraded");
     if !has_fault || !has_health {
-        return ChaosCheck {
-            name,
-            passed: false,
-            detail: format!(
-                "flight dump (reason {:?}, {} events) missing fault/health context",
-                dump.reason,
-                dump.events.len()
-            ),
-        };
-    }
-    if let Some(out) = flight_out {
-        if let Err(e) = std::fs::write(out, dump.to_json()) {
-            return ChaosCheck {
-                name,
-                passed: false,
-                detail: format!("write {}: {e}", out.display()),
-            };
-        }
-    }
-    ChaosCheck {
-        name,
-        passed: true,
-        detail: format!(
-            "worker killed after {kill_at} jobs under monitoring; flight dump ({:?}, {} events) \
-             contains fault:device-worker and health:degraded",
+        return Err(format!(
+            "flight dump (reason {:?}, {} events) missing fault/health context",
             dump.reason,
             dump.events.len()
-        ),
+        ));
     }
+    if let Some(out) = flight_out {
+        std::fs::write(out, dump.to_json()).map_err(|e| format!("write {}: {e}", out.display()))?;
+    }
+    Ok(format!(
+        "worker killed after {kill_at} jobs under monitoring; flight dump ({:?}, {} events) \
+         contains fault:device-worker and health:degraded",
+        dump.reason,
+        dump.events.len()
+    ))
 }
 
 /// Kill-and-resume with a torn newest checkpoint: recovery must fall back
 /// to the newest valid snapshot and replay to a bitwise identical state.
-fn check_checkpoint_recovery(seed: u64) -> ChaosCheck {
-    let name = "checkpoint-recovery-bitwise".to_string();
-    let dir = std::env::temp_dir()
-        .join(format!("dos-chaos-ckpt-{}-{seed:x}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let result = checkpoint_recovery_inner(seed, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-    match result {
-        Ok(detail) => ChaosCheck { name, passed: true, detail },
-        Err(detail) => ChaosCheck { name, passed: false, detail },
-    }
-}
-
-fn checkpoint_recovery_inner(seed: u64, dir: &std::path::Path) -> Result<String, String> {
+fn checkpoint_recovery(seed: u64, dir: &Path) -> Result<String, String> {
     let stream: Vec<usize> = (0..1500).map(|i| (i * 7 + 3) % 61).collect();
     let ds = dos_data::TokenDataset::from_stream(&stream, 8);
     let mut cfg = FunctionalConfig::small();
@@ -528,35 +465,14 @@ fn checkpoint_recovery_inner(seed: u64, dir: &std::path::Path) -> Result<String,
 /// checkpoint, finish the run. Either way the injections surface as
 /// `fault:collective:*` instants, and the flight dump written to
 /// `flight_out` carries them for post-mortem.
-fn check_transport_faults(
+fn transport_faults(
     seed: u64,
     spec: &str,
-    flight_out: Option<&std::path::Path>,
-) -> ChaosCheck {
-    let name = "transport-faults-dp-training".to_string();
-    let plan = match TransportFaultPlan::parse(spec, seed) {
-        Ok(p) => p,
-        Err(e) => {
-            return ChaosCheck { name, passed: false, detail: format!("bad fault spec: {e}") }
-        }
-    };
-    let dir = std::env::temp_dir()
-        .join(format!("dos-chaos-transport-{}-{seed:x}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let result = transport_faults_inner(seed, &plan, &dir, flight_out);
-    let _ = std::fs::remove_dir_all(&dir);
-    match result {
-        Ok(detail) => ChaosCheck { name, passed: true, detail },
-        Err(detail) => ChaosCheck { name, passed: false, detail },
-    }
-}
-
-fn transport_faults_inner(
-    seed: u64,
-    plan: &TransportFaultPlan,
-    dir: &std::path::Path,
-    flight_out: Option<&std::path::Path>,
+    dir: &Path,
+    flight_out: Option<&Path>,
 ) -> Result<String, String> {
+    let plan =
+        &TransportFaultPlan::parse(spec, seed).map_err(|e| format!("bad fault spec: {e}"))?;
     let stream: Vec<usize> = (0..2000).map(|i| (i * 7 + 3) % 61).collect();
     let ds = dos_data::TokenDataset::from_stream(&stream, 8);
     let world = 4;
@@ -636,13 +552,15 @@ fn transport_faults_inner(
 
 /// Simulated PCIe degradation + transient transfer failures: fault events
 /// must appear as trace instants, and every scheduled op must still run.
-fn check_sim_faults(
+///
+/// The outer error is the campaign's (the config does not resolve, the
+/// engine or the trace export failed); the inner one is the check's verdict.
+fn sim_faults(
     config: &RuntimeConfig,
     opts: &ChaosOptions,
     degrade: bool,
     transfer: bool,
-) -> Result<ChaosCheck, ConfigError> {
-    let name = "sim-faults-traced-not-dropped".to_string();
+) -> Result<Result<String, String>, ConfigError> {
     let train = config.resolve()?;
     let sched = crate::sim_trainer::scheduler_for(config);
 
@@ -675,11 +593,7 @@ fn check_sim_faults(
         .filter(|e| e.track == "faults" && e.name.starts_with("fault:"))
         .collect();
     if transfer && instants.is_empty() {
-        return Ok(ChaosCheck {
-            name,
-            passed: false,
-            detail: "no fault instants recorded on the faults track".to_string(),
-        });
+        return Ok(Err("no fault instants recorded on the faults track".to_string()));
     }
 
     // Faults delay ops but never drop them: the set of scheduled span
@@ -695,21 +609,13 @@ fn check_sim_faults(
     let faulted_ops = op_names(&tracer);
     if clean_ops != faulted_ops {
         let missing: Vec<_> = clean_ops.difference(&faulted_ops).take(3).cloned().collect();
-        return Ok(ChaosCheck {
-            name,
-            passed: false,
-            detail: format!("faults dropped scheduled ops (e.g. {missing:?})"),
-        });
+        return Ok(Err(format!("faults dropped scheduled ops (e.g. {missing:?})")));
     }
     if degrade && faulted.total_secs < clean.total_secs {
-        return Ok(ChaosCheck {
-            name,
-            passed: false,
-            detail: format!(
-                "degraded iteration finished faster than clean one ({:.3}s < {:.3}s)",
-                faulted.total_secs, clean.total_secs
-            ),
-        });
+        return Ok(Err(format!(
+            "degraded iteration finished faster than clean one ({:.3}s < {:.3}s)",
+            faulted.total_secs, clean.total_secs
+        )));
     }
 
     if let Some(out) = &opts.trace_out {
@@ -720,17 +626,13 @@ fn check_sim_faults(
             .map_err(|e| ConfigError::Invalid { detail: format!("write {}: {e}", out.display()) })?;
     }
 
-    Ok(ChaosCheck {
-        name,
-        passed: true,
-        detail: format!(
-            "{} fault instants recorded, {} ops all preserved, iteration {:.3}s -> {:.3}s",
-            instants.len(),
-            clean_ops.len(),
-            clean.total_secs,
-            faulted.total_secs
-        ),
-    })
+    Ok(Ok(format!(
+        "{} fault instants recorded, {} ops all preserved, iteration {:.3}s -> {:.3}s",
+        instants.len(),
+        clean_ops.len(),
+        clean.total_secs,
+        faulted.total_secs
+    )))
 }
 
 #[cfg(test)]

@@ -60,8 +60,15 @@ impl From<serde_json::Error> for ConfigError {
 
 // The `"deep_optimizer_states"` entry itself is owned by `dos-train` (the
 // functional Trainer's JSON surface shares it); re-exported here so the
-// simulator-facing document keeps its historical import paths.
-pub use dos_train::{CollectivesEntry, DosEntry, NamedStride, StrideEntry};
+// simulator-facing document keeps its historical import path.
+pub use dos_train::DosEntry;
+
+/// Most subgroups one rank's shard may be cut into. The simulator builds
+/// several engine ops per subgroup, so a `subgroup_size` of a few
+/// parameters on a billion-parameter model is an allocation of tens of
+/// gigabytes, not a schedule; the paper's own sweeps (Figure 2) stay under
+/// a few hundred.
+const MAX_SUBGROUPS_PER_RANK: usize = 1 << 16;
 
 /// The whole runtime configuration document.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -179,10 +186,14 @@ impl RuntimeConfig {
                 detail: "micro_batch, subgroup_size, grad_accumulation must be positive".into(),
             });
         }
+        let world = self.data_parallel.unwrap_or(profile.num_gpus);
+        if world == 0 {
+            return Err(ConfigError::Invalid { detail: "data_parallel must be positive".into() });
+        }
         let dos = &self.deep_optimizer_states;
-        Ok(TrainConfig {
+        let train = TrainConfig {
             spec,
-            world: self.data_parallel.unwrap_or(profile.num_gpus),
+            world,
             stage,
             micro_batch: self.micro_batch,
             grad_accumulation: self.grad_accumulation,
@@ -199,7 +210,18 @@ impl RuntimeConfig {
             },
             overlap_backward: dos.enabled && dos.overlap_backward,
             profile,
-        })
+        };
+        let subgroups = train.params_per_rank().div_ceil(self.subgroup_size);
+        if subgroups > MAX_SUBGROUPS_PER_RANK {
+            return Err(ConfigError::Invalid {
+                detail: format!(
+                    "subgroup_size {} cuts each rank's shard into {subgroups} subgroups \
+                     (at most {MAX_SUBGROUPS_PER_RANK})",
+                    self.subgroup_size
+                ),
+            });
+        }
+        Ok(train)
     }
 }
 
@@ -223,21 +245,23 @@ mod tests {
 
     #[test]
     fn stride_entry_forms() {
-        let cfg = RuntimeConfig::from_json(
-            r#"{ "model": "7B", "deep_optimizer_states": { "update_stride": 3 } }"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.deep_optimizer_states.update_stride.to_policy(), StridePolicy::Fixed(3));
-        let cfg = RuntimeConfig::from_json(
-            r#"{ "model": "7B", "deep_optimizer_states": { "update_stride": "cpu_only" } }"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.deep_optimizer_states.update_stride.to_policy(), StridePolicy::CpuOnly);
-        let cfg = RuntimeConfig::from_json(
-            r#"{ "model": "7B", "deep_optimizer_states": { "update_stride": "adaptive" } }"#,
-        )
-        .unwrap();
-        assert_eq!(cfg.deep_optimizer_states.update_stride.to_policy(), StridePolicy::Adaptive);
+        for (entry, want) in [
+            ("3", StridePolicy::Fixed(3)),
+            ("0", StridePolicy::Fixed(0)),
+            ("\"auto\"", StridePolicy::Auto),
+            ("\"cpu_only\"", StridePolicy::CpuOnly),
+            ("\"adaptive\"", StridePolicy::Adaptive),
+        ] {
+            let cfg = RuntimeConfig::from_json(&format!(
+                r#"{{ "model": "7B", "deep_optimizer_states": {{ "update_stride": {entry} }} }}"#
+            ))
+            .unwrap();
+            assert_eq!(cfg.deep_optimizer_states.update_stride, want);
+            // The wire form survives the round trip verbatim.
+            let json = cfg.to_json();
+            assert!(json.contains(&format!("\"update_stride\": {entry}")), "{json}");
+            assert_eq!(RuntimeConfig::from_json(&json).unwrap().to_json(), json);
+        }
     }
 
     #[test]
@@ -270,6 +294,15 @@ mod tests {
         assert!(matches!(cfg.resolve(), Err(ConfigError::Invalid { .. })));
         let cfg = RuntimeConfig::from_json(r#"{ "model": "7B", "micro_batch": 0 }"#).unwrap();
         assert!(matches!(cfg.resolve(), Err(ConfigError::Invalid { .. })));
+        // A world of zero ranks has no rank 0 to simulate...
+        let cfg = RuntimeConfig::from_json(r#"{ "model": "7B", "data_parallel": 0 }"#).unwrap();
+        assert!(matches!(cfg.resolve(), Err(ConfigError::Invalid { .. })));
+        // ...and one-parameter subgroups of a 7B model are 1.7 billion ops.
+        let cfg = RuntimeConfig::from_json(r#"{ "model": "7B", "subgroup_size": 1 }"#).unwrap();
+        assert!(matches!(cfg.resolve(), Err(ConfigError::Invalid { .. })));
+        let cfg =
+            RuntimeConfig::from_json(r#"{ "model": "7B", "subgroup_size": 100000 }"#).unwrap();
+        assert!(cfg.resolve().is_ok(), "17,000 subgroups per rank is slow, not malformed");
     }
 
     #[test]

@@ -23,7 +23,7 @@ use dos_core::{PipelineConfig, PipelineError, StridePolicy};
 use dos_data::{DataLoader, TokenDataset};
 use dos_nn::{Gpt, GptConfig, VisitParams};
 use dos_optim::{clip_grad_norm, DynamicLossScaler, LrSchedule, MixedPrecisionState, UpdateRule};
-use dos_telemetry::Tracer;
+use dos_telemetry::{TraceEvent, Tracer};
 use dos_train::checkpoint::{AsyncCheckpointer, CheckpointError, CheckpointStore, TrainingCheckpoint};
 use dos_train::{Trainer, TrainerError};
 use dos_zero::rank_range;
@@ -229,31 +229,6 @@ impl FunctionalConfig {
             tracer: None,
             monitor_listen: None,
         }
-    }
-
-    /// Applies the JSON `"collectives"` entry (the `dos-train` config
-    /// surface, re-exported at this crate's root) onto this run: transport
-    /// backend, per-collective deadline, and rank-failure policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the entry's own validation failures (unknown transport or
-    /// policy names, `"uds"` without a `socket_dir`).
-    pub fn apply_collectives(
-        &mut self,
-        entry: &dos_train::CollectivesEntry,
-    ) -> Result<(), dos_train::TrainerError> {
-        entry.validate()?;
-        self.transport = match (entry.transport.as_str(), &entry.socket_dir) {
-            ("uds", Some(dir)) => TransportBackend::Uds(dir.into()),
-            _ => TransportBackend::InProc,
-        };
-        self.collective_timeout = entry.collective_timeout_ms.map(Duration::from_millis);
-        self.on_rank_failure = match entry.on_rank_failure.as_str() {
-            "elastic" => RankFailurePolicy::Elastic,
-            _ => RankFailurePolicy::Error,
-        };
-        Ok(())
     }
 }
 
@@ -504,6 +479,20 @@ fn uds_world(_world: usize, dir: &std::path::Path) -> Result<Vec<Box<dyn Transpo
     }))
 }
 
+/// The spans one iteration recorded (those starting at or after `mark`) —
+/// what the rank's tuner observes. Under a `shared` run tracer, concurrent
+/// ranks' spans in the same window are equally valid samples of the
+/// contended machine, and the history stays the caller's; a tracer the rank
+/// owns privately exists only to feed the tuner, so it is emptied rather
+/// than left to grow (and be re-sorted) for the rest of the run.
+fn iteration_events(tracer: &Tracer, mark: f64, shared: bool) -> Vec<TraceEvent> {
+    let fresh = tracer.events().into_iter().filter(|ev| ev.start >= mark).collect();
+    if !shared {
+        tracer.clear();
+    }
+    fresh
+}
+
 /// One rank's run result: (per-iteration losses, final parameters,
 /// degraded-step count).
 type RankRun = (Vec<f32>, Vec<f32>, usize);
@@ -619,12 +608,18 @@ fn run_rank(
         let comm_span =
             cfg.tracer.as_ref().map(|t| t.span(&format!("grad-exchange:it{it}"), "communicate"));
         let mut grads = pad_to_multiple(model.gather_grads(), world);
-        // Unscale (and overflow-check) before any reduction; all ranks see
-        // the same values, so the skip decision is globally consistent.
+        // Unscale (and overflow-check) before any reduction. Micro-batches
+        // differ per rank, so one rank can overflow alone: the ranks agree
+        // on the verdict, then back off and skip the step together (the
+        // zeroed gradients keep the collectives below in lockstep).
+        let mut skipped = false;
         if let Some(s) = scaler.as_mut() {
-            if !s.unscale_check(&mut grads) {
-                // Overflow: skip this step (gradients were zeroed, so the
-                // collectives below still participate and stay in lockstep).
+            let mut overflowed = [if s.unscale(&mut grads) { 0.0 } else { 1.0 }];
+            comm.all_reduce_sum(&mut overflowed)?;
+            skipped = overflowed[0] > 0.0;
+            s.record(!skipped);
+            if skipped {
+                grads.fill(0.0);
             }
         }
         let inv = 1.0 / world as f32;
@@ -658,37 +653,42 @@ fn run_rank(
         }
 
         // Interleaved hybrid update of this rank's shard (real threads,
-        // Algorithm 1's structure).
-        let mark = tracer.as_ref().map_or(0.0, Tracer::now);
-        let report = {
-            let _sp = tracer.as_ref().map(|t| t.span(&format!("hybrid-update:it{it}"), "update"));
-            trainer.step(&shard_grads)
-        }?;
-        if let (Some(tun), Some(tt)) = (&mut tuner, &tracer) {
-            // Feed only this iteration's spans back; under a shared
-            // tracer, concurrent ranks' spans in the same window are
-            // equally valid samples of the contended machine.
-            let fresh: Vec<_> = tt.events().into_iter().filter(|ev| ev.start >= mark).collect();
-            let before = tun.decisions().len();
-            tun.observe(&fresh);
-            // The arena's per-iteration staging peak drives the
-            // resident-sizing policy (a no-op under Fixed).
-            tun.observe_arena(trainer.arena().take_high_water_bytes());
-            if rank == 0 && cfg.tracer.is_some() {
-                for d in &tun.decisions()[before..] {
-                    tt.control_decision(&d.detail, tt.now());
+        // Algorithm 1's structure). A skipped iteration leaves the
+        // optimizer alone — a step on zeroed gradients would still decay
+        // the weights and advance the step count — and republishes the
+        // unchanged FP16 shard.
+        let shard_fp16 = if skipped {
+            trainer.state().downscale_range(0..trainer.state().len())
+        } else {
+            let mark = tracer.as_ref().map_or(0.0, Tracer::now);
+            let report = {
+                let _sp =
+                    tracer.as_ref().map(|t| t.span(&format!("hybrid-update:it{it}"), "update"));
+                trainer.step(&shard_grads)
+            }?;
+            if let (Some(tun), Some(tt)) = (&mut tuner, &tracer) {
+                let before = tun.decisions().len();
+                tun.observe(&iteration_events(tt, mark, cfg.tracer.is_some()));
+                // The arena's per-iteration staging peak drives the
+                // resident-sizing policy (a no-op under Fixed).
+                tun.observe_arena(trainer.arena().take_high_water_bytes());
+                if rank == 0 && cfg.tracer.is_some() {
+                    for d in &tun.decisions()[before..] {
+                        tt.control_decision(&d.detail, tt.now());
+                    }
                 }
             }
-        }
-        if report.degraded.is_some() {
-            degraded_steps += 1;
-        }
+            if report.degraded.is_some() {
+                degraded_steps += 1;
+            }
+            report.fp16_params
+        };
 
         // All-gather the updated FP16 parameters (the device copies every
         // rank trains the next iteration with).
         let gather_span =
             cfg.tracer.as_ref().map(|t| t.span(&format!("all-gather:it{it}"), "communicate"));
-        let shard_fp16: Vec<f32> = report.fp16_params.iter().map(|h| h.to_f32()).collect();
+        let shard_fp16: Vec<f32> = shard_fp16.iter().map(|h| h.to_f32()).collect();
         let mut full = comm.all_gather(&shard_fp16)?;
         full.truncate(model.num_params());
         model.scatter_params(&full);
@@ -912,6 +912,21 @@ mod tests {
     }
 
     #[test]
+    fn an_owned_tuner_tracer_is_emptied_every_iteration() {
+        for shared in [false, true] {
+            let tracer = Tracer::default();
+            tracer.record_span("cpu", "cpu", "update:sg0", "update", 0.0, 1.0, 1.0);
+            tracer.record_span("cpu", "cpu", "update:sg1", "update", 2.0, 3.0, 1.0);
+            let fresh = iteration_events(&tracer, 2.0, shared);
+            let names: Vec<&str> = fresh.iter().map(|ev| ev.name.as_str()).collect();
+            assert_eq!(names, ["update:sg1"], "only this iteration's spans are observed");
+            // A private tracer keeps nothing once observed; a caller's
+            // shared one keeps its whole history.
+            assert_eq!(tracer.len(), if shared { 2 } else { 0 });
+        }
+    }
+
+    #[test]
     fn headroom_tuner_shrinks_residents_without_changing_numerics() {
         use dos_control::ResidentPolicy;
         let ds = toy_dataset(8);
@@ -1045,6 +1060,32 @@ mod loss_scaling_tests {
         let both = train_functional(&cfg, &ds, 8).unwrap();
         assert_eq!(both.losses, scaled.losses);
         assert_eq!(both.final_params, scaled.final_params);
+    }
+
+    #[test]
+    fn an_overflowed_step_is_skipped_by_every_rank() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        // Wild initial weights under a 2^127 scale overflow every one of
+        // the three iterations (the scale only backs off to 2^124). A
+        // skipped step must leave the optimizer alone: AdamW stepping on
+        // the zeroed gradients would still decay every weight.
+        let ds = toy_dataset(8);
+        let mut cfg = FunctionalConfig::small();
+        cfg.model.init_std = 4.0;
+        cfg.loss_scale = Some(2f32.powi(127));
+        cfg.rule = UpdateRule::adamw(0.1);
+        let run = train_functional(&cfg, &ds, 3).unwrap();
+        assert!(run.ranks_consistent, "ranks must agree on every skip");
+
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let init = Gpt::new(cfg.model.clone(), &mut rng).gather_params();
+        let moved = init
+            .iter()
+            .zip(&run.final_params)
+            .filter(|(&p, &q)| dos_tensor::F16::from_f32(p).to_f32() != q)
+            .count();
+        assert_eq!(moved, 0, "{moved} of {} parameters moved on skipped steps", init.len());
     }
 }
 
@@ -1321,34 +1362,6 @@ mod elastic_tests {
         assert_eq!(run.losses, reference.losses, "losses diverged over UDS");
         assert_eq!(run.final_params, reference.final_params, "params diverged over UDS");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    /// The JSON `"collectives"` entry maps onto the run config — and its
-    /// validation failures surface instead of silently defaulting.
-    #[test]
-    fn collectives_entry_applies_to_the_run_config() {
-        let entry: dos_train::CollectivesEntry = serde_json::from_str(
-            r#"{ "collective_timeout_ms": 1500, "on_rank_failure": "elastic" }"#,
-        )
-        .unwrap();
-        let mut cfg = FunctionalConfig::small();
-        cfg.apply_collectives(&entry).unwrap();
-        assert_eq!(cfg.transport, TransportBackend::InProc);
-        assert_eq!(cfg.collective_timeout, Some(Duration::from_millis(1500)));
-        assert_eq!(cfg.on_rank_failure, RankFailurePolicy::Elastic);
-
-        let entry: dos_train::CollectivesEntry = serde_json::from_str(
-            r#"{ "transport": "uds", "socket_dir": "/tmp/dos-uds-mesh" }"#,
-        )
-        .unwrap();
-        let mut cfg = FunctionalConfig::small();
-        cfg.apply_collectives(&entry).unwrap();
-        assert_eq!(cfg.transport, TransportBackend::Uds("/tmp/dos-uds-mesh".into()));
-        assert_eq!(cfg.on_rank_failure, RankFailurePolicy::Error);
-
-        let entry: dos_train::CollectivesEntry =
-            serde_json::from_str(r#"{ "transport": "uds" }"#).unwrap();
-        assert!(FunctionalConfig::small().apply_collectives(&entry).is_err());
     }
 
     /// Acceptance: DP=4 training under a pinned seeded plan of drops and

@@ -5,15 +5,21 @@
 //! JSON entry in the configuration file given to the training runtime"):
 //!
 //! * [`RuntimeConfig`] — a DeepSpeed-style JSON document with a
-//!   `"deep_optimizer_states"` entry; [`run_iteration`]/[`run_training`]
-//!   resolve it onto the calibrated simulator with the right scheduler;
+//!   `"deep_optimizer_states"` entry (the [`DosEntry`] `dos-train` owns;
+//!   its `update_stride` is `dos_core::StridePolicy` itself);
+//!   [`run_iteration`]/[`run_training`] resolve it onto the calibrated
+//!   simulator with the right scheduler, and every out-of-range value —
+//!   a zero `data_parallel`, a subgroup count no schedule could hold — is
+//!   a typed [`ConfigError`], never a panic;
 //! * [`train_functional`] — *real* data-parallel training: per-rank threads
 //!   with `dos-nn` models, `dos-collectives` reduce-scatter/all-gather, and
 //!   one `dos_train::Trainer` per rank stepping that rank's slice of the
 //!   ZeRO-sharded optimizer state through the interleaved hybrid pipeline.
 //!   This crate owns the multi-rank loop (data, collectives, checkpoints,
-//!   elastic recovery, the adaptive tuner); the update step itself is the
-//!   trainer's.
+//!   elastic recovery, the adaptive tuner, the ranks' agreement to skip an
+//!   overflowed loss-scaled step); the update step itself is the
+//!   trainer's. Transport, deadlines and the rank-failure policy are typed
+//!   [`FunctionalConfig`] fields — no JSON entry selects them.
 //!
 //! ```
 //! use dos_runtime::{run_iteration, RuntimeConfig};
@@ -46,8 +52,10 @@ pub use autotune::{
 pub use dos_train::checkpoint::{
     AsyncCheckpointer, CheckpointError, CheckpointStore, TrainingCheckpoint,
 };
-pub use chaos::{run_chaos, ChaosCheck, ChaosOptions, ChaosReport, FaultKind};
-pub use config::{CollectivesEntry, ConfigError, DosEntry, NamedStride, RuntimeConfig, StrideEntry};
+pub use chaos::{
+    run_chaos, with_quiet_injected_panics, ChaosCheck, ChaosOptions, ChaosReport, FaultKind,
+};
+pub use config::{ConfigError, DosEntry, RuntimeConfig};
 pub use functional::{
     evaluate, train_functional, FunctionalConfig, FunctionalReport, RankFailurePolicy, TrainError,
     TransportBackend,

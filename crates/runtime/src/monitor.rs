@@ -95,7 +95,6 @@ fn resolve_config(config_json: &str) -> Result<TrainerConfig, String> {
             staleness_bound: 1,
             deep_optimizer_states: rc.deep_optimizer_states,
             monitor: None,
-            collectives: None,
         }
     };
     // Monitoring on, whatever the document said: that is the point of the

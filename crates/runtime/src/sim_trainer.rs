@@ -18,12 +18,12 @@ pub fn scheduler_for(config: &RuntimeConfig) -> Box<dyn UpdateScheduler> {
     if config.nvme_offload {
         return Box::new(NvmeOffload {
             interleave: config.deep_optimizer_states.enabled,
-            stride: config.deep_optimizer_states.update_stride.to_policy(),
+            stride: config.deep_optimizer_states.update_stride,
         });
     }
     if config.deep_optimizer_states.enabled {
         Box::new(DeepOptimizerStates {
-            stride: config.deep_optimizer_states.update_stride.to_policy(),
+            stride: config.deep_optimizer_states.update_stride,
             ..DeepOptimizerStates::default()
         })
     } else if config.gpu_resident_ratio > 0.0 {

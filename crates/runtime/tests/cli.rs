@@ -166,6 +166,21 @@ fn runtime_errors_print_no_usage() {
     let (code, stdout, stderr) = dos_cli(&["conformance", "--quick", "--filter", "nosuch"]);
     assert_eq!((code, stdout.as_str()), (1, ""));
     assert_eq!(stderr, "error: --filter `nosuch` matched no conformance cells\n");
+
+    // A document that parses but cannot be simulated is a typed error too,
+    // never a panic or an attempt at a 40 GB schedule.
+    for (tag, document) in [
+        ("dp0", r#"{"model":"7B","data_parallel":0}"#),
+        ("sg1", r#"{"model":"7B","subgroup_size":1}"#),
+    ] {
+        let path = std::env::temp_dir().join(format!("dos-cli-{tag}-{}.json", std::process::id()));
+        std::fs::write(&path, document).expect("write config");
+        let (code, stdout, stderr) = dos_cli(&[path.to_str().expect("utf-8 temp path")]);
+        std::fs::remove_file(&path).ok();
+        assert_eq!((code, stdout.as_str()), (1, ""), "{document}: {stderr}");
+        assert!(stderr.starts_with("error: invalid config value: "), "{document}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{document}: {stderr}");
+    }
 }
 
 #[test]

@@ -34,8 +34,8 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-use dos_control::SweepGate;
-use dos_core::{sync, PerfModel, StridePolicy};
+use dos_control::{RetuneLoop, SweepGate};
+use dos_core::{sync, PerfModel};
 use dos_hal::HardwareProfile;
 use dos_telemetry::{SharedDoc, Tracer};
 use dos_train::checkpoint::{CheckpointError, CheckpointStore, TrainingCheckpoint};
@@ -187,12 +187,11 @@ struct RunningSlice {
     handle: sync::JoinHandle<()>,
 }
 
-/// Per-tenant control-plane state: a `dos-control` sweep gate negotiating
-/// the stride its auto/adaptive jobs are costed at.
+/// Per-tenant control-plane state: a `dos-control` retune loop negotiating
+/// the stride its auto/adaptive jobs are costed at (it holds nothing until
+/// the tenant's first grant adopts one), clocked in grants.
 struct TenantControl {
-    gate: SweepGate,
-    stride: Option<Option<usize>>,
-    last_retune: Option<usize>,
+    retune: RetuneLoop,
     grants: usize,
     retunes: usize,
     /// Virtual instant since when the tenant has had backlog but no
@@ -205,9 +204,11 @@ struct TenantControl {
 impl TenantControl {
     fn new() -> TenantControl {
         TenantControl {
-            gate: SweepGate { hysteresis_gain: 0.05, min_iters_between_retunes: 2, max_stride: 8 },
-            stride: None,
-            last_retune: None,
+            retune: RetuneLoop::new(SweepGate {
+                hysteresis_gain: 0.05,
+                min_iters_between_retunes: 2,
+                max_stride: 8,
+            }),
             grants: 0,
             retunes: 0,
             wait_since: None,
@@ -618,39 +619,14 @@ impl Coordinator {
         let pm = PerfModel::new(self.profile.perf_model_inputs()).with_contention(contention);
         let ctl = self.tenants.get_mut(tenant)?;
         ctl.grants += 1;
-        let outcome = ctl.gate.sweep(&pm, params, subgroup);
-        match ctl.stride {
-            None => {
-                ctl.stride = Some(outcome.best_k);
-                ctl.retunes += 1;
-                ctl.last_retune = Some(ctl.grants);
-                self.tracer.control_decision(
-                    &format!("serve:{tenant}:adopt k={:?}", outcome.best_k),
-                    now,
-                );
-                outcome.best_k
-            }
-            Some(current) if current != outcome.best_k => {
-                let cur_secs = pm.predicted_update_secs(params, subgroup, current);
-                if ctl
-                    .gate
-                    .approve(ctl.grants, ctl.last_retune, cur_secs, outcome.best_secs)
-                    .is_some()
-                {
-                    ctl.stride = Some(outcome.best_k);
-                    ctl.retunes += 1;
-                    ctl.last_retune = Some(ctl.grants);
-                    self.tracer.control_decision(
-                        &format!("serve:{tenant}:retune k={:?}", outcome.best_k),
-                        now,
-                    );
-                    outcome.best_k
-                } else {
-                    current
-                }
-            }
-            Some(current) => current,
+        let sweep = ctl.retune.sweep(&pm, params, subgroup);
+        let price = |k| pm.predicted_update_secs(params, subgroup, k);
+        if let Some(mv) = ctl.retune.step(ctl.grants, &sweep, price) {
+            ctl.retunes += 1;
+            let verb = if mv.from.is_none() { "adopt" } else { "retune" };
+            self.tracer.control_decision(&format!("serve:{tenant}:{verb} k={:?}", mv.to), now);
         }
+        ctl.retune.stride()
     }
 
     /// Virtual seconds per optimizer step under `peers` concurrent
@@ -732,13 +708,8 @@ impl Coordinator {
         let tenant = self.jobs[job_id].spec.tenant.clone();
         let policy = self.jobs[job_id].spec.trainer.pipeline().stride;
         let peers = self.running.len();
-        let stride = match policy {
-            StridePolicy::Fixed(k) => Some(k.max(1)),
-            StridePolicy::CpuOnly => None,
-            StridePolicy::Auto | StridePolicy::Adaptive => {
-                self.tenant_stride(&tenant, params as f64, subgroup as f64, peers)
-            }
-        };
+        let stride =
+            policy.resolve(|| self.tenant_stride(&tenant, params as f64, subgroup as f64, peers));
         let renewal = live.is_some();
         let (trainer, restore_secs, restored) = match live {
             Some(t) => (Ok(t), 0.0, false),

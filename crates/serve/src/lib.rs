@@ -14,11 +14,14 @@
 //!   tenants; work-conserving and starvation-free.
 //! * [`Coordinator`] — the virtual-time event loop granting time-sliced
 //!   leases, preempting via the PR 3 crash-consistent checkpoint format,
-//!   negotiating per-tenant strides through `dos-control`, and exporting
+//!   negotiating per-tenant strides (each tenant drives one
+//!   `dos_control::RetuneLoop`, clocked in grants), and exporting
 //!   tenant-labelled metrics plus `serve:*` trace instants.
 //! * [`packing_oracle`] / [`packing_oracle_with_arrivals`] — the
 //!   Equation 1 lower bound the achieved makespan is judged by
-//!   ([`ServeReport::oracle_ratio`], gated at [`ORACLE_RATIO_FLOOR`]).
+//!   ([`ServeReport::oracle_ratio`], gated at [`ORACLE_RATIO_FLOOR`]);
+//!   [`job_cost`] prices a job at the stride its document's
+//!   `dos_core::StridePolicy` resolves to.
 //!
 //! All coordinator concurrency goes through the `dos_core::sync` facade,
 //! so `dos-check` can explore admit/preempt/complete interleavings and
@@ -41,7 +44,7 @@ pub use coordinator::{
     TenantReport, LINK_CONTENTION_PER_PEER, ORACLE_RATIO_FLOOR,
 };
 pub use oracle::{
-    job_cost, packing_oracle, packing_oracle_with_arrivals, resolve_stride, JobCost, OracleReport,
+    job_cost, packing_oracle, packing_oracle_with_arrivals, JobCost, OracleReport,
 };
 pub use scheduler::{FairScheduler, SchedulerConfig, TenantShare};
 pub use spec::{DeadlineClass, JobSpec, ServeSpec, MAX_PRIORITY};

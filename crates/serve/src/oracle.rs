@@ -15,7 +15,7 @@
 //! `oracle_ratio` the CLI gates on (≥ 0.85): scheduling overheads,
 //! checkpoint traffic, and link contention may cost at most 15%.
 
-use dos_core::{PerfModel, StridePolicy};
+use dos_core::PerfModel;
 use dos_hal::HardwareProfile;
 use dos_train::TrainerConfig;
 
@@ -34,24 +34,12 @@ pub struct JobCost {
     pub iterations: usize,
 }
 
-/// Resolves the stride a trainer configuration runs at for costing:
-/// fixed strides are taken verbatim, `auto`/`adaptive` resolve to the
-/// Equation 1 optimum on `profile`, `cpu_only` (and disabled
-/// deep-optimizer-states) to `None`.
-pub fn resolve_stride(profile: &HardwareProfile, trainer: &TrainerConfig) -> Option<usize> {
-    match trainer.pipeline().stride {
-        StridePolicy::Fixed(k) => Some(k.max(1)),
-        StridePolicy::CpuOnly => None,
-        StridePolicy::Auto | StridePolicy::Adaptive => {
-            PerfModel::new(profile.perf_model_inputs()).optimal_stride()
-        }
-    }
-}
-
-/// Prices one job on `profile`.
+/// Prices one job on `profile`, at the stride its configuration resolves
+/// to: fixed strides verbatim, `auto`/`adaptive` at the Equation 1 optimum
+/// on `profile`, `cpu_only` (and disabled deep-optimizer-states) CPU-only.
 pub fn job_cost(profile: &HardwareProfile, trainer: &TrainerConfig, iterations: usize) -> JobCost {
-    let stride = resolve_stride(profile, trainer);
     let pm = PerfModel::new(profile.perf_model_inputs());
+    let stride = trainer.pipeline().stride.resolve(|| pm.optimal_stride());
     let secs_per_iter =
         pm.predicted_update_secs(trainer.params as f64, trainer.subgroup_size as f64, stride);
     JobCost {
@@ -137,11 +125,12 @@ mod tests {
     #[test]
     fn stride_resolution_matches_the_policy() {
         let p = HardwareProfile::jlse_h100();
-        assert_eq!(resolve_stride(&p, &trainer(64, "3")), Some(3));
-        assert_eq!(resolve_stride(&p, &trainer(64, "\"cpu_only\"")), None);
+        let stride = |entry: &str| job_cost(&p, &trainer(64, entry), 1).stride;
+        assert_eq!(stride("3"), Some(3));
+        assert_eq!(stride("\"cpu_only\""), None);
         let eq1 = PerfModel::new(p.perf_model_inputs()).optimal_stride();
-        assert_eq!(resolve_stride(&p, &trainer(64, "\"auto\"")), eq1);
-        assert_eq!(resolve_stride(&p, &trainer(64, "\"adaptive\"")), eq1);
+        assert_eq!(stride("\"auto\""), eq1);
+        assert_eq!(stride("\"adaptive\""), eq1);
     }
 
     #[test]

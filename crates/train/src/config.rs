@@ -69,7 +69,7 @@ pub struct DosEntry {
     pub enabled: bool,
     /// `"auto"` (solve Equation 1), `"cpu_only"`, `"adaptive"` (online
     /// controller retuning), or an integer stride.
-    pub update_stride: StrideEntry,
+    pub update_stride: StridePolicy,
     /// FP32-on-GPU gradient conversion path (Figure 6 bottom).
     pub fp32_gradient_path: bool,
     /// Overlap gradient flushes with backward compute.
@@ -80,47 +80,9 @@ impl Default for DosEntry {
     fn default() -> Self {
         DosEntry {
             enabled: true,
-            update_stride: StrideEntry::Auto,
+            update_stride: StridePolicy::Auto,
             fp32_gradient_path: true,
             overlap_backward: true,
-        }
-    }
-}
-
-/// JSON form of [`StridePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case", untagged)]
-pub enum StrideEntry {
-    /// A fixed stride value.
-    Fixed(usize),
-    /// A named policy: `"auto"` or `"cpu_only"`.
-    Named(NamedStride),
-}
-
-/// Named stride policies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[serde(rename_all = "snake_case")]
-pub enum NamedStride {
-    /// Solve Equation 1.
-    Auto,
-    /// Keep every dynamic subgroup on the CPU.
-    CpuOnly,
-    /// Online retuning by the `dos-control` feedback controller.
-    Adaptive,
-}
-
-impl StrideEntry {
-    /// The `"auto"` policy.
-    #[allow(non_upper_case_globals)]
-    pub const Auto: StrideEntry = StrideEntry::Named(NamedStride::Auto);
-
-    /// Converts to the scheduler's policy type.
-    pub fn to_policy(self) -> StridePolicy {
-        match self {
-            StrideEntry::Fixed(k) => StridePolicy::Fixed(k),
-            StrideEntry::Named(NamedStride::Auto) => StridePolicy::Auto,
-            StrideEntry::Named(NamedStride::CpuOnly) => StridePolicy::CpuOnly,
-            StrideEntry::Named(NamedStride::Adaptive) => StridePolicy::Adaptive,
         }
     }
 }
@@ -131,13 +93,12 @@ impl StrideEntry {
 /// [`dos_telemetry::Tracer`] (bounded ring, no unbounded event store) so
 /// every step records into the flight recorder, publishes arena gauges,
 /// and — unless `health` is disabled — runs the online health detectors.
+/// The trainer itself never opens sockets: serving the registry is the
+/// embedding runtime's job (`dos-cli monitor --listen`, `dos-cli serve
+/// --listen`, `FunctionalConfig::monitor_listen`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(deny_unknown_fields, default)]
 pub struct MonitorEntry {
-    /// Address for the metrics endpoint (e.g. `"127.0.0.1:9464"`, or port
-    /// `0` for ephemeral). `None` leaves serving to the embedding runtime;
-    /// the trainer itself never opens sockets.
-    pub listen: Option<String>,
     /// Flight-recorder ring capacity in events.
     pub flight_capacity: usize,
     /// Enable the online health/anomaly detectors.
@@ -146,80 +107,7 @@ pub struct MonitorEntry {
 
 impl Default for MonitorEntry {
     fn default() -> Self {
-        MonitorEntry { listen: None, flight_capacity: 4096, health: true }
-    }
-}
-
-/// The optional `"collectives"` JSON entry: data-parallel transport
-/// robustness knobs. The single-process [`crate::Trainer`] carries it
-/// untouched; `dos-runtime`'s functional trainer consumes it via
-/// `FunctionalConfig::apply_collectives`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(deny_unknown_fields, default)]
-pub struct CollectivesEntry {
-    /// Transport backend: `"inproc"` (rank threads in one process) or
-    /// `"uds"` (Unix-domain sockets rendezvousing in `socket_dir`).
-    pub transport: String,
-    /// Rendezvous directory for the `"uds"` backend (`rank<r>.sock`
-    /// files). Required when `transport` is `"uds"`.
-    pub socket_dir: Option<String>,
-    /// Per-collective deadline in milliseconds. Absent keeps the blocking
-    /// mode (liveness via disconnect propagation); present enables
-    /// heartbeats, backoff retransmits, and timeout-vs-rank-failure
-    /// attribution.
-    pub collective_timeout_ms: Option<u64>,
-    /// `"error"` aborts the run when a rank dies; `"elastic"` evicts the
-    /// dead rank and continues at reduced world size from the latest
-    /// crash-consistent checkpoint.
-    pub on_rank_failure: String,
-}
-
-impl Default for CollectivesEntry {
-    fn default() -> Self {
-        CollectivesEntry {
-            transport: "inproc".to_string(),
-            socket_dir: None,
-            collective_timeout_ms: None,
-            on_rank_failure: "error".to_string(),
-        }
-    }
-}
-
-impl CollectivesEntry {
-    /// Validates the backend and policy names.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrainerError::Invalid`] for unknown names, or `"uds"`
-    /// without a `socket_dir`.
-    pub fn validate(&self) -> Result<(), TrainerError> {
-        match self.transport.as_str() {
-            "inproc" => {}
-            "uds" => {
-                if self.socket_dir.is_none() {
-                    return Err(TrainerError::Invalid {
-                        detail: "collectives.transport \"uds\" requires socket_dir".into(),
-                    });
-                }
-            }
-            other => {
-                return Err(TrainerError::Invalid {
-                    detail: format!(
-                        "unknown collectives.transport {other:?} (expected \"inproc\" or \"uds\")"
-                    ),
-                })
-            }
-        }
-        if !matches!(self.on_rank_failure.as_str(), "error" | "elastic") {
-            return Err(TrainerError::Invalid {
-                detail: format!(
-                    "unknown collectives.on_rank_failure {:?} (expected \"error\" or \
-                     \"elastic\")",
-                    self.on_rank_failure
-                ),
-            });
-        }
-        Ok(())
+        MonitorEntry { flight_capacity: 4096, health: true }
     }
 }
 
@@ -266,10 +154,6 @@ pub struct TrainerConfig {
     /// health detection). Absent → zero observability overhead.
     #[serde(default)]
     pub monitor: Option<MonitorEntry>,
-    /// Optional data-parallel transport entry (backend, deadlines,
-    /// rank-failure policy); see [`CollectivesEntry`].
-    #[serde(default)]
-    pub collectives: Option<CollectivesEntry>,
 }
 
 fn default_rule() -> String {
@@ -329,7 +213,7 @@ impl TrainerConfig {
     pub fn pipeline(&self) -> PipelineConfig {
         let dos = &self.deep_optimizer_states;
         PipelineConfig {
-            stride: if dos.enabled { dos.update_stride.to_policy() } else { StridePolicy::CpuOnly },
+            stride: if dos.enabled { dos.update_stride } else { StridePolicy::CpuOnly },
             static_residents: self.static_residents,
             fault_injection: None,
         }
@@ -348,13 +232,12 @@ impl TrainerConfig {
         }
     }
 
-    /// Validates shape fields and the optional entries.
+    /// Validates the shape fields and the scheduler selection.
     ///
     /// # Errors
     ///
     /// Returns [`TrainerError::Invalid`] when `params` or `subgroup_size`
-    /// is zero, the `scheduler` name or its knobs are out of range, or the
-    /// `collectives` entry names an unknown backend or policy.
+    /// is zero, or the `scheduler` name or its knobs are out of range.
     pub fn validate(&self) -> Result<(), TrainerError> {
         if self.params == 0 || self.subgroup_size == 0 {
             return Err(TrainerError::Invalid {
@@ -387,9 +270,6 @@ impl TrainerConfig {
                 })
             }
         }
-        if let Some(c) = &self.collectives {
-            c.validate()?;
-        }
         Ok(())
     }
 }
@@ -410,18 +290,29 @@ mod tests {
 
     #[test]
     fn stride_entry_forms() {
+        let document = |entry: &str| {
+            format!(
+                r#"{{ "params": 8, "subgroup_size": 4,
+                      "deep_optimizer_states": {{ "update_stride": {entry} }} }}"#
+            )
+        };
         for (entry, want) in [
             ("3", StridePolicy::Fixed(3)),
+            ("0", StridePolicy::Fixed(0)),
             ("\"auto\"", StridePolicy::Auto),
             ("\"cpu_only\"", StridePolicy::CpuOnly),
             ("\"adaptive\"", StridePolicy::Adaptive),
         ] {
-            let cfg = TrainerConfig::from_json(&format!(
-                r#"{{ "params": 8, "subgroup_size": 4,
-                      "deep_optimizer_states": {{ "update_stride": {entry} }} }}"#
-            ))
-            .unwrap();
+            let cfg = TrainerConfig::from_json(&document(entry)).unwrap();
             assert_eq!(cfg.pipeline().stride, want);
+            // The wire form survives the round trip verbatim.
+            let json = cfg.to_json();
+            assert!(json.contains(&format!("\"update_stride\": {entry}")), "{json}");
+            assert_eq!(TrainerConfig::from_json(&json).unwrap(), cfg);
+        }
+        for bad in ["\"sometimes\"", "-1", "2.5", "null", "[2]"] {
+            let err = TrainerConfig::from_json(&document(bad)).unwrap_err();
+            assert!(matches!(err, TrainerError::Parse(_)), "{bad}: {err}");
         }
     }
 
@@ -453,67 +344,26 @@ mod tests {
         let cfg = TrainerConfig::from_json(r#"{ "params": 8, "subgroup_size": 4 }"#).unwrap();
         assert!(cfg.monitor.is_none(), "absent entry stays absent");
         let cfg = TrainerConfig::from_json(
-            r#"{ "params": 8, "subgroup_size": 4,
-                 "monitor": { "listen": "127.0.0.1:0" } }"#,
+            r#"{ "params": 8, "subgroup_size": 4, "monitor": { "health": false } }"#,
         )
         .unwrap();
         let mon = cfg.monitor.clone().unwrap();
-        assert_eq!(mon.listen.as_deref(), Some("127.0.0.1:0"));
         assert_eq!(mon.flight_capacity, 4096);
-        assert!(mon.health);
+        assert!(!mon.health);
         let again = TrainerConfig::from_json(&cfg.to_json()).unwrap();
         assert_eq!(again.monitor, Some(mon));
-        // Typos inside the entry fail fast like everywhere else.
-        assert!(TrainerConfig::from_json(
-            r#"{ "params": 8, "subgroup_size": 4, "monitor": { "listne": "x" } }"#
-        )
-        .is_err());
-    }
-
-    #[test]
-    fn collectives_entry_parses_validates_and_round_trips() {
-        let cfg = TrainerConfig::from_json(r#"{ "params": 8, "subgroup_size": 4 }"#).unwrap();
-        assert!(cfg.collectives.is_none(), "absent entry stays absent");
-
-        let cfg = TrainerConfig::from_json(
-            r#"{ "params": 8, "subgroup_size": 4,
-                 "collectives": { "collective_timeout_ms": 2000,
-                                  "on_rank_failure": "elastic" } }"#,
-        )
-        .unwrap();
-        cfg.validate().unwrap();
-        let c = cfg.collectives.clone().unwrap();
-        assert_eq!(c.transport, "inproc");
-        assert_eq!(c.collective_timeout_ms, Some(2000));
-        assert_eq!(c.on_rank_failure, "elastic");
-        let again = TrainerConfig::from_json(&cfg.to_json()).unwrap();
-        assert_eq!(again.collectives, Some(c));
-
-        // The UDS backend needs a rendezvous directory.
-        let cfg = TrainerConfig::from_json(
+        // Typos inside the entry fail fast like everywhere else — and so
+        // do the entries nothing reads any more: the trainer never served
+        // `"listen"` (the CLIs take `--listen`) and cannot act on
+        // `"collectives"` (transport selection is `FunctionalConfig`'s).
+        for unknown in [
+            r#"{ "params": 8, "subgroup_size": 4, "monitor": { "helth": true } }"#,
+            r#"{ "params": 8, "subgroup_size": 4, "monitor": { "listen": "127.0.0.1:0" } }"#,
             r#"{ "params": 8, "subgroup_size": 4, "collectives": { "transport": "uds" } }"#,
-        )
-        .unwrap();
-        assert!(matches!(cfg.validate(), Err(TrainerError::Invalid { .. })));
-        let cfg = TrainerConfig::from_json(
-            r#"{ "params": 8, "subgroup_size": 4,
-                 "collectives": { "transport": "uds", "socket_dir": "/tmp/dos-uds" } }"#,
-        )
-        .unwrap();
-        cfg.validate().unwrap();
-
-        // Unknown names and typos fail fast.
-        for bad in [
-            r#"{ "params": 8, "subgroup_size": 4, "collectives": { "transport": "rdma" } }"#,
-            r#"{ "params": 8, "subgroup_size": 4,
-                 "collectives": { "on_rank_failure": "shrug" } }"#,
         ] {
-            assert!(TrainerConfig::from_json(bad).unwrap().validate().is_err(), "{bad}");
+            let err = TrainerConfig::from_json(unknown).unwrap_err();
+            assert!(err.to_string().contains("unknown field"), "{unknown}: {err}");
         }
-        assert!(TrainerConfig::from_json(
-            r#"{ "params": 8, "subgroup_size": 4, "collectives": { "transprot": "uds" } }"#
-        )
-        .is_err());
     }
 
     #[test]

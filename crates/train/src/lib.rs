@@ -18,9 +18,10 @@
 //! `dos-check`'s differential fuzzer drives its numerics arm through this
 //! config surface (so a config-file typo or entry-resolution bug is a
 //! fuzzable event, not just a unit-test concern), while `dos-runtime` —
-//! which depends on `dos-check` for the CLI — re-exports the shared entry
-//! types ([`DosEntry`], [`StrideEntry`], [`NamedStride`]) for its own
-//! simulator-facing `RuntimeConfig` document.
+//! which depends on `dos-check` for the CLI — re-exports the shared
+//! [`DosEntry`] for its own simulator-facing `RuntimeConfig` document. The
+//! entry's `update_stride` *is* `dos_core::StridePolicy`, which carries its
+//! own wire form (`3` | `"auto"` | `"cpu_only"` | `"adaptive"`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +32,5 @@ pub mod config;
 pub mod trainer;
 
 pub use checkpoint::{AsyncCheckpointer, CheckpointError, CheckpointStore, TrainingCheckpoint};
-pub use config::{
-    CollectivesEntry, DosEntry, MonitorEntry, NamedStride, StrideEntry, TrainerConfig, TrainerError,
-};
+pub use config::{DosEntry, MonitorEntry, TrainerConfig, TrainerError};
 pub use trainer::Trainer;
