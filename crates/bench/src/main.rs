@@ -16,6 +16,8 @@
 //! `dos-bench --json serve_bench > crates/bench/baselines/serve.json`.
 //! An unknown name lists the known ones and exits 2.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use dos::runtime::cli::{exit_code, wants_help, CliError, Flags};

@@ -134,7 +134,9 @@ impl ArenaPool {
         inner.high_water_bytes = inner.high_water_bytes.max(inner.in_use_bytes);
         self.publish(&inner);
         drop(inner);
-        buf.clear();
+        // Recycled buffers come back with their length intact, so in steady
+        // state this is a no-op and the kernel below is the only pass over
+        // the buffer; it zero-fills only what a longer lease adds.
         buf.resize(src.len(), F16::ZERO);
         kernels::downscale(src, &mut buf);
         PooledF16 { buf, pool: self.clone() }
@@ -263,6 +265,15 @@ mod tests {
         drop(pool.lease_f16_downscaled(&[1.0; 16]));
         drop(pool.lease_f16_downscaled(&[2.0; 16]));
         assert_eq!(pool.reuse_hits(), 2);
+        // The recycled buffer keeps its old length and contents until the
+        // kernel overwrites them: equal, shorter and longer leases must all
+        // come out as the scalar oracle's halves and nothing else.
+        for n in [16usize, 5, 40] {
+            let src: Vec<f32> = (0..n).map(|i| i as f32 * 0.3 - 3.0).collect();
+            let want: Vec<F16> = src.iter().map(|x| F16::from_f32(*x)).collect();
+            assert_eq!(&*pool.lease_f16_downscaled(&src), &want[..], "recycled lease of {n}");
+        }
+        assert_eq!(pool.reuse_hits(), 5);
     }
 
     #[test]

@@ -178,8 +178,9 @@ mod tests {
         assert!(report.cpu_update_pps > 1e5, "update {}", report.cpu_update_pps);
         assert!(report.cpu_downscale_pps > 1e5, "downscale {}", report.cpu_downscale_pps);
         assert!(report.staging_pps > 1e5, "staging {}", report.staging_pps);
-        // NOTE: unlike hardware (Table 1), the *software* FP16 converter is
-        // not necessarily faster than Adam — no ordering is asserted.
+        // On a host with F16C (`dos_tensor::kernels::dispatch_path()`) D_c
+        // is the cheaper term of Eq. 1, as in Table 1; on the portable path
+        // it is not. Neither ordering is asserted: timing asserts flake.
 
         let model = report.perf_model(25.0e9);
         // Whatever this machine is, the solver returns a well-formed answer

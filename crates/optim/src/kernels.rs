@@ -9,10 +9,24 @@
 //! slices in lock-step chunks with all bounds checks hoisted, which is the
 //! shape LLVM's loop vectorizer turns into packed `sqrt`/`div` lanes.
 //!
+//! Those lanes are as wide as the function they are compiled in allows:
+//! four under the x86-64 baseline (SSE2), eight inside
+//! [`dos_tensor::simd::avx2_frame`], which [`apply`] enters when the host
+//! CPU reports AVX2. It is the same source compiled twice — no intrinsics,
+//! no `fma` feature (a fused multiply-add rounds once where the rules
+//! round twice, and would change bits), no reassociation — so the two
+//! widths are bit-identical by construction, and the crate stays
+//! `forbid(unsafe_code)`: the one `unsafe` call lives in `dos-tensor`.
+//! Everything from the closure handed to the frame down to the loops is
+//! `#[inline(always)]`; without that the body is *called* from the frame
+//! rather than compiled in it and silently stays four lanes wide.
+//!
 //! [`apply_reference`] keeps the original scalar loops as the oracle;
 //! bit-identity is enforced by the unit tests here, the `kernels` arm of
 //! the conformance harness (`dos-oracle`), and proptests across rules ×
 //! stride policies × non-lane-multiple subgroup sizes.
+
+use dos_tensor::simd::avx2_frame;
 
 use crate::rule::UpdateRule;
 
@@ -28,6 +42,7 @@ fn check_lengths(step: u64, p: &[f32], g: &[f32], m: &[f32], v: &[f32]) {
     assert_eq!(v.len(), n, "variance length mismatch");
 }
 
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn adam_chunk(
     beta1: f32,
@@ -53,6 +68,7 @@ fn adam_chunk(
     }
 }
 
+#[inline(always)]
 fn adagrad_chunk(eps: f32, lr: f32, p: &mut [f32], g: &[f32], v: &mut [f32]) {
     for ((pi, &gi), vi) in p.iter_mut().zip(g).zip(v.iter_mut()) {
         let vn = *vi + gi * gi;
@@ -61,6 +77,7 @@ fn adagrad_chunk(eps: f32, lr: f32, p: &mut [f32], g: &[f32], v: &mut [f32]) {
     }
 }
 
+#[inline(always)]
 fn rmsprop_chunk(alpha: f32, eps: f32, lr: f32, p: &mut [f32], g: &[f32], v: &mut [f32]) {
     for ((pi, &gi), vi) in p.iter_mut().zip(g).zip(v.iter_mut()) {
         let vn = alpha * *vi + (1.0 - alpha) * gi * gi;
@@ -69,8 +86,9 @@ fn rmsprop_chunk(alpha: f32, eps: f32, lr: f32, p: &mut [f32], g: &[f32], v: &mu
     }
 }
 
-/// Applies `rule` to the element range, chunked and autovectorizable.
-/// Bit-identical to [`apply_reference`] for every input.
+/// Applies `rule` to the element range, chunked and autovectorizable, at
+/// the widest vector width the host has. Bit-identical to
+/// [`apply_reference`] for every input.
 ///
 /// # Panics
 ///
@@ -85,6 +103,24 @@ pub fn apply(
     v: &mut [f32],
 ) {
     check_lengths(step, p, g, m, v);
+    avx2_frame(
+        #[inline(always)]
+        || apply_chunked(rule, step, lr, p, g, m, v),
+    );
+}
+
+/// The chunked loops of [`apply`], compiled at whatever width the function
+/// they are inlined into has. Lengths are already checked.
+#[inline(always)]
+fn apply_chunked(
+    rule: &UpdateRule,
+    step: u64,
+    lr: f32,
+    p: &mut [f32],
+    g: &[f32],
+    m: &mut [f32],
+    v: &mut [f32],
+) {
     match *rule {
         UpdateRule::Adam { beta1, beta2, eps, weight_decay } => {
             let bc1 = 1.0 - beta1.powi(step as i32);
@@ -177,25 +213,50 @@ mod tests {
             .collect()
     }
 
+    type Apply = fn(&UpdateRule, u64, f32, &mut [f32], &[f32], &mut [f32], &mut [f32]);
+
+    /// [`apply`] without the AVX2 frame: the width every other host runs.
+    fn apply_unframed(
+        rule: &UpdateRule,
+        step: u64,
+        lr: f32,
+        p: &mut [f32],
+        g: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+    ) {
+        check_lengths(step, p, g, m, v);
+        apply_chunked(rule, step, lr, p, g, m, v);
+    }
+
+    /// Both compilations of the chunked loops, as inputs to the tests below.
+    const PATHS: [(&str, Apply); 2] = [("framed", apply), ("unframed", apply_unframed)];
+
     #[test]
     fn vectorized_matches_reference_across_rules_steps_and_tails() {
-        // Sizes straddling the chunk boundary and SIMD lane widths
-        // (including the non-multiple-of-lane-width tails).
-        for n in [0usize, 1, 3, 7, 15, 16, 17, 255, 256, 257, 1023, 1024, 1025, 4097] {
-            for rule in rules() {
-                let mut pa = synth(n, 1);
-                let mut ma = synth(n, 2);
-                let mut va: Vec<f32> = synth(n, 3).iter().map(|x| x.abs()).collect();
-                let (mut pb, mut mb, mut vb) = (pa.clone(), ma.clone(), va.clone());
-                for step in 1..=3u64 {
-                    let g = synth(n, 4 + step as u32);
-                    apply(&rule, step, 0.017, &mut pa, &g, &mut ma, &mut va);
-                    apply_reference(&rule, step, 0.017, &mut pb, &g, &mut mb, &mut vb);
+        // Sizes straddling the chunk boundary and SIMD lane widths of both
+        // compilations (including the non-multiple-of-lane-width tails).
+        let sizes = [
+            0usize, 1, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 255, 256, 257, 1023, 1024, 1025, 1031,
+            1032, 1033, 2047, 2048, 2049, 4097,
+        ];
+        for (path, apply) in PATHS {
+            for n in sizes {
+                for rule in rules() {
+                    let mut pa = synth(n, 1);
+                    let mut ma = synth(n, 2);
+                    let mut va: Vec<f32> = synth(n, 3).iter().map(|x| x.abs()).collect();
+                    let (mut pb, mut mb, mut vb) = (pa.clone(), ma.clone(), va.clone());
+                    for step in 1..=3u64 {
+                        let g = synth(n, 4 + step as u32);
+                        apply(&rule, step, 0.017, &mut pa, &g, &mut ma, &mut va);
+                        apply_reference(&rule, step, 0.017, &mut pb, &g, &mut mb, &mut vb);
+                    }
+                    let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&pa), bits(&pb), "params diverged: {path} {rule:?} n={n}");
+                    assert_eq!(bits(&ma), bits(&mb), "momentum diverged: {path} {rule:?} n={n}");
+                    assert_eq!(bits(&va), bits(&vb), "variance diverged: {path} {rule:?} n={n}");
                 }
-                let bits = |s: &[f32]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&pa), bits(&pb), "params diverged: {rule:?} n={n}");
-                assert_eq!(bits(&ma), bits(&mb), "momentum diverged: {rule:?} n={n}");
-                assert_eq!(bits(&va), bits(&vb), "variance diverged: {rule:?} n={n}");
             }
         }
     }
@@ -217,12 +278,14 @@ mod tests {
 
         #[test]
         fn random_inputs_stay_bit_identical(
-            n in 1usize..600,
+            n in 1usize..1100,
             seed in 0u32..1_000_000,
             ridx in 0usize..4,
             step in 1u64..5,
+            path in 0usize..2,
         ) {
             let rule = rules()[ridx];
+            let (_, apply) = PATHS[path];
             let mut pa = synth(n, seed);
             let g = synth(n, seed ^ 0xABCD);
             let mut ma = synth(n, seed ^ 0x1111);

@@ -16,7 +16,8 @@
 //! The element-wise loops themselves live in [`kernels`]: chunked,
 //! autovectorizable implementations (`U_c` in the performance model) that
 //! are bit-identical to the retained scalar oracle
-//! ([`UpdateRule::apply_reference`]).
+//! ([`UpdateRule::apply_reference`]), compiled at the baseline vector
+//! width and again at AVX2 width, the host CPU choosing at run time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -69,7 +69,9 @@
 //!   --json           emit the outcome as JSON instead of a table
 //!
 //! calibrate: measure Equation 1's CPU-side inputs on this machine with
-//! the reproduction's own kernels and solve for the update stride.
+//! the reproduction's own kernels and solve for the update stride. The
+//! report names the kernel path the CPU selected (`kernel_path` in
+//! --json), so a rate quoted from another machine says what produced it.
 //!   --elements N     parameters per kernel invocation (default: 1 << 22)
 //!   --rounds N       timed rounds behind each median (default: 5)
 //!   --ug PPS         GPU update rate to assume, params/s (default: 25e9,
@@ -127,6 +129,8 @@
 //! ```json
 //! { "model": "20B", "deep_optimizer_states": { "enabled": true } }
 //! ```
+
+#![forbid(unsafe_code)]
 
 use std::process::ExitCode;
 
@@ -436,6 +440,7 @@ fn run_calibrate(rest: &[String]) -> Result<bool, CliError> {
             rounds: usize,
             cpu_update_pps: f64,
             cpu_downscale_pps: f64,
+            kernel_path: &'static str,
             staging_pps: f64,
             gpu_update_pps: f64,
             spread: SpreadOut,
@@ -446,6 +451,7 @@ fn run_calibrate(rest: &[String]) -> Result<bool, CliError> {
             rounds: report.rounds,
             cpu_update_pps: report.cpu_update_pps,
             cpu_downscale_pps: report.cpu_downscale_pps,
+            kernel_path: dos_tensor::kernels::dispatch_path(),
             staging_pps: report.staging_pps,
             gpu_update_pps: ug,
             spread: SpreadOut {
@@ -471,6 +477,7 @@ fn run_calibrate(rest: &[String]) -> Result<bool, CliError> {
             report.cpu_downscale_pps,
             report.spread.cpu_downscale * 100.0,
         );
+        println!("      kernel path: {}", dos_tensor::kernels::dispatch_path());
         println!(
             "  B   (staging proxy)   {:>10.3e} params/s  spread {:>5.1}%",
             report.staging_pps,

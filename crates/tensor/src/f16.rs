@@ -25,6 +25,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(h.to_f32(), 1.0);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[repr(transparent)]
 pub struct F16(u16);
 
 impl F16 {

@@ -12,9 +12,15 @@
 //! The downscale is `D_c` in the paper's Eq. 1 — one of the two CPU-side
 //! throughput constants the adaptive controller steers on — so this is a
 //! measured hot path, not a micro-optimization; `benchmark/` reports it as
-//! `tensor.downscale_params_per_s`.
+//! `tensor.downscale_params_per_s`. It is also the one kernel here with a
+//! hardware path: on x86-64 hosts that report AVX2 and F16C, [`downscale`]
+//! converts eight lanes per `vcvtps2ph` (in [`crate::simd`], the same bits,
+//! exhaustively), and the branchless loop remains what every other host
+//! runs. [`dispatch_path`] names which. `upscale` and `round_through_f16`
+//! stay portable: no measured workload spends its time there.
 
 use crate::f16::F16;
+use crate::simd;
 
 /// Elements per cache-friendly chunk processed by the slice kernels.
 pub const CHUNK: usize = 4096;
@@ -84,7 +90,9 @@ pub fn f32_from_f16_bits(h: u16) -> f32 {
     f32::from_bits(bits)
 }
 
-/// Vectorized FP32→FP16 downscale over equal-length slices.
+/// Vectorized FP32→FP16 downscale over equal-length slices: `vcvtps2ph`
+/// where the host has it ([`dispatch_path`]), the branchless loop
+/// everywhere else, the same bits either way.
 ///
 /// # Panics
 ///
@@ -92,10 +100,30 @@ pub fn f32_from_f16_bits(h: u16) -> f32 {
 /// surface is [`crate::convert::downscale_f32_chunked`]).
 pub fn downscale(src: &[f32], dst: &mut [F16]) {
     assert_eq!(src.len(), dst.len(), "downscale length mismatch");
+    if !simd::downscale(src, dst) {
+        downscale_portable(src, dst);
+    }
+}
+
+/// The path [`downscale`] takes on every platform without a wider one, and
+/// the wide path's own fallback for NaN vectors and sub-vector tails.
+pub(crate) fn downscale_portable(src: &[f32], dst: &mut [F16]) {
     for (s, d) in src.chunks(CHUNK).zip(dst.chunks_mut(CHUNK)) {
         for (x, y) in s.iter().zip(d.iter_mut()) {
             *y = F16::from_bits(f16_bits_from_f32_bits(x.to_bits()));
         }
+    }
+}
+
+/// Names the kernel path run-time dispatch chose on this host for
+/// [`downscale`] (`D_c`) and `dos_optim::kernels::apply` (`U_c`) —
+/// reported by `dos-cli calibrate` so a measured rate says which kernel
+/// produced it. The CPU picks it; nothing configures it.
+pub fn dispatch_path() -> &'static str {
+    if simd::detected() {
+        "x86_64 avx2+f16c"
+    } else {
+        "portable"
     }
 }
 
@@ -229,19 +257,48 @@ mod tests {
         }
     }
 
-    /// Full 2^32 sweep — ~40 s in release, run explicitly with
+    /// Full 2^32 sweep through the *slice* kernels, dispatched and portable,
+    /// in 2^20-element blocks, so the hardware path is what is proven —
+    /// ~30 s in release, run explicitly with
     /// `cargo test -p dos-tensor --release -- --ignored exhaustive_u32`.
     #[test]
     #[ignore]
     fn downscale_matches_oracle_exhaustive_u32() {
-        let mut bits: u32 = 0;
-        loop {
-            let want = F16::from_f32(f32::from_bits(bits)).to_bits();
-            let got = f16_bits_from_f32_bits(bits);
-            assert_eq!(got, want, "downscale({bits:#010x}) diverged");
-            bits = bits.wrapping_add(1);
-            if bits == 0 {
-                break;
+        const BLOCK: u32 = 1 << 20;
+        let mut src = vec![0.0f32; BLOCK as usize];
+        let mut fast = vec![F16::ZERO; BLOCK as usize];
+        let mut portable = vec![F16::ZERO; BLOCK as usize];
+        for base in (0..=u32::MAX).step_by(BLOCK as usize) {
+            for (x, bits) in src.iter_mut().zip(base..=base + (BLOCK - 1)) {
+                *x = f32::from_bits(bits);
+            }
+            downscale(&src, &mut fast);
+            downscale_portable(&src, &mut portable);
+            for ((x, f), p) in src.iter().zip(&fast).zip(&portable) {
+                let want = F16::from_f32(*x);
+                assert_eq!(*f, want, "{} downscale({:#010x})", dispatch_path(), x.to_bits());
+                assert_eq!(*p, want, "portable downscale({:#010x})", x.to_bits());
+            }
+        }
+    }
+
+    /// Dispatched = portable = reference, bit for bit.
+    fn check_downscale_paths(src: &[f32]) {
+        let mut fast = vec![F16::ZERO; src.len()];
+        let mut portable = fast.clone();
+        let mut want = fast.clone();
+        downscale(src, &mut fast);
+        downscale_portable(src, &mut portable);
+        downscale_reference(src, &mut want);
+        for (path, got) in [(dispatch_path(), &fast), ("portable (direct)", &portable)] {
+            if let Some(i) = got.iter().zip(&want).position(|(a, b)| a != b) {
+                panic!(
+                    "{path} path diverged at element {i} of {} = {:#010x}: {:#06x}, reference {:#06x}",
+                    src.len(),
+                    src[i].to_bits(),
+                    got[i].to_bits(),
+                    want[i].to_bits()
+                );
             }
         }
     }
@@ -251,16 +308,60 @@ mod tests {
         let src: Vec<f32> = (0..10_000)
             .map(|i| ((i as f32) - 5000.0) * 0.037 + 1.0 / (i as f32 + 1.0))
             .collect();
-        let mut fast = vec![F16::ZERO; src.len()];
-        let mut slow = vec![F16::ZERO; src.len()];
-        downscale(&src, &mut fast);
-        downscale_reference(&src, &mut slow);
-        assert_eq!(fast, slow);
+        check_downscale_paths(&src);
 
+        // Every NaN class in every lane of a full vector between two clean
+        // ones. The low-13-bit-only signalling payloads (0x7F80_0001 first)
+        // are the inputs a raw `vcvtps2ph` gets wrong: this fails if NaN
+        // vectors stop leaving the hardware path.
+        for mantissa in [
+            0x0000_0001u32, // signalling, payload in the low 13 bits only
+            0x0000_1FFF,
+            0x0020_0000, // signalling, payload in the high 10 bits only
+            0x0020_0001, // signalling, both
+            0x0040_0000, // quiet, high only
+            0x0040_0001, // quiet, both
+            0x007F_FFFF,
+        ] {
+            for sign in [0u32, 0x8000_0000] {
+                for lane in 0..8 {
+                    let mut v: Vec<f32> = (0..24).map(|i| i as f32 * 0.37 - 4.0).collect();
+                    v[8 + lane] = f32::from_bits(sign | 0x7F80_0000 | mantissa);
+                    check_downscale_paths(&v);
+                }
+            }
+        }
+
+        // Rounding and range boundaries through the vector body, then every
+        // length 0..=40 from every sub-slice offset 0..8: unaligned heads,
+        // scalar tails, the empty slice.
+        let edges = [
+            0.0f32,
+            -0.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            65504.0,
+            65519.0,
+            65520.0,
+            -65520.0,
+            f32::from_bits(0x3380_0000), // 2^-24: the subnormal tie
+            f32::from_bits(0x3380_0001), // just above the tie
+            f32::from_bits(1),
+            6.103_515_6e-5,
+        ];
+        let base: Vec<f32> = edges.iter().copied().cycle().take(48).collect();
+        for offset in 0..8 {
+            for len in 0..=40 {
+                check_downscale_paths(&base[offset..offset + len]);
+            }
+        }
+
+        let mut halves = vec![F16::ZERO; src.len()];
+        downscale(&src, &mut halves);
         let mut up_fast = vec![0.0f32; src.len()];
         let mut up_slow = vec![0.0f32; src.len()];
-        upscale(&fast, &mut up_fast);
-        upscale_reference(&slow, &mut up_slow);
+        upscale(&halves, &mut up_fast);
+        upscale_reference(&halves, &mut up_slow);
         assert_eq!(
             up_fast.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
             up_slow.iter().map(|x| x.to_bits()).collect::<Vec<_>>()

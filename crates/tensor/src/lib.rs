@@ -11,7 +11,11 @@
 //! behaves as it would on real FP16 hardware. The [`kernels`] module holds
 //! branchless, autovectorizable twins of the conversions, bit-identical to
 //! the scalar oracle and used by every hot path; the scalar code remains
-//! the reference the conformance harness checks against.
+//! the reference the conformance harness checks against. Where the host
+//! CPU reports AVX2 and F16C, the downscale (`D_c`) runs on `vcvtps2ph`
+//! instead — same bits, chosen at run time, named by
+//! [`kernels::dispatch_path`]. [`simd`] is the one module in the workspace
+//! allowed to contain `unsafe`; everything it exports is safe.
 //!
 //! ```
 //! use dos_tensor::{Tensor, DType, F16};
@@ -24,7 +28,8 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`, for the sake of exactly one module: see `simd`.
+#![deny(unsafe_code)]
 
 mod bf16;
 pub mod convert;
@@ -32,6 +37,8 @@ mod dtype;
 mod error;
 mod f16;
 pub mod kernels;
+#[allow(unsafe_code)]
+pub mod simd;
 mod tensor;
 
 pub use bf16::Bf16;
