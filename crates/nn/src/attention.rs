@@ -153,6 +153,9 @@ impl CausalSelfAttention {
         let mut dq = vec![0.0; batch * h * seq * hd];
         let mut dk = vec![0.0; batch * h * seq * hd];
         let mut dv = vec![0.0; batch * h * seq * hd];
+        // One row of dprobs, reused: row `i` writes `dprow[..=i]` before it
+        // reads it.
+        let mut dprow = vec![0.0f32; seq];
 
         for b in 0..batch {
             for head in 0..h {
@@ -164,7 +167,6 @@ impl CausalSelfAttention {
                 for i in 0..seq {
                     let dout = &dctx[(b * seq + i) * d + head * hd..][..hd];
                     // dprobs and dv
-                    let mut dprow = vec![0.0f32; i + 1];
                     for j in 0..=i {
                         let vj = &vb[j * hd..(j + 1) * hd];
                         dprow[j] = dout.iter().zip(vj.iter()).map(|(a, b)| a * b).sum();

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::math::{matmul, matmul_a_bt, matmul_at_b_acc};
+use crate::math::{matmul, matmul_a_bt_with, matmul_at_b_acc};
 use crate::param::{Param, VisitParams};
 
 /// `y = x · W + b`, with `W` stored row-major as `[in_dim, out_dim]`.
@@ -16,6 +16,9 @@ pub struct Linear {
     out_dim: usize,
     cached_x: Vec<f32>,
     cached_rows: usize,
+    /// Scratch for the `Wᵀ` backward writes on every call; only its
+    /// capacity outlives one.
+    wt: Vec<f32>,
 }
 
 impl Linear {
@@ -34,6 +37,7 @@ impl Linear {
             out_dim,
             cached_x: Vec::new(),
             cached_rows: 0,
+            wt: Vec::new(),
         }
     }
 
@@ -62,7 +66,8 @@ impl Linear {
                 *v += b;
             }
         }
-        self.cached_x = x.to_vec();
+        self.cached_x.clear();
+        self.cached_x.extend_from_slice(x);
         self.cached_rows = rows;
         y
     }
@@ -87,7 +92,7 @@ impl Linear {
         }
         // dx = dy W^T
         let mut dx = vec![0.0; rows * self.in_dim];
-        matmul_a_bt(dy, &self.w.w, &mut dx, rows, self.out_dim, self.in_dim);
+        matmul_a_bt_with(dy, &self.w.w, &mut dx, rows, self.out_dim, self.in_dim, &mut self.wt);
         dx
     }
 }

@@ -446,6 +446,50 @@ mod checkpoint_and_generation_tests {
         assert_eq!(plain.gather_grads(), ckpt.gather_grads(), "grads must be bitwise equal");
     }
 
+    /// Three SGD steps of the tiny model, gradients left to accumulate:
+    /// every loss bit and a digest of the final gradients, as the plain
+    /// loops `math::gemm` replaced and the two-`tanh` GELU produced them
+    /// (captured at the commit before, debug and release). `tanh`, `exp`
+    /// and `ln` come from the platform's libm, so the pin holds for the
+    /// libm it was captured on and says so instead of failing on another.
+    #[test]
+    fn trajectory_bits_are_pinned_plain_and_recomputed() {
+        fn fnv1a(bits: impl Iterator<Item = u32>) -> u64 {
+            bits.flat_map(u32::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            })
+        }
+        let libm = fnv1a((0..4096).flat_map(|i| {
+            let x = (i as f32 - 2048.0) / 256.0;
+            [x.tanh().to_bits(), x.exp().to_bits(), (x.abs() + 1e-3).ln().to_bits()]
+        }));
+        if libm != 0x7423_1658_24c4_a79e {
+            eprintln!("trajectory pin skipped: libm {libm:#018x} is not the one it was captured on");
+            return;
+        }
+        let tokens: Vec<usize> = (0..16).map(|i| (i * 7 + 3) % 64).collect();
+        let targets: Vec<usize> = (0..16).map(|i| (i * 11 + 5) % 64).collect();
+        for recompute in [false, true] {
+            let mut m = model(21);
+            let losses = [(); 3].map(|()| {
+                let loss = m.loss_and_backward_with(&tokens, &targets, 2, 8, None, recompute);
+                let grads = m.gather_grads();
+                let mut params = m.gather_params();
+                for (p, g) in params.iter_mut().zip(&grads) {
+                    *p -= 0.5 * g;
+                }
+                m.scatter_params(&params);
+                loss.to_bits()
+            });
+            assert_eq!(losses, [0x408a_739c, 0x4074_45e2, 0x4059_15ee], "recompute {recompute}");
+            assert_eq!(
+                fnv1a(m.gather_grads().iter().map(|g| g.to_bits())),
+                0x3116_da5f_36b5_b5e7,
+                "recompute {recompute}"
+            );
+        }
+    }
+
     #[test]
     fn greedy_generation_is_deterministic() {
         let mut m = model(4);

@@ -116,7 +116,8 @@ pub(crate) fn downscale_portable(src: &[f32], dst: &mut [F16]) {
 }
 
 /// Names the kernel path run-time dispatch chose on this host for
-/// [`downscale`] (`D_c`) and `dos_optim::kernels::apply` (`U_c`) —
+/// [`downscale`] (`D_c`), `dos_optim::kernels::apply` (`U_c`) and the
+/// matrix products of `dos_nn::math` — one predicate governs all three —
 /// reported by `dos-cli calibrate` so a measured rate says which kernel
 /// produced it. The CPU picks it; nothing configures it.
 pub fn dispatch_path() -> &'static str {

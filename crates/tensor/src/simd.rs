@@ -1,5 +1,6 @@
 //! The workspace's one home for `unsafe`: the two places where the kernels
-//! of Eq. 1 step up to the vector width the host CPU reports.
+//! of Eq. 1 — and, through the same frame, `dos-nn`'s matrix products —
+//! step up to the vector width the host CPU reports.
 //!
 //! Every other module of every crate is compiled under
 //! `forbid(unsafe_code)` (this crate under `deny`, with the one `allow` on
@@ -20,8 +21,9 @@
 use crate::f16::F16;
 
 /// Whether the wide paths run on this host: x86-64 reporting both `avx2`
-/// (the update rules' frame) and `f16c` (the downscale). One predicate for
-/// both kernels, so a host is either wide or portable, never half of each.
+/// (the frame the update rules and `dos-nn`'s matrix products run in) and
+/// `f16c` (the downscale). One predicate for every kernel, so a host is
+/// either wide or portable, never part of each.
 #[inline]
 pub(crate) fn detected() -> bool {
     #[cfg(target_arch = "x86_64")]
