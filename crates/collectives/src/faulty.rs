@@ -493,6 +493,6 @@ mod tests {
         assert!(f1.recv_timeout(0, Duration::from_millis(5)).is_err());
         // ...a later poll delivers it.
         let got = f1.recv_timeout(0, Duration::from_millis(5)).unwrap();
-        assert_eq!(got.payload, vec![5]);
+        assert_eq!(*got.payload, [5]);
     }
 }

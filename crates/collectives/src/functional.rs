@@ -1,12 +1,16 @@
 //! Functional collectives over a pluggable, fault-tolerant transport.
 //!
 //! Real multi-worker collectives used by the functional data-parallel
-//! trainer: each rank broadcasts its contribution to every peer over a
-//! [`Transport`] mesh and reduces the gathered buffers **in rank order**,
-//! so the result is bitwise identical regardless of arrival order,
-//! retransmissions, or which backend carried the frames. Semantically
-//! equivalent to NCCL's `all_reduce`, `all_gather`, and `reduce_scatter`
-//! (sum reduction), which the ZeRO stages are built on.
+//! trainer, all written in one primitive: a **personalised exchange** over
+//! a full [`Transport`] mesh, in which a rank hands every peer the bytes
+//! *that peer* needs and receives what each rank sent here. A
+//! reduce-scatter sends peer `p` only chunk `p`; the gathers, the
+//! all-reduce and the barrier hand every peer the same shared payload.
+//! Contributions are reduced **in rank order**, so the result is bitwise
+//! identical regardless of arrival order, retransmissions, or which
+//! backend carried the frames. Semantically equivalent to NCCL's
+//! `all_reduce`, `all_gather`, and `reduce_scatter` (sum reduction), which
+//! the ZeRO stages are built on.
 //!
 //! Robustness (deadline mode, `timeout: Some(_)`):
 //!
@@ -36,13 +40,18 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use dos_hal::RetryPolicy;
+use dos_tensor::F16;
 
-use crate::transport::{Frame, FrameKind, Transport, TransportError};
+use crate::transport::{Frame, FrameKind, Payload, Transport, TransportError, CHECKSUM, HEADER};
 use crate::InProcTransport;
 
 /// How many completed ops' payloads each rank keeps for serving resend
 /// requests (and absorbing very stale duplicates).
 const HISTORY: usize = 8;
+
+/// Wire bytes around every payload (header and checksum), charged per
+/// frame by [`Communicator::bytes_sent`] whichever transport carries it.
+const FRAMING: usize = HEADER + CHECKSUM;
 
 /// Errors from collective operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,10 +167,13 @@ struct CommState {
     wire_seq: u64,
     /// Out-of-order buffer: `inbox[peer][op] = payload` for ops ahead of
     /// the one currently being collected.
-    inbox: Vec<BTreeMap<u64, Vec<u8>>>,
-    /// Recent own contributions, kept to serve resend requests
+    inbox: Vec<BTreeMap<u64, Payload>>,
+    /// Recent own contributions — `(op, parts)`, `parts[p]` being what
+    /// went to peer `p` — kept to serve each peer's resend requests
     /// byte-identically.
-    history: Vec<(u64, Vec<u8>)>,
+    history: Vec<(u64, Vec<Payload>)>,
+    /// Bytes handed to the transport so far, framing included.
+    bytes_sent: u64,
 }
 
 /// One rank's handle to a world of collective peers.
@@ -209,19 +221,65 @@ impl std::fmt::Debug for Communicator {
     }
 }
 
-fn encode_f32(data: &[f32]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(data.len() * 4);
-    for v in data {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-    out
+/// An element the collectives move: `N` little-endian bytes on the wire.
+trait Wire<const N: usize>: Copy {
+    fn to_le(self) -> [u8; N];
+    fn from_le(bytes: [u8; N]) -> Self;
 }
 
-fn decode_f32(bytes: &[u8]) -> Vec<f32> {
-    bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+impl Wire<4> for f32 {
+    fn to_le(self) -> [u8; 4] {
+        self.to_le_bytes()
+    }
+
+    fn from_le(bytes: [u8; 4]) -> f32 {
+        f32::from_le_bytes(bytes)
+    }
+}
+
+impl Wire<2> for F16 {
+    fn to_le(self) -> [u8; 2] {
+        self.to_bits().to_le_bytes()
+    }
+
+    fn from_le(bytes: [u8; 2]) -> F16 {
+        F16::from_bits(u16::from_le_bytes(bytes))
+    }
+}
+
+/// The one pass that turns a caller's slice into a frame payload.
+fn encode<const N: usize, T: Wire<N>>(data: &[T]) -> Payload {
+    data.iter().flat_map(|v| v.to_le()).collect::<Vec<u8>>().into()
+}
+
+/// The elements of a received payload, read straight from its bytes.
+fn decode<const N: usize, T: Wire<N>>(bytes: &[u8]) -> impl Iterator<Item = T> + '_ {
+    bytes.as_chunks::<N>().0.iter().map(|b| T::from_le(*b))
+}
+
+/// `out[i] += contribution[i]`, in place over the received bytes.
+fn accumulate(out: &mut [f32], contribution: &[u8]) {
+    for (o, c) in out.iter_mut().zip(decode::<4, f32>(contribution)) {
+        *o += c;
+    }
+}
+
+/// [`CollectiveError::LengthMismatch`] unless every contribution holds
+/// `len` elements of `size` bytes.
+fn same_lengths(got: &[Payload], size: usize, len: usize) -> Result<(), CollectiveError> {
+    if got.iter().all(|c| c.len() == len * size) {
+        return Ok(());
+    }
+    Err(CollectiveError::LengthMismatch {
+        lengths: got.iter().map(|c| c.len() / size).collect(),
+    })
+}
+
+fn link_error(op: &'static str, e: TransportError) -> CollectiveError {
+    match e {
+        TransportError::Disconnected { peer } => CollectiveError::RankFailed { rank: peer, op },
+        other => CollectiveError::Transport { op, detail: other.to_string() },
+    }
 }
 
 impl Communicator {
@@ -236,6 +294,7 @@ impl Communicator {
                 wire_seq: 0,
                 inbox: vec![BTreeMap::new(); world],
                 history: Vec::new(),
+                bytes_sent: 0,
             }),
         }
     }
@@ -278,6 +337,30 @@ impl Communicator {
         self.transport.set_epoch(epoch);
     }
 
+    /// Every byte this rank has handed its transport so far: each frame's
+    /// payload plus 33 bytes of framing, with retransmissions, resend
+    /// requests, heartbeats and `Bye`s included. The same traffic counts
+    /// the same on every backend (in-process frames are charged the
+    /// framing a socket would add).
+    pub fn bytes_sent(&self) -> u64 {
+        self.state.lock().bytes_sent
+    }
+
+    /// Hands one frame to the transport under a fresh wire number and
+    /// charges its bytes; every send of the collective layer goes through
+    /// here.
+    fn transmit(
+        &self,
+        st: &mut CommState,
+        to: usize,
+        frame: impl FnOnce(u64) -> Frame,
+    ) -> Result<(), TransportError> {
+        st.wire_seq += 1;
+        let frame = frame(st.wire_seq);
+        st.bytes_sent += (frame.payload.len() + FRAMING) as u64;
+        self.transport.send(to, frame)
+    }
+
     /// Handles one inbound frame during collection for op `opn`.
     /// Returns the payload if it completes the wait for `from`.
     fn absorb(
@@ -287,18 +370,21 @@ impl Communicator {
         frame: Frame,
         opn: u64,
         have: bool,
-    ) -> Option<Vec<u8>> {
+    ) -> Option<Payload> {
         match frame.kind {
             FrameKind::Heartbeat | FrameKind::Bye => None,
             FrameKind::Resend => {
-                // Serve byte-identical retransmission from history; unknown
-                // ops (older than the window) are ignored — the requester
-                // has either completed them or will fail by deadline.
-                if let Some((_, payload)) =
-                    st.history.iter().find(|(o, _)| *o == frame.op_seq).cloned()
-                {
-                    st.wire_seq += 1;
-                    let _ = self.transport.send(from, Frame::data(st.wire_seq, frame.op_seq, payload));
+                // Serve the requester *its* part, byte-identically, from
+                // history; unknown ops (older than the window) are ignored
+                // — the requester has either completed them or will fail
+                // by deadline.
+                let part = st
+                    .history
+                    .iter()
+                    .find(|(o, _)| *o == frame.op_seq)
+                    .map(|(_, parts)| parts[from].clone());
+                if let Some(part) = part {
+                    let _ = self.transmit(st, from, |w| Frame::data(w, frame.op_seq, part));
                 }
                 None
             }
@@ -323,54 +409,62 @@ impl Communicator {
         }
     }
 
-    /// Exchanges a buffer with all peers; returns every rank's
-    /// contribution, indexed by rank.
-    fn exchange(&self, op: &'static str, data: Vec<f32>) -> Result<Vec<Vec<f32>>, CollectiveError> {
+    /// The primitive every collective is written in: a personalised
+    /// exchange. `parts[p]` goes to peer `p`; what each rank sent *here*
+    /// comes back indexed by rank, this rank's own slot being `parts[rank]`
+    /// handed back unsent. Payloads are shared, never copied: the frames,
+    /// the resend history and the result hold reference counts.
+    fn exchange(
+        &self,
+        op: &'static str,
+        parts: Vec<Payload>,
+    ) -> Result<Vec<Payload>, CollectiveError> {
         let world = self.world_size();
         let rank = self.rank();
+        debug_assert_eq!(parts.len(), world, "one part per rank");
         if world == 1 {
-            return Ok(vec![data]);
+            return Ok(parts);
         }
         let mut st = self.state.lock();
         st.op_seq += 1;
         let opn = st.op_seq;
-        let payload = encode_f32(&data);
-        st.history.push((opn, payload.clone()));
+        st.history.push((opn, parts.clone()));
         if st.history.len() > HISTORY {
             st.history.remove(0);
         }
 
-        // Send phase: broadcast our contribution.
+        // Send phase: every peer gets its part.
         for peer in (0..world).filter(|&p| p != rank) {
-            st.wire_seq += 1;
-            let frame = Frame::data(st.wire_seq, opn, payload.clone());
-            self.transport.send(peer, frame).map_err(|e| match e {
-                TransportError::Disconnected { peer } => CollectiveError::RankFailed { rank: peer, op },
-                other => CollectiveError::Transport { op, detail: other.to_string() },
-            })?;
+            let part = parts[peer].clone();
+            self.transmit(&mut st, peer, |w| Frame::data(w, opn, part))
+                .map_err(|e| link_error(op, e))?;
         }
 
         // Collect phase.
-        let mut got: Vec<Option<Vec<u8>>> = vec![None; world];
-        got[rank] = Some(payload.clone());
+        let mut got: Vec<Option<Payload>> = vec![None; world];
         for peer in (0..world).filter(|&p| p != rank) {
-            if let Some(buf) = st.inbox[peer].remove(&opn) {
-                got[peer] = Some(buf);
-            }
+            got[peer] = st.inbox[peer].remove(&opn);
         }
+        got[rank] = Some(parts[rank].clone());
         match self.cfg.timeout {
             None => self.collect_blocking(&mut st, op, opn, &mut got)?,
-            Some(deadline) => self.collect_deadline(&mut st, op, opn, &payload, deadline, &mut got)?,
+            Some(deadline) => self.collect_deadline(&mut st, op, opn, &parts, deadline, &mut got)?,
         }
 
         // Anything still buffered at or below this op is a stale duplicate.
         for peer in 0..world {
             st.inbox[peer].retain(|&o, _| o > opn);
         }
-        Ok(got
-            .into_iter()
-            .map(|b| decode_f32(&b.unwrap_or_default()))
-            .collect())
+        Ok(got.into_iter().map(Option::unwrap_or_default).collect())
+    }
+
+    /// [`Communicator::exchange`] with one payload shared by every peer.
+    fn exchange_same(
+        &self,
+        op: &'static str,
+        payload: Payload,
+    ) -> Result<Vec<Payload>, CollectiveError> {
+        self.exchange(op, vec![payload; self.world_size()])
     }
 
     /// Blocking collection: per-peer, in rank order. Liveness comes from
@@ -380,16 +474,11 @@ impl Communicator {
         st: &mut CommState,
         op: &'static str,
         opn: u64,
-        got: &mut [Option<Vec<u8>>],
+        got: &mut [Option<Payload>],
     ) -> Result<(), CollectiveError> {
         for (peer, slot) in got.iter_mut().enumerate() {
             while slot.is_none() {
-                let frame = self.transport.recv(peer).map_err(|e| match e {
-                    TransportError::Disconnected { peer } => {
-                        CollectiveError::RankFailed { rank: peer, op }
-                    }
-                    other => CollectiveError::Transport { op, detail: other.to_string() },
-                })?;
+                let frame = self.transport.recv(peer).map_err(|e| link_error(op, e))?;
                 if let Some(buf) = self.absorb(st, peer, frame, opn, slot.is_some()) {
                     *slot = Some(buf);
                 }
@@ -406,9 +495,9 @@ impl Communicator {
         st: &mut CommState,
         op: &'static str,
         opn: u64,
-        payload: &[u8],
+        parts: &[Payload],
         deadline: Duration,
-        got: &mut [Option<Vec<u8>>],
+        got: &mut [Option<Payload>],
     ) -> Result<(), CollectiveError> {
         let world = got.len();
         let start = Instant::now();
@@ -448,29 +537,25 @@ impl Communicator {
             // final collective and gone away.
             if now.duration_since(last_beat) >= self.cfg.heartbeat {
                 for p in (0..world).filter(|p| got[*p].is_none()) {
-                    st.wire_seq += 1;
                     if let Err(TransportError::Disconnected { peer: dead }) =
-                        self.transport.send(p, Frame::heartbeat(st.wire_seq))
+                        self.transmit(st, p, Frame::heartbeat)
                     {
                         return Err(CollectiveError::RankFailed { rank: dead, op });
                     }
                 }
                 last_beat = now;
             }
-            // Loss-suspected nudges: retransmit our own contribution (the
-            // peer may have lost it and be stuck waiting on *us*) and
-            // request theirs. New wire numbers, same op number: fault
-            // plans re-roll, receivers dedupe.
+            // Loss-suspected nudges: retransmit the peer's part of our own
+            // contribution (the peer may have lost it and be stuck waiting
+            // on *us*) and request theirs. New wire numbers, same op
+            // number: fault plans re-roll, receivers dedupe.
             for p in (0..world).filter(|p| got[*p].is_none()) {
                 if now >= next_nudge[p] && attempt[p] <= self.cfg.retry.max_retries {
-                    st.wire_seq += 1;
-                    let resent = Frame::data(st.wire_seq, opn, payload.to_vec());
-                    st.wire_seq += 1;
-                    let ask = Frame::resend(st.wire_seq, opn);
-                    for frame in [resent, ask] {
-                        if let Err(TransportError::Disconnected { peer: dead }) =
-                            self.transport.send(p, frame)
-                        {
+                    let part = parts[p].clone();
+                    let resent = self.transmit(st, p, |w| Frame::data(w, opn, part));
+                    let ask = self.transmit(st, p, |w| Frame::resend(w, opn));
+                    for sent in [resent, ask] {
+                        if let Err(TransportError::Disconnected { peer: dead }) = sent {
                             return Err(CollectiveError::RankFailed { rank: dead, op });
                         }
                     }
@@ -499,7 +584,7 @@ impl Communicator {
     /// before arriving (poison propagation — waiters never hang on a
     /// dead peer), or [`CollectiveError::Timeout`] in deadline mode.
     pub fn barrier(&self) -> Result<(), CollectiveError> {
-        self.exchange("barrier", Vec::new()).map(|_| ())
+        self.exchange_same("barrier", Payload::default()).map(drop)
     }
 
     /// Sums `data` element-wise across all ranks, in place on every rank
@@ -512,17 +597,11 @@ impl Communicator {
     /// length, or a robustness error ([`CollectiveError::Timeout`],
     /// [`CollectiveError::RankFailed`], [`CollectiveError::Transport`]).
     pub fn all_reduce_sum(&self, data: &mut [f32]) -> Result<(), CollectiveError> {
-        let all = self.exchange("all_reduce", data.to_vec())?;
-        if all.iter().any(|c| c.len() != data.len()) {
-            return Err(CollectiveError::LengthMismatch {
-                lengths: all.iter().map(Vec::len).collect(),
-            });
-        }
+        let got = self.exchange_same("all_reduce", encode(data))?;
+        same_lengths(&got, size_of::<f32>(), data.len())?;
         data.fill(0.0);
-        for contribution in all.iter() {
-            for (d, c) in data.iter_mut().zip(contribution.iter()) {
-                *d += c;
-            }
+        for contribution in &got {
+            accumulate(data, contribution);
         }
         Ok(())
     }
@@ -536,17 +615,18 @@ impl Communicator {
     /// length, or a robustness error as for
     /// [`Communicator::all_reduce_sum`].
     pub fn all_gather(&self, data: &[f32]) -> Result<Vec<f32>, CollectiveError> {
-        let all = self.exchange("all_gather", data.to_vec())?;
-        if all.iter().any(|c| c.len() != data.len()) {
-            return Err(CollectiveError::LengthMismatch {
-                lengths: all.iter().map(Vec::len).collect(),
-            });
-        }
-        let mut out = Vec::with_capacity(data.len() * all.len());
-        for contribution in all.iter() {
-            out.extend_from_slice(contribution);
-        }
-        Ok(out)
+        self.gather(data, true)
+    }
+
+    /// [`Communicator::all_gather`] of FP16 halves, two bytes per element
+    /// on the wire: how the updated parameter shards travel (widen the
+    /// result once with `dos_tensor::kernels::upscale`).
+    ///
+    /// # Errors
+    ///
+    /// As for [`Communicator::all_gather`].
+    pub fn all_gather_f16(&self, data: &[F16]) -> Result<Vec<F16>, CollectiveError> {
+        self.gather(data, true)
     }
 
     /// Gathers buffers of possibly different lengths, concatenated in rank
@@ -556,10 +636,23 @@ impl Communicator {
     ///
     /// Returns a robustness error as for [`Communicator::all_reduce_sum`].
     pub fn all_gather_var(&self, data: &[f32]) -> Result<Vec<f32>, CollectiveError> {
-        let all = self.exchange("all_gather", data.to_vec())?;
-        let mut out = Vec::new();
-        for contribution in all.iter() {
-            out.extend_from_slice(contribution);
+        self.gather(data, false)
+    }
+
+    /// The three gathers: one shared payload out, every contribution
+    /// decoded once, in rank order, straight into the result.
+    fn gather<const N: usize, T: Wire<N>>(
+        &self,
+        data: &[T],
+        uniform: bool,
+    ) -> Result<Vec<T>, CollectiveError> {
+        let got = self.exchange_same("all_gather", encode(data))?;
+        if uniform {
+            same_lengths(&got, N, data.len())?;
+        }
+        let mut out = Vec::with_capacity(got.iter().map(|c| c.len() / N).sum());
+        for contribution in &got {
+            out.extend(decode::<N, T>(contribution));
         }
         Ok(out)
     }
@@ -604,8 +697,7 @@ impl Communicator {
                     if *d {
                         continue;
                     }
-                    st.wire_seq += 1;
-                    if self.transport.send(p, Frame::bye(st.wire_seq)).is_err() {
+                    if self.transmit(&mut st, p, Frame::bye).is_err() {
                         *d = true;
                     }
                 }
@@ -629,7 +721,9 @@ impl Communicator {
     }
 
     /// Reduces (sums) full-length buffers and returns this rank's 1/world
-    /// chunk (ZeRO's gradient partitioning primitive).
+    /// chunk (ZeRO's gradient partitioning primitive). Peer `p` is sent
+    /// chunk `p` only; the sum runs over the received bytes and this
+    /// rank's own chunk of `data`, in rank order from `0.0`.
     ///
     /// # Errors
     ///
@@ -639,21 +733,34 @@ impl Communicator {
     /// [`Communicator::all_reduce_sum`].
     pub fn reduce_scatter_sum(&self, data: &[f32]) -> Result<Vec<f32>, CollectiveError> {
         let world = self.world_size();
+        let rank = self.rank();
         if !data.len().is_multiple_of(world) {
             return Err(CollectiveError::UnevenPartition { len: data.len(), world });
         }
-        let all = self.exchange("reduce_scatter", data.to_vec())?;
-        if all.iter().any(|c| c.len() != data.len()) {
+        let chunk = data.len() / world;
+        let chunk_of = |p: usize| &data[p * chunk..(p + 1) * chunk];
+        let parts = (0..world)
+            .map(|p| if p == rank { Payload::default() } else { encode(chunk_of(p)) })
+            .collect();
+        let got = self.exchange("reduce_scatter", parts)?;
+        let theirs = |p: usize| p != rank;
+        if (0..world).any(|p| theirs(p) && got[p].len() != chunk * size_of::<f32>()) {
+            // A peer's chunk is 1/world of the buffer it was called with.
+            let sent_from = |p: usize| got[p].len() / size_of::<f32>() * world;
             return Err(CollectiveError::LengthMismatch {
-                lengths: all.iter().map(Vec::len).collect(),
+                lengths: (0..world)
+                    .map(|p| if theirs(p) { sent_from(p) } else { data.len() })
+                    .collect(),
             });
         }
-        let chunk = data.len() / world;
-        let start = self.rank() * chunk;
         let mut out = vec![0.0; chunk];
-        for contribution in all.iter() {
-            for (o, c) in out.iter_mut().zip(contribution[start..start + chunk].iter()) {
-                *o += c;
+        for (p, contribution) in got.iter().enumerate() {
+            if theirs(p) {
+                accumulate(&mut out, contribution);
+            } else {
+                for (o, c) in out.iter_mut().zip(chunk_of(rank)) {
+                    *o += c;
+                }
             }
         }
         Ok(out)
@@ -664,6 +771,7 @@ impl Communicator {
 mod tests {
     use super::*;
     use crate::faulty::{DisconnectPoint, DisconnectRule, FaultyTransport, TransportFaultPlan};
+    use std::sync::Arc;
     use std::thread;
 
     fn run_world<F, T>(world: usize, f: F) -> Vec<T>
@@ -959,6 +1067,176 @@ mod tests {
                 assert!(elapsed >= Duration::from_millis(80));
             }
             other => panic!("expected Timeout, got {other:?}"),
+        }
+    }
+
+    /// Delivers everything except the first data frame from `victim`,
+    /// which it swallows (one contribution lost on the wire, exactly
+    /// once), and logs every data frame `victim` sent here.
+    struct DropFirstDataFrom {
+        inner: InProcTransport,
+        victim: usize,
+        seen: Arc<Mutex<Vec<Frame>>>,
+    }
+
+    impl Transport for DropFirstDataFrom {
+        fn rank(&self) -> usize {
+            self.inner.rank()
+        }
+
+        fn world_size(&self) -> usize {
+            self.inner.world_size()
+        }
+
+        fn send(&self, to: usize, frame: Frame) -> Result<(), TransportError> {
+            self.inner.send(to, frame)
+        }
+
+        fn recv(&self, from: usize) -> Result<Frame, TransportError> {
+            self.inner.recv(from)
+        }
+
+        fn recv_timeout(&self, from: usize, timeout: Duration) -> Result<Frame, TransportError> {
+            let frame = self.inner.recv_timeout(from, timeout)?;
+            if from == self.victim && frame.kind == FrameKind::Data {
+                let mut seen = self.seen.lock();
+                seen.push(frame.clone());
+                if seen.len() == 1 {
+                    return Err(TransportError::Timeout { peer: from });
+                }
+            }
+            Ok(frame)
+        }
+    }
+
+    #[test]
+    fn a_dropped_reduce_scatter_chunk_is_resent_from_history_as_that_peers_chunk() {
+        // Every (rank, chunk) pair carries a distinct value, so a resend
+        // served with any chunk but the requester's own changes the sum.
+        let rounds = |c: Communicator| {
+            let mut out = Vec::new();
+            for round in 0..3 {
+                let data: Vec<f32> = (0..9)
+                    .map(|i| (round * 100 + c.rank() * 10 + i) as f32 + 0.125)
+                    .collect();
+                out.extend(c.reduce_scatter_sum(&data).unwrap());
+            }
+            c.shutdown(Duration::from_secs(10));
+            out
+        };
+        let mut cfg = CollectiveConfig::with_timeout(Duration::from_secs(10));
+        cfg.heartbeat = Duration::from_millis(5);
+        let clean = run_comms(Communicator::world_with(3, cfg.clone()), rounds);
+        // Rank 0 loses rank 2's chunk of round 0. Rank 2 holds everything
+        // it needs and moves on, so only its history can answer the ask.
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let lossy: Vec<Communicator> = InProcTransport::world(3)
+            .into_iter()
+            .map(|t| -> Box<dyn Transport> {
+                if t.rank() == 0 {
+                    Box::new(DropFirstDataFrom { inner: t, victim: 2, seen: seen.clone() })
+                } else {
+                    Box::new(t)
+                }
+            })
+            .map(|t| Communicator::new(t, cfg.clone()))
+            .collect();
+        let lossy = run_comms(lossy, rounds);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (rank, (want, got)) in clean.iter().zip(&lossy).enumerate() {
+            assert_eq!(bits(got), bits(want), "rank {rank} diverged from the loss-free run");
+        }
+        // Round 0 is op 1: the swallowed frame, then at least one resend,
+        // each rank 2's chunk 0 (floats 20.125, 21.125, 22.125) and nothing
+        // more, byte for byte.
+        let seen = seen.lock();
+        let first_op: Vec<&Frame> = seen.iter().filter(|f| f.op_seq == 1).collect();
+        assert!(first_op.len() >= 2, "the lost chunk was never resent: {:?}", *seen);
+        for frame in first_op {
+            assert_eq!(frame.payload, encode(&[20.125f32, 21.125, 22.125]));
+        }
+    }
+
+    #[test]
+    fn fp16_gather_then_upscale_equals_the_f32_gather_of_widened_halves() {
+        // All 65,536 FP16 patterns, NaN payloads included, split over two
+        // ranks: two bytes per element on the wire and one `upscale` must
+        // land on the bits of the old widen-then-gather-f32 path.
+        let results = run_world(2, |c| {
+            let lo = c.rank() as u32 * 32_768;
+            let halves: Vec<F16> = (lo..lo + 32_768).map(|b| F16::from_bits(b as u16)).collect();
+            let before = c.bytes_sent();
+            let gathered = c.all_gather_f16(&halves).unwrap();
+            let f16_bytes = c.bytes_sent() - before;
+            let mut narrow = vec![0.0f32; gathered.len()];
+            dos_tensor::kernels::upscale(&gathered, &mut narrow);
+            let widened: Vec<f32> = halves.iter().map(|h| h.to_f32()).collect();
+            let wide = c.all_gather(&widened).unwrap();
+            (narrow, wide, f16_bytes, c.bytes_sent() - before - f16_bytes)
+        });
+        for (narrow, wide, f16_bytes, f32_bytes) in results {
+            assert_eq!(narrow.len(), 65_536);
+            for (i, (a, b)) in narrow.iter().zip(&wide).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "pattern {i:#06x}");
+            }
+            assert_eq!(f16_bytes, 2 * 32_768 + 33);
+            assert_eq!(f32_bytes, 4 * 32_768 + 33);
+        }
+    }
+
+    #[test]
+    fn bytes_sent_counts_payload_and_framing_of_every_frame() {
+        let results = run_world(4, |c| {
+            let mut sent = vec![c.bytes_sent()];
+            c.barrier().unwrap();
+            sent.push(c.bytes_sent());
+            c.reduce_scatter_sum(&[1.0; 8]).unwrap();
+            sent.push(c.bytes_sent());
+            c.all_reduce_sum(&mut [1.0; 8]).unwrap();
+            sent.push(c.bytes_sent());
+            sent
+        });
+        for sent in results {
+            // Three peers each: an empty frame, a 2-float chunk, 8 floats.
+            assert_eq!(sent, vec![0, 3 * 33, 3 * (33 + 33 + 8), 3 * (33 + 33 + 8 + 33 + 32)]);
+        }
+        assert_eq!(Communicator::world(1)[0].bytes_sent(), 0);
+    }
+
+    /// The two-thread probe: what the three collectives of one `train_dp2`
+    /// iteration cost a rank (gradient of 168,192 floats reduce-scattered,
+    /// the FP16 shard all-gathered, the loss all-reduced). Run with
+    /// `cargo test --release -p dos-collectives -- --ignored probe --nocapture`.
+    #[test]
+    #[ignore = "a timing probe, not a check"]
+    fn probe_collectives_cpu_per_iteration() {
+        const N: usize = 168_192;
+        const ITERS: u32 = 2_000;
+        // utime + stime of this process, in clock ticks (Linux only).
+        let cpu_ticks = || -> Option<u64> {
+            let stat = std::fs::read_to_string("/proc/self/stat").ok()?;
+            let mut fields = stat.rsplit_once(')')?.1.split_whitespace().skip(11);
+            Some(fields.next()?.parse::<u64>().ok()? + fields.next()?.parse::<u64>().ok()?)
+        };
+        let ticks = cpu_ticks();
+        let walls = run_world(2, |c| {
+            let grads: Vec<f32> = (0..N).map(|i| (i % 251) as f32 * 1e-3).collect();
+            let shard = vec![F16::from_f32(0.5); N / 2];
+            let start = Instant::now();
+            for _ in 0..ITERS {
+                std::hint::black_box(c.reduce_scatter_sum(&grads).unwrap());
+                std::hint::black_box(c.all_gather_f16(&shard).unwrap());
+                c.all_reduce_sum(&mut [1.0]).unwrap();
+            }
+            (start.elapsed() / ITERS, c.bytes_sent() / u64::from(ITERS))
+        });
+        for (rank, (wall, bytes)) in walls.iter().enumerate() {
+            println!("rank {rank}: {:.3} ms wall, {bytes} B sent per iteration", wall.as_secs_f64() * 1e3);
+        }
+        if let (Some(a), Some(b)) = (ticks, cpu_ticks()) {
+            // 100 ticks a second, two ranks.
+            let ms = (b - a) as f64 * 10.0 / 2.0 / f64::from(ITERS);
+            println!("process CPU: {ms:.3} ms per rank per iteration");
         }
     }
 

@@ -129,7 +129,7 @@ mod tests {
         let t0 = world.pop().unwrap();
         t0.send(1, Frame::data(0, 1, vec![9])).unwrap();
         let got = t1.recv(0).unwrap();
-        assert_eq!(got.payload, vec![9]);
+        assert_eq!(*got.payload, [9]);
         assert_eq!(t1.recv_timeout(0, Duration::from_millis(5)), Err(TransportError::Timeout { peer: 0 }));
     }
 

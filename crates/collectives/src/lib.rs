@@ -4,11 +4,13 @@
 //! two flavors:
 //!
 //! * [`Communicator`] — *functional* collectives (sum all-reduce,
-//!   all-gather, reduce-scatter, barrier) over a pluggable [`Transport`]:
-//!   in-process facade channels ([`InProcTransport`], explorable by
-//!   `dos-check`), real UDS/TCP sockets between processes
-//!   ([`SocketTransport`]), or a seeded fault-injecting wrapper
-//!   ([`FaultyTransport`]). The collective layer adds per-op deadlines,
+//!   all-gather in FP32 and FP16, reduce-scatter, barrier), all written in
+//!   one full-mesh **personalised exchange** — every peer is sent the
+//!   bytes it needs, as one shared immutable [`Payload`] per contribution —
+//!   over a pluggable [`Transport`]: in-process facade channels
+//!   ([`InProcTransport`], explorable by `dos-check`), real UDS/TCP sockets
+//!   between processes ([`SocketTransport`]), or a seeded fault-injecting
+//!   wrapper ([`FaultyTransport`]). The collective layer adds per-op deadlines,
 //!   retry/backoff, sequence-numbered idempotent retransmits, heartbeat
 //!   rank-failure detection, and typed failure attribution
 //!   ([`CollectiveError::Timeout`] vs [`CollectiveError::RankFailed`]);
@@ -36,4 +38,4 @@ pub use faulty::{
 pub use functional::{CollectiveConfig, CollectiveError, Communicator};
 pub use inproc::InProcTransport;
 pub use socket::SocketTransport;
-pub use transport::{Frame, FrameKind, Transport, TransportError};
+pub use transport::{Frame, FrameKind, Payload, Transport, TransportError, MAX_PAYLOAD};

@@ -18,7 +18,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::transport::{Frame, Transport, TransportError};
+use crate::transport::{Frame, Transport, TransportError, HEADER};
 
 /// One duplex stream, TCP or UDS.
 enum Conn {
@@ -68,26 +68,16 @@ struct FrameReader {
     buf: Vec<u8>,
 }
 
-/// Header length of the wire encoding (everything before the payload).
-const HEADER: usize = 25;
-/// Trailing checksum length.
-const CHECKSUM: usize = 8;
-
 impl FrameReader {
-    /// Total frame size once the header is buffered, if it is.
-    fn frame_len(&self) -> Option<usize> {
-        if self.buf.len() < HEADER {
-            return None;
-        }
-        let mut l = [0u8; 4];
-        l.copy_from_slice(&self.buf[21..25]);
-        Some(HEADER + u32::from_le_bytes(l) as usize + CHECKSUM)
-    }
-
     fn read_frame(&mut self, peer: usize, timeout: Option<Duration>) -> Result<Frame, TransportError> {
         let deadline = timeout.map(|t| Instant::now() + t);
         loop {
-            if let Some(total) = self.frame_len() {
+            // The header is validated the moment it is buffered: a stream
+            // that lost its framing (one flipped length byte is enough) is
+            // reported as corrupt instead of waited on for up to 4 GiB.
+            if self.buf.len() >= HEADER {
+                let total = Frame::wire_len(&self.buf[..HEADER])
+                    .map_err(|detail| TransportError::Corrupt { peer, detail })?;
                 if self.buf.len() >= total {
                     let frame = Frame::decode(&self.buf[..total])
                         .map_err(|detail| TransportError::Corrupt { peer, detail })?;
@@ -347,7 +337,7 @@ impl Transport for SocketTransport {
             .get(to)
             .and_then(Option::as_ref)
             .ok_or(TransportError::Disconnected { peer: to })?;
-        let bytes = frame.encode();
+        let bytes = frame.try_encode()?;
         writer.lock().write_all_bytes(&bytes).map_err(|e| match e.kind() {
             std::io::ErrorKind::BrokenPipe
             | std::io::ErrorKind::ConnectionReset
@@ -376,6 +366,18 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    /// A connected two-rank UDS world in a fresh scratch directory.
+    #[cfg(unix)]
+    fn uds_pair(tag: &str) -> (SocketTransport, SocketTransport, PathBuf) {
+        let dir = scratch_dir(tag);
+        let t0 = thread::spawn({
+            let dir = dir.clone();
+            move || SocketTransport::connect_uds(0, 2, &dir, Duration::from_secs(5)).unwrap()
+        });
+        let t1 = SocketTransport::connect_uds(1, 2, &dir, Duration::from_secs(5)).unwrap();
+        (t0.join().unwrap(), t1, dir)
     }
 
     #[cfg(unix)]
@@ -440,14 +442,53 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
+    fn a_corrupted_header_is_reported_at_once_not_waited_on() {
+        // A real UDS pair; rank 1 writes hand-corrupted bytes. Either flip
+        // would have had the reader wait forever for a frame that never
+        // completes (up to 4 GiB of it); both must read as `Corrupt` well
+        // inside the timeout, from the 25 header bytes alone.
+        // (scratch tag, header byte to flip, bit, what the error names)
+        let cases = [("len", HEADER - 1, 0x80, "exceeds"), ("magic", 0, 0x01, "magic")];
+        for (tag, at, bit, expect) in cases {
+            let (t0, t1, dir) = uds_pair(tag);
+            let mut bytes = Frame::data(1, 1, vec![7u8; 64]).encode();
+            bytes[at] ^= bit;
+            // Header only: the reader must not need the rest to decide.
+            let writer = t1.writers[0].as_ref().unwrap();
+            writer.lock().write_all_bytes(&bytes[..HEADER]).unwrap();
+            let started = Instant::now();
+            match t0.recv_timeout(1, Duration::from_secs(20)) {
+                Err(TransportError::Corrupt { peer: 1, detail }) => {
+                    assert!(detail.contains(expect), "{tag}: unexpected detail: {detail}");
+                }
+                other => panic!("{tag}: expected Corrupt, got {other:?}"),
+            }
+            assert!(started.elapsed() < Duration::from_secs(5), "{tag}: waited for the frame");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_oversized_payload_is_a_typed_send_error() {
+        let (t0, t1, dir) = uds_pair("big");
+        // Zeroed pages that are never touched: the length is checked before
+        // a byte is copied.
+        let frame = Frame::data(1, 1, vec![0u8; crate::MAX_PAYLOAD + 1]);
+        assert_eq!(
+            t1.send(0, frame),
+            Err(TransportError::TooLarge { len: crate::MAX_PAYLOAD + 1 })
+        );
+        // Nothing reached the wire, and the link still works.
+        t1.send(0, Frame::heartbeat(2)).unwrap();
+        assert_eq!(t0.recv_timeout(1, Duration::from_secs(5)), Ok(Frame::heartbeat(2)));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
     fn peer_process_death_is_a_disconnect() {
-        let dir = scratch_dir("death");
-        let t0 = thread::spawn({
-            let dir = dir.clone();
-            move || SocketTransport::connect_uds(0, 2, &dir, Duration::from_secs(5)).unwrap()
-        });
-        let t1 = SocketTransport::connect_uds(1, 2, &dir, Duration::from_secs(5)).unwrap();
-        let t0 = t0.join().unwrap();
+        let (t0, t1, dir) = uds_pair("death");
         drop(t1); // rank 1 "process" exits
         match t0.recv_timeout(1, Duration::from_secs(2)) {
             Err(TransportError::Disconnected { peer: 1 }) => {}

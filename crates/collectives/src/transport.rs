@@ -8,10 +8,20 @@
 //! ([`crate::SocketTransport`]), or a fault-injecting wrapper
 //! ([`crate::FaultyTransport`]).
 
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Leading magic of every wire-encoded frame (`"DOSF"`).
 pub const FRAME_MAGIC: u32 = 0x444F_5346;
+
+/// Bytes of the wire encoding before the payload.
+pub(crate) const HEADER: usize = 25;
+/// Bytes of the trailing checksum.
+pub(crate) const CHECKSUM: usize = 8;
+/// Largest payload a frame may carry: a quarter of what the 4-byte length
+/// field can express, so a flipped high bit in it reads as corruption
+/// instead of as a frame to wait for.
+pub const MAX_PAYLOAD: usize = 1 << 30;
 
 /// What a [`Frame`] carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,6 +62,27 @@ impl FrameKind {
     }
 }
 
+/// A frame's bytes: one immutable buffer shared by reference count, so the
+/// collective layer's history, an in-flight frame, a fault injector's jitter
+/// queue and a retransmission all hold the *same* allocation. A `Vec<u8>`
+/// converts into it without copying the bytes; it reads as a `[u8]`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Payload(Arc<Vec<u8>>);
+
+impl From<Vec<u8>> for Payload {
+    fn from(bytes: Vec<u8>) -> Payload {
+        Payload(Arc::new(bytes))
+    }
+}
+
+impl std::ops::Deref for Payload {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// One transport message.
 ///
 /// `wire_seq` is a per-link transmission counter: every transmission —
@@ -69,45 +100,86 @@ pub struct Frame {
     pub op_seq: u64,
     /// Message discriminator.
     pub kind: FrameKind,
-    /// Opaque payload (little-endian `f32`s for the collectives here).
-    pub payload: Vec<u8>,
+    /// Opaque payload (little-endian `f32`s or FP16 halves for the
+    /// collectives here).
+    pub payload: Payload,
 }
 
 impl Frame {
     /// A data frame.
-    pub fn data(wire_seq: u64, op_seq: u64, payload: Vec<u8>) -> Frame {
-        Frame { wire_seq, op_seq, kind: FrameKind::Data, payload }
+    pub fn data(wire_seq: u64, op_seq: u64, payload: impl Into<Payload>) -> Frame {
+        Frame { wire_seq, op_seq, kind: FrameKind::Data, payload: payload.into() }
     }
 
     /// A heartbeat frame.
     pub fn heartbeat(wire_seq: u64) -> Frame {
-        Frame { wire_seq, op_seq: 0, kind: FrameKind::Heartbeat, payload: Vec::new() }
+        Frame { wire_seq, op_seq: 0, kind: FrameKind::Heartbeat, payload: Payload::default() }
     }
 
     /// A resend request for `op_seq`.
     pub fn resend(wire_seq: u64, op_seq: u64) -> Frame {
-        Frame { wire_seq, op_seq, kind: FrameKind::Resend, payload: Vec::new() }
+        Frame { wire_seq, op_seq, kind: FrameKind::Resend, payload: Payload::default() }
     }
 
     /// A graceful-teardown announcement.
     pub fn bye(wire_seq: u64) -> Frame {
-        Frame { wire_seq, op_seq: 0, kind: FrameKind::Bye, payload: Vec::new() }
+        Frame { wire_seq, op_seq: 0, kind: FrameKind::Bye, payload: Payload::default() }
     }
 
     /// Wire encoding: `magic u32 | kind u8 | wire_seq u64 | op_seq u64 |
     /// len u32 | payload | fnv1a-64 checksum` (all little-endian, checksum
     /// over everything before it).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(29 + self.payload.len() + 8);
+    ///
+    /// # Errors
+    ///
+    /// [`TransportError::TooLarge`] when the payload exceeds
+    /// [`MAX_PAYLOAD`]: the length field is never written truncated.
+    pub fn try_encode(&self) -> Result<Vec<u8>, TransportError> {
+        let len = self.payload.len();
+        if len > MAX_PAYLOAD {
+            return Err(TransportError::TooLarge { len });
+        }
+        let mut out = Vec::with_capacity(HEADER + len + CHECKSUM);
         out.extend_from_slice(&FRAME_MAGIC.to_le_bytes());
         out.push(self.kind.as_u8());
         out.extend_from_slice(&self.wire_seq.to_le_bytes());
         out.extend_from_slice(&self.op_seq.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&(len as u32).to_le_bytes());
         out.extend_from_slice(&self.payload);
         let sum = fnv1a64(&out);
         out.extend_from_slice(&sum.to_le_bytes());
-        out
+        Ok(out)
+    }
+
+    /// [`Frame::try_encode`] for payloads known to fit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the payload exceeds [`MAX_PAYLOAD`].
+    pub fn encode(&self) -> Vec<u8> {
+        match self.try_encode() {
+            Ok(bytes) => bytes,
+            Err(e) => panic!("{e}"),
+        }
+    }
+
+    /// Total encoded size of the frame whose first [`HEADER`] bytes are
+    /// `header`, once its magic and length field have been validated —
+    /// what a stream reader may trust before the checksum has arrived.
+    pub(crate) fn wire_len(header: &[u8]) -> Result<usize, String> {
+        let word = |at: usize| {
+            let mut w = [0u8; 4];
+            w.copy_from_slice(&header[at..at + 4]);
+            u32::from_le_bytes(w)
+        };
+        if word(0) != FRAME_MAGIC {
+            return Err("bad frame magic".to_string());
+        }
+        let len = word(HEADER - 4) as usize;
+        if len > MAX_PAYLOAD {
+            return Err(format!("length field {len} exceeds the {MAX_PAYLOAD}-byte maximum"));
+        }
+        Ok(HEADER + len + CHECKSUM)
     }
 
     /// Decodes a frame previously produced by [`Frame::encode`].
@@ -117,10 +189,10 @@ impl Frame {
     /// Returns a description of the first malformed field (bad magic,
     /// unknown kind, truncation, checksum mismatch).
     pub fn decode(bytes: &[u8]) -> Result<Frame, String> {
-        if bytes.len() < 25 + 8 {
+        if bytes.len() < HEADER + CHECKSUM {
             return Err(format!("frame truncated: {} bytes", bytes.len()));
         }
-        let (body, sum_bytes) = bytes.split_at(bytes.len() - 8);
+        let (body, sum_bytes) = bytes.split_at(bytes.len() - CHECKSUM);
         let mut sum = [0u8; 8];
         sum.copy_from_slice(sum_bytes);
         let expected = u64::from_le_bytes(sum);
@@ -128,27 +200,23 @@ impl Frame {
         if expected != actual {
             return Err(format!("checksum mismatch: stored {expected:#x}, computed {actual:#x}"));
         }
-        let mut magic = [0u8; 4];
-        magic.copy_from_slice(&body[0..4]);
-        if u32::from_le_bytes(magic) != FRAME_MAGIC {
-            return Err("bad frame magic".to_string());
+        let total = Frame::wire_len(body)?;
+        if total != bytes.len() {
+            return Err(format!(
+                "length field {} disagrees with frame size",
+                total - HEADER - CHECKSUM
+            ));
         }
         let kind = FrameKind::from_u8(body[4]).ok_or_else(|| format!("unknown kind {}", body[4]))?;
         let mut w = [0u8; 8];
         w.copy_from_slice(&body[5..13]);
         let mut o = [0u8; 8];
         o.copy_from_slice(&body[13..21]);
-        let mut l = [0u8; 4];
-        l.copy_from_slice(&body[21..25]);
-        let len = u32::from_le_bytes(l) as usize;
-        if body.len() != 25 + len {
-            return Err(format!("length field {} disagrees with frame size", len));
-        }
         Ok(Frame {
             wire_seq: u64::from_le_bytes(w),
             op_seq: u64::from_le_bytes(o),
             kind,
-            payload: body[25..].to_vec(),
+            payload: body[HEADER..].to_vec().into(),
         })
     }
 }
@@ -192,6 +260,12 @@ pub enum TransportError {
         /// Stringified error.
         detail: String,
     },
+    /// A frame's payload does not fit the wire format ([`MAX_PAYLOAD`]);
+    /// nothing was sent.
+    TooLarge {
+        /// The payload length in bytes.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for TransportError {
@@ -203,6 +277,9 @@ impl std::fmt::Display for TransportError {
                 write!(f, "corrupt frame from rank {peer}: {detail}")
             }
             TransportError::Io { peer, detail } => write!(f, "i/o error on link to rank {peer}: {detail}"),
+            TransportError::TooLarge { len } => {
+                write!(f, "payload of {len} bytes exceeds the {MAX_PAYLOAD}-byte frame maximum")
+            }
         }
     }
 }
@@ -277,5 +354,28 @@ mod tests {
         let err = Frame::decode(&bytes).unwrap_err();
         assert!(err.contains("checksum"), "unexpected error: {err}");
         assert!(Frame::decode(&bytes[..10]).unwrap_err().contains("truncated"));
+    }
+
+    #[test]
+    fn the_header_alone_rejects_bad_magic_and_oversized_lengths() {
+        let bytes = Frame::data(1, 1, vec![42; 16]).encode();
+        assert_eq!(Frame::wire_len(&bytes[..HEADER]), Ok(HEADER + 16 + CHECKSUM));
+        let mut long = bytes.clone();
+        long[HEADER - 1] = 0x40; // length field = 16 + 2^30
+        assert!(Frame::wire_len(&long[..HEADER]).unwrap_err().contains("exceeds"));
+        let mut alien = bytes;
+        alien[3] ^= 0xff;
+        assert!(Frame::wire_len(&alien[..HEADER]).unwrap_err().contains("magic"));
+    }
+
+    #[test]
+    fn a_payload_converts_from_a_vec_without_copying_and_clones_by_reference() {
+        let bytes = vec![1u8, 2, 3];
+        let at = bytes.as_ptr();
+        let payload = Payload::from(bytes);
+        assert_eq!(payload.as_ptr(), at);
+        assert_eq!(payload.clone().as_ptr(), at);
+        assert_eq!(Frame::data(1, 1, payload.clone()).payload.as_ptr(), at);
+        assert_eq!(*payload, [1, 2, 3]);
     }
 }

@@ -72,14 +72,14 @@ pub trait VisitParams {
     /// Concatenates all weights into one flat vector (the order `dos-zero`
     /// shards over).
     fn gather_params(&mut self) -> Vec<f32> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.num_params());
         self.visit_params(&mut |p| out.extend_from_slice(&p.w));
         out
     }
 
     /// Concatenates all gradients into one flat vector.
     fn gather_grads(&mut self) -> Vec<f32> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.num_params());
         self.visit_params(&mut |p| out.extend_from_slice(&p.g));
         out
     }

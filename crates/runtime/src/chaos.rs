@@ -506,6 +506,12 @@ fn transport_faults(
     if !run.ranks_consistent {
         return Err("surviving ranks ended with inconsistent parameters".to_string());
     }
+    // Every world has a rank 0 (an eviction renumbers the survivors): its
+    // communicators' own byte counter, retransmissions and heartbeats
+    // included, must have reached the run's registry.
+    if tracer.metrics().counter("collectives.bytes_sent|rank=0") == 0 {
+        return Err("no collectives.bytes_sent counter was published".to_string());
+    }
     let detail = if permanent {
         if run.recoveries == 0 {
             return Err("permanent rank failure triggered no elastic recovery".to_string());

@@ -23,7 +23,8 @@ use dos_core::{PipelineConfig, PipelineError, StridePolicy};
 use dos_data::{DataLoader, TokenDataset};
 use dos_nn::{Gpt, GptConfig, VisitParams};
 use dos_optim::{clip_grad_norm, DynamicLossScaler, LrSchedule, MixedPrecisionState, UpdateRule};
-use dos_telemetry::{TraceEvent, Tracer};
+use dos_telemetry::{SpanGuard, TraceEvent, Tracer};
+use dos_tensor::kernels;
 use dos_train::checkpoint::{AsyncCheckpointer, CheckpointError, CheckpointStore, TrainingCheckpoint};
 use dos_train::{Trainer, TrainerError};
 use dos_zero::rank_range;
@@ -585,6 +586,23 @@ fn run_rank(
     let mut checkpointer = AsyncCheckpointer::new();
     let mut degraded_steps = 0usize;
     let mut losses = Vec::with_capacity(iterations);
+    // The widened device parameters, rewritten by every all-gather.
+    let mut full = vec![0.0f32; model.num_params()];
+    // With a run tracer, the communicator's own byte counter is published
+    // as it grows: into the registry as `collectives.bytes_sent|rank=N`,
+    // and as the `work` of the communicate span the bytes were sent in.
+    let bytes_counter = format!("collectives.bytes_sent|rank={rank}");
+    let mut published = 0u64;
+    let mut publish_sent = |span: Option<SpanGuard>| {
+        if let Some(t) = &cfg.tracer {
+            let delta = comm.bytes_sent() - published;
+            published += delta;
+            t.metrics().inc_counter(&bytes_counter, delta);
+            if let Some(mut span) = span {
+                span.set_work(delta as f64);
+            }
+        }
+    };
     for rel_it in 0..iterations {
         let it = rel_it + resume_at;
         // Scheduled transport faults (disconnects, partition windows) key
@@ -644,7 +662,7 @@ fn run_rank(
                 *g *= inv;
             }
         }
-        drop(comm_span);
+        publish_sent(comm_span);
         if let Some(schedule) = cfg.lr_schedule {
             trainer.set_lr(schedule.lr_at(it as u64 + 1));
         }
@@ -685,15 +703,15 @@ fn run_rank(
         };
 
         // All-gather the updated FP16 parameters (the device copies every
-        // rank trains the next iteration with).
+        // rank trains the next iteration with): halves on the wire, widened
+        // once into the buffer the model reads.
         let gather_span =
             cfg.tracer.as_ref().map(|t| t.span(&format!("all-gather:it{it}"), "communicate"));
-        let shard_fp16: Vec<f32> = shard_fp16.iter().map(|h| h.to_f32()).collect();
-        let mut full = comm.all_gather(&shard_fp16)?;
-        full.truncate(model.num_params());
+        let halves = comm.all_gather_f16(&shard_fp16)?;
+        kernels::upscale(&halves[..full.len()], &mut full);
         model.scatter_params(&full);
         model.zero_grads();
-        drop(gather_span);
+        publish_sent(gather_span);
 
         // Snapshot at update boundaries and write in the background (the
         // DataStates-style asynchronous flush the host-resident state
@@ -733,6 +751,7 @@ fn run_rank(
         let mut l = vec![loss];
         comm.all_reduce_sum(&mut l)?;
         losses.push(l[0] * inv);
+        publish_sent(None);
     }
     checkpointer.drain()?;
     let finals = model.gather_params();
@@ -1421,5 +1440,105 @@ mod evaluate_tests {
             "held-out perplexity should improve: {ppl_before} -> {ppl_after}"
         );
         assert!((loss_after.exp() - ppl_after).abs() < 1e-3);
+    }
+}
+
+#[cfg(test)]
+mod train_dp2_tests {
+    use super::*;
+
+    /// `train_dp2`'s model, the benchmark's full-stack workload
+    /// (`benchmark/src/workloads.rs`): GPT dim 64, 2 layers, 4 heads, seq
+    /// 32, vocab 512; world 2, micro-batch 4, stride 2.
+    fn train_dp2_config(seed: u64) -> FunctionalConfig {
+        let mut cfg = FunctionalConfig::small();
+        cfg.model = GptConfig {
+            vocab_size: 512,
+            max_seq: 32,
+            dim: 64,
+            num_layers: 2,
+            num_heads: 4,
+            init_std: 0.08,
+        };
+        cfg.world = 2;
+        cfg.micro_batch = 4;
+        cfg.subgroup_size = 4096;
+        cfg.pipeline.stride = StridePolicy::Fixed(2);
+        cfg.seed = seed;
+        cfg
+    }
+
+    /// FNV-1a over the bit patterns of `values`.
+    fn bits_digest(values: &[f32]) -> u64 {
+        values.iter().flat_map(|v| v.to_bits().to_le_bytes()).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Runs the workload's 25 iterations on its own data path (a
+    /// 400-record synthetic corpus, a BPE tokenizer trained on it) and
+    /// compares every loss bit and every parameter bit with the values
+    /// recorded at the commit *before* the collectives moved to the
+    /// personalised exchange and the FP16 all-gather.
+    fn assert_pinned(seed: u64, final_loss: f32, losses: u64, params: u64) {
+        let cfg = train_dp2_config(seed);
+        let corpus = dos_data::Corpus::synthetic(seed, 400);
+        let tokenizer = dos_data::BpeTokenizer::train(&corpus.joined_text(), 512);
+        let ds = TokenDataset::pack(&corpus, &tokenizer, 32);
+        let report = train_functional(&cfg, &ds, 25).unwrap();
+        assert!(report.ranks_consistent);
+        assert_eq!(report.losses.len(), 25);
+        assert_eq!(report.losses[24], final_loss);
+        assert_eq!(bits_digest(&report.losses), losses, "a loss bit moved");
+        assert_eq!(bits_digest(&report.final_params), params, "a parameter bit moved");
+    }
+
+    #[test]
+    fn seed_7_losses_and_final_parameters_are_pinned() {
+        assert_pinned(7, 5.465_099_3, 0x8028_f4ec_39fb_6a69, 0x2be5_1912_14bb_1246);
+    }
+
+    #[test]
+    fn seed_11_losses_and_final_parameters_are_pinned() {
+        assert_pinned(11, 5.493_953_7, 0x2cb2_0937_b20f_d288, 0xca72_86fa_03f9_134a);
+    }
+
+    #[test]
+    fn the_registry_carries_the_exact_bytes_each_rank_sent() {
+        let stream: Vec<usize> = (0..4000).map(|i| (i * 7 + 3) % 61).collect();
+        let ds = TokenDataset::from_stream(&stream, 32);
+        let iterations = 2;
+        for world in [2usize, 4] {
+            let mut cfg = train_dp2_config(7);
+            cfg.world = world;
+            let tracer = Tracer::new();
+            cfg.tracer = Some(tracer.clone());
+            let params = train_functional(&cfg, &ds, iterations).unwrap().final_params.len();
+
+            // Per iteration a rank sends each of its `world - 1` peers one
+            // gradient chunk (4 B/param), its FP16 shard (2 B/param) and the
+            // loss (4 B), each in a frame of 33 framing bytes.
+            let chunk = params.div_ceil(world);
+            let per_iter = (world - 1) * (4 * chunk + 2 * chunk + 4 + 3 * 33);
+            if world == 2 {
+                // Half of what the broadcast exchange sent (1,009,255 B).
+                assert_eq!(per_iter, 504_679);
+            }
+            for rank in 0..world {
+                assert_eq!(
+                    tracer.metrics().counter(&format!("collectives.bytes_sent|rank={rank}")),
+                    (per_iter * iterations) as u64,
+                    "world {world}, rank {rank}"
+                );
+            }
+            // The same bytes ride on the communicate spans they were sent in.
+            let on_spans: f64 = tracer
+                .events()
+                .iter()
+                .filter(|e| e.phase == "communicate" && e.track == "rank0")
+                .map(|e| e.work)
+                .sum();
+            assert_eq!(on_spans as usize, (per_iter - (world - 1) * 37) * iterations);
+        }
     }
 }
