@@ -22,8 +22,9 @@
 //! the default scenario suite (healthy pipeline plus both `PanicAfter`
 //! and `DisconnectAfter` recovery paths, the blocking-mode collective
 //! rendezvous — healthy and with a mid-run rank disconnect — the
-//! two-tenant serve coordinator, and the ZenFlow cross-iteration
-//! asynchronous update pipeline) until the requested number of distinct
+//! two-tenant serve coordinator, the ZenFlow cross-iteration
+//! asynchronous update pipeline, and the device worker's life across two
+//! steps over one pool) until the requested number of distinct
 //! schedules is reached, then runs the fuzz arms, and returns a
 //! JSON-serializable [`report::CheckReport`]. A scenario prefix filter
 //! (`dos-cli check --scenario zf`) narrows the suite.
@@ -161,6 +162,7 @@ pub fn run_check(opts: &CheckOptions) -> Result<CheckReport, String> {
         .chain(CheckScenario::rendezvous_suite())
         .chain(CheckScenario::coordinator_suite())
         .chain(CheckScenario::zenflow_suite())
+        .chain(CheckScenario::worker_suite())
         .filter(|sc| {
             opts.scenario_filter
                 .as_deref()

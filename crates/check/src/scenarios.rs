@@ -4,11 +4,15 @@
 //! A scenario fixes the body completely — parameter count, subgroup size,
 //! stride, residents, fault plan, and the deterministic init/gradient
 //! formulas — so a schedule token (`scenario` + decision sequence) is a
-//! full reproduction recipe. Three scenario kinds exist:
+//! full reproduction recipe. Among the scenario kinds:
 //!
 //! * [`ScenarioKind::Pipeline`] — the real [`dos_core::hybrid_update`].
 //!   Expected to pass under *every* schedule; any divergence, deadlock, or
 //!   panic is a pipeline bug.
+//! * [`ScenarioKind::PipelineWorker`] — two
+//!   [`dos_core::hybrid_update_pooled`] steps over one pool, so the device
+//!   worker parks between them (or is lost in the first and replaced in the
+//!   second) and must end when the pool drops. Same expectation.
 //! * [`ScenarioKind::Rendezvous`] — the real
 //!   [`dos_collectives::Communicator`] in blocking mode over
 //!   [`dos_collectives::InProcTransport`], one virtual thread per rank:
@@ -32,8 +36,8 @@ use dos_core::sync;
 use dos_hal::HardwareProfile;
 use dos_serve::{Coordinator, JobSpec, ServeOptions};
 use dos_core::{
-    hybrid_update, zenflow_reference, DeviceFault, PipelineConfig, StridePolicy, ZenFlowConfig,
-    ZenFlowPipeline,
+    hybrid_update, hybrid_update_pooled, zenflow_reference, ArenaPool, DeviceFault,
+    PipelineConfig, StridePolicy, ZenFlowConfig, ZenFlowPipeline,
 };
 use dos_optim::{MixedPrecisionState, UpdateRule};
 use dos_tensor::F16;
@@ -44,6 +48,15 @@ use dos_zero::{partition_into_subgroups, SubgroupSpec};
 pub enum ScenarioKind {
     /// The real hybrid pipeline (must pass under every schedule).
     Pipeline,
+    /// The device worker's life across steps: two consecutive
+    /// [`hybrid_update_pooled`] steps over one [`ArenaPool`], the fault (if
+    /// any) armed in the first only, then the pool dropped. Must pass under
+    /// every schedule: the terminal state is bitwise equal to as many
+    /// `full_step`s, jobs still queued behind a dead worker deadlock
+    /// nothing, a lost worker is replaced exactly once (the spawn count
+    /// rides in `momentum`), and the parked worker ends with the pool — a
+    /// worker left parked would be reported as a deadlock.
+    PipelineWorker,
     /// Blocking-mode collectives over the in-process mesh transport (must
     /// pass under every schedule). Field reuse: `params` is the per-rank
     /// buffer length, `subgroup` the world size, `stride` the number of
@@ -196,6 +209,10 @@ fn zenflow_grads(n: usize, step: usize) -> Vec<f32> {
     (0..n).map(|i| ((i * 7 + step * 11 + 1) % 29) as f32 / 29.0 - 0.5).collect()
 }
 
+/// Steps the worker-lifetime scenario runs over one pool: the first may
+/// lose its worker, the second must find a parked or a fresh one.
+const WORKER_STEPS: usize = 2;
+
 /// Steps the ZenFlow scenario drives before draining: enough for cold
 /// subgroups to flush mid-run (workers racing later steps) *and* to leave
 /// residue for the drain barrier at every suite staleness bound.
@@ -216,6 +233,7 @@ impl CheckScenario {
     pub fn encode(&self) -> String {
         let kind = match self.kind {
             ScenarioKind::Pipeline => "pl",
+            ScenarioKind::PipelineWorker => "plw",
             ScenarioKind::Rendezvous => "rdv",
             ScenarioKind::Coordinator => "co",
             ScenarioKind::ZenFlow => "zf",
@@ -244,6 +262,7 @@ impl CheckScenario {
         }
         let kind = match fields[0] {
             "pl" => ScenarioKind::Pipeline,
+            "plw" => ScenarioKind::PipelineWorker,
             "rdv" => ScenarioKind::Rendezvous,
             "co" => ScenarioKind::Coordinator,
             "zf" => ScenarioKind::ZenFlow,
@@ -304,6 +323,9 @@ impl CheckScenario {
         if self.kind == ScenarioKind::ZenFlow {
             return self.zenflow_expected();
         }
+        if self.kind == ScenarioKind::PipelineWorker {
+            return self.worker_expected();
+        }
         let (mut state, grads, _) = self.fresh_state();
         state.full_step(&grads);
         let fp16 = state.downscale_range(0..self.params);
@@ -332,9 +354,15 @@ impl CheckScenario {
         if self.kind == ScenarioKind::ZenFlow {
             return self.zenflow_observed();
         }
+        if self.kind == ScenarioKind::PipelineWorker {
+            return self.worker_observed();
+        }
         let (mut state, grads, sgs) = self.fresh_state();
         match self.kind {
-            ScenarioKind::Rendezvous | ScenarioKind::Coordinator | ScenarioKind::ZenFlow => {
+            ScenarioKind::Rendezvous
+            | ScenarioKind::Coordinator
+            | ScenarioKind::ZenFlow
+            | ScenarioKind::PipelineWorker => {
                 unreachable!("handled above")
             }
             ScenarioKind::Pipeline => {
@@ -373,6 +401,58 @@ impl CheckScenario {
                     fp16,
                 }
             }
+        }
+    }
+
+    /// Runs the worker-lifetime body: [`WORKER_STEPS`] pooled steps over
+    /// the ZenFlow scenario's time-varying gradient stream, the fault armed
+    /// in the first, then the pool dropped *inside* the run so the parked
+    /// worker's exit is part of every schedule. `momentum` carries the
+    /// pool's spawn count as a marker.
+    fn worker_observed(&self) -> Observed {
+        let (mut state, _, sgs) = self.fresh_state();
+        let pool = ArenaPool::new();
+        let mut fp16 = Vec::new();
+        for step in 0..WORKER_STEPS {
+            let cfg = PipelineConfig {
+                stride: StridePolicy::Fixed(self.stride.max(1)),
+                static_residents: self.residents,
+                fault_injection: if step == 0 { self.fault.to_device_fault() } else { None },
+            };
+            let grads = zenflow_grads(self.params, step);
+            fp16 = match hybrid_update_pooled(&mut state, &grads, &sgs, cfg, None, &pool) {
+                Ok(r) => r.fp16_params,
+                Err(e) => panic!("scenario {} precondition failure: {e}", self.encode()),
+            };
+        }
+        let spawns = pool.worker_spawns();
+        drop(pool);
+        let mut momentum = state.momentum().to_vec();
+        momentum.push(spawns as f32);
+        Observed {
+            params: state.params().to_vec(),
+            momentum,
+            variance: state.variance().to_vec(),
+            fp16,
+        }
+    }
+
+    /// Sequential oracle for [`ScenarioKind::PipelineWorker`]: as many
+    /// `full_step`s over the same gradients, and one worker — two when the
+    /// first step's fault took the first.
+    fn worker_expected(&self) -> Observed {
+        let (mut state, _, _) = self.fresh_state();
+        for step in 0..WORKER_STEPS {
+            state.full_step(&zenflow_grads(self.params, step));
+        }
+        let fp16 = state.downscale_range(0..self.params);
+        let mut momentum = state.momentum().to_vec();
+        momentum.push(if self.fault == FaultPlan::None { 1.0 } else { 2.0 });
+        Observed {
+            params: state.params().to_vec(),
+            momentum,
+            variance: state.variance().to_vec(),
+            fp16,
         }
     }
 
@@ -689,6 +769,29 @@ impl CheckScenario {
         ]
     }
 
+    /// The worker-lifetime suite `dos-cli check` explores alongside the
+    /// pipeline (`--scenario plw`): two steps over one pool with a
+    /// static-resident tail, at strides 1 and 2, healthy and with the
+    /// first step's worker lost to a panic or a disconnect.
+    pub fn worker_suite() -> Vec<CheckScenario> {
+        let plw = |stride, fault| CheckScenario {
+            kind: ScenarioKind::PipelineWorker,
+            params: 48,
+            subgroup: 8,
+            stride,
+            residents: 1,
+            fault,
+        };
+        vec![
+            plw(2, FaultPlan::None),
+            plw(1, FaultPlan::None),
+            plw(2, FaultPlan::Panic(1)),
+            plw(1, FaultPlan::Panic(2)),
+            plw(2, FaultPlan::Disconnect(0)),
+            plw(1, FaultPlan::Disconnect(1)),
+        ]
+    }
+
     /// The rendezvous suite `dos-cli check` explores alongside the
     /// pipeline: blocking-mode collectives over the in-process mesh,
     /// healthy and with a mid-run rank disconnect.
@@ -859,6 +962,7 @@ mod tests {
             .chain(CheckScenario::rendezvous_suite())
             .chain(CheckScenario::coordinator_suite())
             .chain(CheckScenario::zenflow_suite())
+            .chain(CheckScenario::worker_suite())
             .chain([CheckScenario::seeded_bug()])
         {
             assert_eq!(CheckScenario::decode(&sc.encode()), Ok(sc), "{}", sc.encode());
@@ -879,6 +983,16 @@ mod tests {
         for sc in CheckScenario::default_suite() {
             let obs = sc.observed();
             assert!(sc.verify(&obs).is_none(), "{} diverged", sc.encode());
+        }
+    }
+
+    #[test]
+    fn worker_scenarios_pass_outside_a_checked_run() {
+        // Two steps over one pool under the OS scheduler: the spawn-count
+        // marker must already hold there (one worker, or two after a loss).
+        for sc in CheckScenario::worker_suite() {
+            let obs = sc.observed();
+            assert!(sc.verify(&obs).is_none(), "{}: {:?}", sc.encode(), sc.verify(&obs));
         }
     }
 

@@ -175,6 +175,34 @@ fn zenflow_scenarios_clear_a_thousand_distinct_schedules() {
 }
 
 #[test]
+fn worker_lifetime_scenarios_clear_five_hundred_distinct_schedules() {
+    // Two pooled steps over one arena (the worker parks between them, or
+    // is lost in the first and replaced in the second), then the pool
+    // dropped inside the run: 500+ distinct schedules with bitwise parity
+    // against two `full_step`s, the expected spawn count, no deadlock when
+    // queued jobs outlive a dead worker, and the parked worker gone at the
+    // end of every one. Through `run_check` with the prefix filter, which
+    // is what the CI step invokes via `dos-cli check --scenario plw`.
+    let opts = CheckOptions {
+        schedules: 500,
+        fuzz: 0,
+        seed: 23,
+        corpus_dir: None,
+        scenario_filter: Some("plw".to_string()),
+    };
+    let report = run_check(&opts).unwrap();
+    assert!(report.passed, "worker-lifetime check failed:\n{}", report.render_human());
+    assert!(
+        report.distinct_total >= 500,
+        "only {} distinct worker-lifetime schedules explored",
+        report.distinct_total
+    );
+    assert_eq!(report.scenarios.len(), CheckScenario::worker_suite().len());
+    assert!(report.scenarios.iter().all(|s| s.scenario.starts_with("plw-")));
+    assert!(report.scenarios.iter().all(|s| s.completed > 0), "{}", report.render_human());
+}
+
+#[test]
 fn scenario_filter_rejects_a_prefix_matching_nothing() {
     let opts = CheckOptions {
         schedules: 16,

@@ -581,6 +581,8 @@ impl WallClockTuner {
     /// `host_budget_bytes` is converted into whole subgroups at ~18
     /// bytes/param of staging footprint (p/m/v/g in FP32 plus the FP16
     /// copy). Overshoot shrinks the tail again, so the loop self-corrects.
+    /// The mark is the step's two-deep in-flight window, not its whole
+    /// device share, so it moves with the subgroup size, not the stride.
     pub fn observe_arena(&mut self, high_water_bytes: usize) {
         let ResidentPolicy::Headroom { fraction, cap } = self.cfg.residents else { return };
         if self.cfg.host_budget_bytes == 0 {

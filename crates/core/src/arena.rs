@@ -14,7 +14,15 @@
 //! gauges (exported through `dos-telemetry` as `arena.in_use_bytes` /
 //! `arena.high_water_bytes`) are what `ResidentPolicy::Headroom` observes
 //! on the functional path to size static residents — the host-RSS
-//! analogue of the simulator's HBM headroom signal.
+//! analogue of the simulator's HBM headroom signal. The step writes
+//! results back as they arrive and stages at most two subgroups ahead, so
+//! the high water is that in-flight window (two subgroups × 18 B/param),
+//! not the step's device share.
+//!
+//! The pool also owns what outlives a step beside the buffers: the parked
+//! device worker (`pipeline`'s `DeviceSlot`), shut down and joined when the
+//! last [`ArenaPool`] handle drops. Leases hold the buffer store only, so a
+//! lease on the worker's thread never keeps the worker's owner alive.
 
 use std::sync::Arc;
 
@@ -22,6 +30,8 @@ use parking_lot::Mutex;
 
 use dos_telemetry::MetricsRegistry;
 use dos_tensor::{kernels, F16};
+
+use crate::pipeline::DeviceSlot;
 
 /// Gauge name for bytes currently leased from the pool.
 pub const GAUGE_IN_USE: &str = "arena.in_use_bytes";
@@ -36,12 +46,55 @@ struct Inner {
     high_water_bytes: usize,
     hits: u64,
     misses: u64,
+    metrics: Option<MetricsRegistry>,
+}
+
+impl Inner {
+    fn publish(&self) {
+        if let Some(m) = &self.metrics {
+            m.set_gauge(GAUGE_IN_USE, self.in_use_bytes as f64);
+            m.set_gauge(GAUGE_HIGH_WATER, self.high_water_bytes as f64);
+        }
+    }
+
+    /// Accounts one lease of `bytes` served from `recycled` (a hit) or
+    /// from a fresh, empty buffer (a miss).
+    fn lease<T>(&mut self, recycled: Option<Vec<T>>, bytes: usize) -> Vec<T> {
+        match recycled {
+            Some(_) => self.hits += 1,
+            None => self.misses += 1,
+        }
+        self.in_use_bytes += bytes;
+        self.high_water_bytes = self.high_water_bytes.max(self.in_use_bytes);
+        self.publish();
+        recycled.unwrap_or_default()
+    }
+}
+
+/// The buffer store alone — what a lease holds to hand itself back. It
+/// deliberately is not an [`ArenaPool`]: a lease can sit on the device
+/// worker's thread, and the worker must never own the handle that owns it.
+type Store = Arc<Mutex<Inner>>;
+
+fn lease_f16_downscaled(store: &Store, src: &[f32]) -> PooledF16 {
+    let mut buf = {
+        let mut inner = store.lock();
+        let recycled = inner.free_f16.pop();
+        inner.lease(recycled, src.len() * 2)
+    };
+    // Recycled buffers come back with their length intact, so in steady
+    // state this is a no-op and the kernel below is the only pass over
+    // the buffer; it zero-fills only what a longer lease adds.
+    buf.resize(src.len(), F16::ZERO);
+    kernels::downscale(src, &mut buf);
+    PooledF16 { buf, store: store.clone() }
 }
 
 /// A shared, thread-safe pool of reusable `f32`/`F16` staging buffers.
 ///
-/// Clones share storage, so one handle can stay on the CPU thread while
-/// another travels into the device worker. Leases are accounted in bytes
+/// Clones share storage — and the one parked device worker
+/// `hybrid_update_pooled` keeps between steps, which is shut down and
+/// joined when the last clone drops. Leases are accounted in bytes
 /// (logical length × element size); the high-water mark is the peak
 /// concurrent lease footprint and can be read-and-reset per iteration.
 ///
@@ -62,8 +115,8 @@ struct Inner {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ArenaPool {
-    inner: Arc<Mutex<Inner>>,
-    metrics: Option<MetricsRegistry>,
+    inner: Store,
+    device: Arc<DeviceSlot>,
 }
 
 impl ArenaPool {
@@ -76,84 +129,29 @@ impl ArenaPool {
     /// `metrics` as the [`GAUGE_IN_USE`] and [`GAUGE_HIGH_WATER`] gauges on
     /// every lease and return.
     pub fn with_metrics(metrics: MetricsRegistry) -> ArenaPool {
-        ArenaPool { inner: Arc::default(), metrics: Some(metrics) }
-    }
-
-    fn publish(&self, inner: &Inner) {
-        if let Some(m) = &self.metrics {
-            m.set_gauge(GAUGE_IN_USE, inner.in_use_bytes as f64);
-            m.set_gauge(GAUGE_HIGH_WATER, inner.high_water_bytes as f64);
-        }
-    }
-
-    fn lease_raw_f32(&self, bytes: usize) -> Vec<f32> {
-        let mut inner = self.inner.lock();
-        let buf = match inner.free_f32.pop() {
-            Some(b) => {
-                inner.hits += 1;
-                b
-            }
-            None => {
-                inner.misses += 1;
-                Vec::new()
-            }
-        };
-        inner.in_use_bytes += bytes;
-        inner.high_water_bytes = inner.high_water_bytes.max(inner.in_use_bytes);
-        self.publish(&inner);
-        buf
+        let inner = Inner { metrics: Some(metrics), ..Inner::default() };
+        ArenaPool { inner: Arc::new(Mutex::new(inner)), device: Arc::default() }
     }
 
     /// Leases a buffer holding a copy of `src` (Algorithm 1's prefetch
     /// staging: the subgroup state is copied into a pinned buffer, not
     /// reallocated).
     pub fn lease_f32_copy(&self, src: &[f32]) -> PooledF32 {
-        let mut buf = self.lease_raw_f32(src.len() * 4);
+        let mut buf = {
+            let mut inner = self.inner.lock();
+            let recycled = inner.free_f32.pop();
+            inner.lease(recycled, src.len() * 4)
+        };
         buf.clear();
         buf.extend_from_slice(src);
-        PooledF32 { buf, pool: self.clone() }
+        PooledF32 { buf, store: self.inner.clone() }
     }
 
     /// Leases an FP16 buffer filled with the downscaled contents of `src`
     /// (the device-side `.half()` copy), using the vectorized conversion
     /// kernel.
     pub fn lease_f16_downscaled(&self, src: &[f32]) -> PooledF16 {
-        let bytes = src.len() * 2;
-        let mut inner = self.inner.lock();
-        let mut buf = match inner.free_f16.pop() {
-            Some(b) => {
-                inner.hits += 1;
-                b
-            }
-            None => {
-                inner.misses += 1;
-                Vec::new()
-            }
-        };
-        inner.in_use_bytes += bytes;
-        inner.high_water_bytes = inner.high_water_bytes.max(inner.in_use_bytes);
-        self.publish(&inner);
-        drop(inner);
-        // Recycled buffers come back with their length intact, so in steady
-        // state this is a no-op and the kernel below is the only pass over
-        // the buffer; it zero-fills only what a longer lease adds.
-        buf.resize(src.len(), F16::ZERO);
-        kernels::downscale(src, &mut buf);
-        PooledF16 { buf, pool: self.clone() }
-    }
-
-    fn return_f32(&self, buf: Vec<f32>, bytes: usize) {
-        let mut inner = self.inner.lock();
-        inner.in_use_bytes = inner.in_use_bytes.saturating_sub(bytes);
-        inner.free_f32.push(buf);
-        self.publish(&inner);
-    }
-
-    fn return_f16(&self, buf: Vec<F16>, bytes: usize) {
-        let mut inner = self.inner.lock();
-        inner.in_use_bytes = inner.in_use_bytes.saturating_sub(bytes);
-        inner.free_f16.push(buf);
-        self.publish(&inner);
+        lease_f16_downscaled(&self.inner, src)
     }
 
     /// Bytes currently leased out.
@@ -162,7 +160,9 @@ impl ArenaPool {
     }
 
     /// Peak concurrent lease footprint since creation or the last
-    /// [`ArenaPool::take_high_water_bytes`].
+    /// [`ArenaPool::take_high_water_bytes`]. The hybrid step keeps at most
+    /// two staged subgroups in flight, so this is the size of that window,
+    /// not of the step's whole device share.
     pub fn high_water_bytes(&self) -> usize {
         self.inner.lock().high_water_bytes
     }
@@ -173,7 +173,7 @@ impl ArenaPool {
         let mut inner = self.inner.lock();
         let peak = inner.high_water_bytes;
         inner.high_water_bytes = inner.in_use_bytes;
-        self.publish(&inner);
+        inner.publish();
         peak
     }
 
@@ -186,13 +186,39 @@ impl ArenaPool {
     pub fn allocation_misses(&self) -> u64 {
         self.inner.lock().misses
     }
+
+    /// Device workers started over this pool's life: one for any number of
+    /// healthy steps, one more after each step that lost its worker.
+    pub fn worker_spawns(&self) -> u64 {
+        self.device.stats().0
+    }
+
+    /// The most staged subgroups any step over this pool had in flight
+    /// (shipped to the worker, not yet written back).
+    pub fn in_flight_high_water(&self) -> usize {
+        self.device.stats().1
+    }
+
+    /// Where the pipeline parks this pool's device worker between steps.
+    pub(crate) fn device(&self) -> &DeviceSlot {
+        &self.device
+    }
 }
 
 /// A leased `f32` buffer; returns itself to the pool on drop.
 #[derive(Debug)]
 pub struct PooledF32 {
     buf: Vec<f32>,
-    pool: ArenaPool,
+    store: Store,
+}
+
+impl PooledF32 {
+    /// Leases an FP16 buffer from this lease's own pool, filled with its
+    /// downscaled contents: [`ArenaPool::lease_f16_downscaled`] for a
+    /// holder that has the lease but not the pool (the device worker).
+    pub(crate) fn downscaled(&self) -> PooledF16 {
+        lease_f16_downscaled(&self.store, &self.buf)
+    }
 }
 
 impl std::ops::Deref for PooledF32 {
@@ -210,8 +236,10 @@ impl std::ops::DerefMut for PooledF32 {
 
 impl Drop for PooledF32 {
     fn drop(&mut self) {
-        let bytes = self.buf.len() * 4;
-        self.pool.clone().return_f32(std::mem::take(&mut self.buf), bytes);
+        let mut inner = self.store.lock();
+        inner.in_use_bytes = inner.in_use_bytes.saturating_sub(self.buf.len() * 4);
+        inner.free_f32.push(std::mem::take(&mut self.buf));
+        inner.publish();
     }
 }
 
@@ -219,7 +247,7 @@ impl Drop for PooledF32 {
 #[derive(Debug)]
 pub struct PooledF16 {
     buf: Vec<F16>,
-    pool: ArenaPool,
+    store: Store,
 }
 
 impl std::ops::Deref for PooledF16 {
@@ -231,8 +259,10 @@ impl std::ops::Deref for PooledF16 {
 
 impl Drop for PooledF16 {
     fn drop(&mut self) {
-        let bytes = self.buf.len() * 2;
-        self.pool.clone().return_f16(std::mem::take(&mut self.buf), bytes);
+        let mut inner = self.store.lock();
+        inner.in_use_bytes = inner.in_use_bytes.saturating_sub(self.buf.len() * 2);
+        inner.free_f16.push(std::mem::take(&mut self.buf));
+        inner.publish();
     }
 }
 

@@ -28,7 +28,11 @@
 //!   bitwise identical to a sequential CPU update. It is the one pipeline
 //!   body (optional tracer, caller-owned [`ArenaPool`]); [`hybrid_update`]
 //!   is its four-argument form for oracles and property tests, and
-//!   `dos_train::Trainer::step` its one production caller;
+//!   `dos_train::Trainer::step` its one production caller. The pool keeps
+//!   the one device worker parked between steps (started by the first step
+//!   that ships work, ended with the pool's last handle), and a step keeps
+//!   at most two staged subgroups in flight, writing results back as they
+//!   arrive;
 //! * [`ZenFlowPipeline`] — the cross-iteration bounded-staleness driver, a
 //!   different algorithm kept beside the hybrid step rather than inside it.
 //!

@@ -12,11 +12,22 @@
 //! Channels and threads come from the [`crate::sync`] facade: real
 //! crossbeam/std primitives in production, schedule-controlled twins under
 //! `dos-check`'s deterministic exploration.
+//!
+//! The device outlives the step, as Alg. 1's streams do: the worker is one
+//! detached thread parked in `recv` between jobs and between steps, kept
+//! by the [`ArenaPool`] the step receives — started by the first step that
+//! ships a subgroup, hung up on and joined when the pool's last handle
+//! drops, replaced by the next shipping step if a step loses it. A step
+//! ends by counting results, not by joining a thread. In between it writes
+//! finished subgroups back as they arrive and stages a new one only while
+//! fewer than two are in flight (Alg. 1's double buffer), so the arena
+//! holds two staged subgroups, not the step's whole device share.
 
 use crate::arena::{ArenaPool, PooledF16, PooledF32};
 use crate::sync;
 
-use dos_optim::MixedPrecisionState;
+use dos_optim::{MixedPrecisionState, UpdateRule};
+use parking_lot::Mutex;
 use dos_telemetry::{SpanGuard, Tracer};
 use dos_tensor::{kernels, F16};
 use dos_zero::SubgroupSpec;
@@ -25,8 +36,14 @@ use crate::schedulers::{StridePolicy, UpdatePlan, DEFAULT_STRIDE};
 
 /// Track name for the calling (CPU) thread's spans.
 pub const CPU_TRACK: &str = "cpu";
-/// Track name for the spawned device worker's spans.
+/// Track name for the device worker's spans.
 pub const DEVICE_TRACK: &str = "device-worker";
+
+/// Staged subgroups in flight (shipped, not yet written back) at which the
+/// caller stops staging and waits for a result: Algorithm 1's double
+/// buffer — one subgroup under update, one queued behind it — which is
+/// also what bounds the arena to two subgroups of staging.
+const MAX_IN_FLIGHT: usize = 2;
 
 /// Typed precondition failures of the hybrid pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -101,8 +118,10 @@ impl Default for PipelineConfig {
 pub struct PipelineDegradation {
     /// What happened to the device worker (panic message or disconnect).
     pub reason: String,
-    /// Subgroups that were shipped to the device but never came back, and
-    /// were re-run on the CPU from their still-unmodified host state.
+    /// Subgroups the plan placed on the device that the loss moved to the
+    /// CPU: those shipped but never returned, re-run from their
+    /// still-unmodified host state, and those not shipped once the loss was
+    /// known.
     pub lost_jobs_retried_on_cpu: usize,
 }
 
@@ -123,15 +142,26 @@ pub struct PipelineReport {
     pub degraded: Option<PipelineDegradation>,
 }
 
-/// One staged subgroup travelling to the device worker. The buffers are
-/// arena leases ("pinned" staging memory), not fresh allocations; they
-/// return to the pool wherever the subgroup is dropped.
+/// One staged subgroup travelling to the device worker, with everything
+/// the worker needs to update it — the worker outlives the step and can
+/// borrow nothing from it. The buffers are arena leases ("pinned" staging
+/// memory), not fresh allocations; they return to the pool wherever the
+/// subgroup is dropped.
 struct StagedSubgroup {
     sg: SubgroupSpec,
     p: PooledF32,
     m: PooledF32,
     v: PooledF32,
     g: PooledF32,
+    step: u64,
+    lr: f32,
+    rule: UpdateRule,
+    /// The shipping step's tracer: traced and untraced steps share a worker.
+    tracer: Option<Tracer>,
+    /// The step's armed fault, which fires on the job that `seq` of the
+    /// step's jobs were shipped before.
+    fault: Option<DeviceFault>,
+    seq: usize,
 }
 
 /// An updated subgroup travelling back, carrying the same leased buffers.
@@ -141,6 +171,125 @@ struct UpdatedSubgroup {
     m: PooledF32,
     v: PooledF32,
     p16: PooledF16,
+}
+
+/// The device worker ("the GPU"): one thread, parked in `recv` between
+/// jobs and between steps, behind its two DMA channels — H2D staging in,
+/// D2H updated state out.
+struct DeviceWorker {
+    jobs: sync::Sender<StagedSubgroup>,
+    results: sync::Receiver<UpdatedSubgroup>,
+    handle: sync::JoinHandle<()>,
+}
+
+impl DeviceWorker {
+    fn spawn() -> DeviceWorker {
+        let (jobs, h2d_rx) = sync::unbounded::<StagedSubgroup>();
+        let (d2h_tx, results) = sync::unbounded::<UpdatedSubgroup>();
+        let handle = sync::spawn(move || {
+            while let Ok(job) = h2d_rx.recv() {
+                match job.fault {
+                    Some(DeviceFault::PanicAfter(n)) if job.seq == n => {
+                        panic!("injected device fault after {n} jobs")
+                    }
+                    Some(DeviceFault::DisconnectAfter(n)) if job.seq == n => return,
+                    _ => {}
+                }
+                // The same element-wise rule, then the FP16 copy on-device
+                // (the D2D `.half()` of Alg. 1). All of the job but its
+                // echo — gradient lease, spans, tracer — ends with this
+                // block, before the send: a caller holding its step's last
+                // result finds every lease returned and every span recorded.
+                let echo = {
+                    let StagedSubgroup { sg, mut p, mut m, mut v, g, tracer, .. } = job;
+                    let tracer = tracer.as_ref();
+                    {
+                        let _span =
+                            stage_span(tracer, DEVICE_TRACK, "gpu", "update", &sg, sg.len());
+                        job.rule.apply(job.step, job.lr, &mut p, &g, &mut m, &mut v);
+                    }
+                    let _span = stage_span(tracer, DEVICE_TRACK, "gpu", "flush", &sg, 0);
+                    let p16 = p.downscaled();
+                    UpdatedSubgroup { sg, p, m, v, p16 }
+                };
+                if d2h_tx.send(echo).is_err() {
+                    return; // the caller is gone; nothing left to do
+                }
+            }
+        });
+        DeviceWorker { jobs, results, handle }
+    }
+
+    /// Hangs up on the worker and waits for its thread; `Err` carries its
+    /// panic payload.
+    fn shutdown(self) -> std::thread::Result<()> {
+        drop(self.jobs);
+        self.handle.join()
+    }
+}
+
+impl std::fmt::Debug for DeviceWorker {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("DeviceWorker")
+    }
+}
+
+/// Where an [`ArenaPool`] keeps its device worker between steps, beside
+/// the worker's counters. A step checks the worker out and back in, so the
+/// lock is never held across a channel operation; the worker is hung up on
+/// and joined when the pool's last handle drops the slot.
+#[derive(Debug, Default)]
+pub(crate) struct DeviceSlot(Mutex<Parked>);
+
+#[derive(Debug, Default)]
+struct Parked {
+    worker: Option<DeviceWorker>,
+    spawns: u64,
+    in_flight_high_water: usize,
+}
+
+impl DeviceSlot {
+    /// The parked worker, or a fresh one if none is parked (the first step
+    /// that ships work, or the first after a lost worker).
+    fn check_out(&self, tracer: Option<&Tracer>) -> DeviceWorker {
+        let mut slot = self.0.lock();
+        slot.worker.take().unwrap_or_else(|| {
+            slot.spawns += 1;
+            if let Some(t) = tracer {
+                t.metrics().inc_counter("pipeline.worker_spawns", 1);
+            }
+            DeviceWorker::spawn()
+        })
+    }
+
+    /// Ends a step: parks the worker it still holds and folds its in-flight
+    /// peak into the pool's, which it returns.
+    fn check_in(&self, worker: Option<DeviceWorker>, in_flight: usize) -> usize {
+        let mut slot = self.0.lock();
+        slot.in_flight_high_water = slot.in_flight_high_water.max(in_flight);
+        let high_water = slot.in_flight_high_water;
+        // Steps racing over one pool each bring a worker back: keep one.
+        let spare = worker.and_then(|w| slot.worker.replace(w));
+        drop(slot);
+        if let Some(spare) = spare {
+            let _ = spare.shutdown();
+        }
+        high_water
+    }
+
+    /// `(workers spawned, in-flight high water)` over the pool's life.
+    pub(crate) fn stats(&self) -> (u64, usize) {
+        let slot = self.0.lock();
+        (slot.spawns, slot.in_flight_high_water)
+    }
+}
+
+impl Drop for DeviceSlot {
+    fn drop(&mut self) {
+        if let Some(worker) = self.0.get_mut().worker.take() {
+            let _ = worker.shutdown();
+        }
+    }
 }
 
 /// Opens the `{stage}:sg{id}` update-phase span of one pipeline stage on
@@ -170,31 +319,36 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Runs one interleaved hybrid optimizer step over `state` with `grads`,
-/// scheduling subgroups across the calling thread and a spawned device
-/// worker per `cfg`, staging every shipped subgroup through leases from
-/// `pool`.
+/// scheduling subgroups per `cfg` across the calling thread and the device
+/// worker parked in `pool`, staging every shipped subgroup through leases
+/// from `pool`.
 ///
 /// Equivalent to `state.full_step(grads)` followed by a full downscale —
 /// bitwise, for any stride and resident set (verified by the crate's
 /// property tests) — but executed with the paper's interleaved concurrency.
 ///
 /// Trainers hold one [`ArenaPool`] across iterations, so steady-state steps
-/// recycle the same leases instead of allocating per subgroup; the pool's
-/// high-water gauge is what the resident-sizing policy observes.
+/// recycle the same leases instead of allocating per subgroup and wake the
+/// same worker instead of spawning one; the pool's high-water gauge (the
+/// two-deep in-flight window) is what the resident-sizing policy observes.
 ///
 /// With `tracer: Some(_)` every pipeline stage emits a wall-clock span —
 /// `prefetch:sg{id}` (H2D staging) / `update:sg{id}` / `downscale:sg{id}`
 /// (FP32→FP16, `D_c`) / `flush:sg{id}` (D2H write-back) on [`CPU_TRACK`],
 /// and `update:sg{id}` / `flush:sg{id}` (on-device downscale + send) on
 /// [`DEVICE_TRACK`] — plus `pipeline.*` counters in the tracer's metrics
-/// registry. Tracing only observes: numerics are identical either way.
+/// registry, among them `pipeline.worker_spawns` and the
+/// `pipeline.in_flight_high_water` gauge ([`ArenaPool::worker_spawns`] /
+/// [`ArenaPool::in_flight_high_water`] read the same untraced). Tracing
+/// only observes: numerics are identical either way.
 ///
 /// The pipeline is panic-safe: if the device worker dies mid-step (a real
 /// panic or a channel disconnect, injectable via
 /// [`PipelineConfig::fault_injection`]), the remaining subgroups degrade to
 /// the CPU-only path, any shipped-but-lost jobs are re-run on the CPU from
 /// their still-unmodified host state, and the step completes byte-exact
-/// with [`PipelineReport::degraded`] set.
+/// with [`PipelineReport::degraded`] set. The lost worker is reaped before
+/// the step returns.
 ///
 /// # Errors
 ///
@@ -248,110 +402,86 @@ pub fn hybrid_update_pooled(
     let rule = state.rule();
     let lr = state.lr();
 
-    // DMA channels: H2D staging in, D2H updated state out.
-    let (h2d_tx, h2d_rx) = sync::unbounded::<StagedSubgroup>();
-    let (d2h_tx, d2h_rx) = sync::unbounded::<UpdatedSubgroup>();
-
     let mut device_count = 0usize;
     let mut cpu_count = 0usize;
-    let mut lost_retried = 0usize;
+    let mut in_flight_peak = 0usize;
     // Shipped subgroups whose results have not been written back yet. If
     // the worker dies, whatever is left here re-runs on the CPU: write-back
     // never happened, so the host state for those ranges is untouched and a
     // CPU update from it is byte-exact.
     let mut pending: Vec<SubgroupSpec> = Vec::new();
-    let mut worker_lost: Option<String> = None;
     let mut fp16 = vec![F16::ZERO; state.len()];
-    let fault = cfg.fault_injection;
-    let worker_pool = pool.clone();
 
-    sync::scope(|scope| {
-        // The device worker: applies the same element-wise rule, then
-        // produces the FP16 copy on-device (the D2D `.half()` of Alg. 1).
-        let worker = scope.spawn(|| {
-            let mut processed = 0usize;
-            while let Ok(mut job) = h2d_rx.recv() {
-                match fault {
-                    Some(DeviceFault::PanicAfter(n)) if processed == n => {
-                        panic!("injected device fault after {n} jobs")
-                    }
-                    Some(DeviceFault::DisconnectAfter(n)) if processed == n => return,
-                    _ => {}
-                }
-                {
-                    let _span =
-                        stage_span(tracer, DEVICE_TRACK, "gpu", "update", &job.sg, job.sg.len());
-                    rule.apply(step, lr, &mut job.p, &job.g, &mut job.m, &mut job.v);
-                }
-                let _span = stage_span(tracer, DEVICE_TRACK, "gpu", "flush", &job.sg, 0);
-                let p16 = worker_pool.lease_f16_downscaled(&job.p);
-                let echo = UpdatedSubgroup { sg: job.sg, p: job.p, m: job.m, v: job.v, p16 };
-                if d2h_tx.send(echo).is_err() {
-                    return; // main thread is gone; nothing left to do
-                }
-                processed += 1;
-            }
-            drop(d2h_tx);
-        });
+    // The pool's parked worker, checked out for the step — unless the plan
+    // ships nothing (`cpu_only`), which neither starts nor wakes one. A
+    // worker that stops answering moves to `lost`, and the step goes on as
+    // if the plan had no device.
+    let mut device = (plan.n_device() > 0).then(|| pool.device().check_out(tracer));
+    let mut lost: Option<DeviceWorker> = None;
 
-        // The CPU side: walk dynamic subgroups, shipping every k-th to the
-        // device (prefetch = send), updating the rest locally and
-        // downscaling them.
-        let prefetch = |state: &MixedPrecisionState, sg: &SubgroupSpec| {
-            let bytes = 4 * (3 * sg.len() + sg.len()); // p, m, v + grads, f32
-            let _span = stage_span(tracer, CPU_TRACK, "pcie.h2d", "prefetch", sg, bytes);
-            let (p, m, v) = state.snapshot_range(sg.range());
-            if let Some(t) = tracer {
-                t.metrics().inc_counter("pipeline.h2d.bytes", bytes as u64);
-            }
-            StagedSubgroup {
-                sg: *sg,
-                p: pool.lease_f32_copy(p),
-                m: pool.lease_f32_copy(m),
-                v: pool.lease_f32_copy(v),
-                g: pool.lease_f32_copy(&grads[sg.range()]),
-            }
-        };
-
-        // Local (CPU) update of one subgroup; also the degraded fallback
-        // path when the device worker is gone. The FP32→FP16 downscale is a
-        // distinct pipeline stage (`D_c` in Eq. 1), so it gets its own span
-        // — folding it into the update span would inflate the tuner's `U_c`
-        // estimate and leave `D_c` unobservable.
-        let cpu_apply =
-            |state: &mut MixedPrecisionState, fp16: &mut Vec<F16>, sg: &SubgroupSpec| {
-                {
-                    let _span = stage_span(tracer, CPU_TRACK, "cpu", "update", sg, sg.len());
-                    state.update_range(sg.range(), &grads[sg.range()]);
-                }
-                let _span = stage_span(tracer, CPU_TRACK, "cpu", "downscale", sg, sg.len());
-                kernels::downscale(&state.params()[sg.range()], &mut fp16[sg.range()]);
-            };
-
-        // Every k-th dynamic subgroup ships to the device, and so does the
-        // static-resident tail (conceptually already device-resident, so it
-        // updates there without the stride's say) — unless the device is
-        // gone, in which case everything falls back to the CPU.
-        for (i, sg) in subgroups.iter().enumerate() {
-            if plan.on_device(i) && worker_lost.is_none() {
-                if h2d_tx.send(prefetch(state, sg)).is_ok() {
-                    pending.push(*sg);
-                    device_count += 1;
-                    continue;
-                }
-                // Worker hung up: this job never left the host.
-                worker_lost = Some("device worker disconnected".to_string());
-                lost_retried += 1;
-            }
-            cpu_apply(state, &mut fp16, sg);
-            cpu_count += 1;
+    // The CPU side: walk dynamic subgroups, shipping every k-th to the
+    // device (prefetch = send), updating the rest locally and
+    // downscaling them.
+    let prefetch = |state: &MixedPrecisionState, sg: &SubgroupSpec, seq: usize| {
+        let bytes = 4 * (3 * sg.len() + sg.len()); // p, m, v + grads, f32
+        let _span = stage_span(tracer, CPU_TRACK, "pcie.h2d", "prefetch", sg, bytes);
+        let (p, m, v) = state.snapshot_range(sg.range());
+        if let Some(t) = tracer {
+            t.metrics().inc_counter("pipeline.h2d.bytes", bytes as u64);
         }
-        drop(h2d_tx); // signal the worker to finish
+        StagedSubgroup {
+            sg: *sg,
+            p: pool.lease_f32_copy(p),
+            m: pool.lease_f32_copy(m),
+            v: pool.lease_f32_copy(v),
+            g: pool.lease_f32_copy(&grads[sg.range()]),
+            step,
+            lr,
+            rule,
+            tracer: tracer.cloned(),
+            fault: cfg.fault_injection,
+            seq,
+        }
+    };
 
-        // Drain the D2H channel: write back out-of-order arrivals. Ends
-        // when the worker drops its sender — normal completion, early
-        // return, or unwinding alike.
-        while let Ok(upd) = d2h_rx.recv() {
+    // Local (CPU) update of one subgroup; also the degraded fallback
+    // path when the device worker is gone. The FP32→FP16 downscale is a
+    // distinct pipeline stage (`D_c` in Eq. 1), so it gets its own span
+    // — folding it into the update span would inflate the tuner's `U_c`
+    // estimate and leave `D_c` unobservable.
+    let cpu_apply = |state: &mut MixedPrecisionState, fp16: &mut [F16], sg: &SubgroupSpec| {
+        {
+            let _span = stage_span(tracer, CPU_TRACK, "cpu", "update", sg, sg.len());
+            state.update_range(sg.range(), &grads[sg.range()]);
+        }
+        let _span = stage_span(tracer, CPU_TRACK, "cpu", "downscale", sg, sg.len());
+        kernels::downscale(&state.params()[sg.range()], &mut fp16[sg.range()]);
+    };
+
+    // The D2H side: writes back what the worker has finished, in arrival
+    // order, waiting while `limit` or more staged subgroups are in flight.
+    // `false` when that wait finds the worker hung up (early return or
+    // unwinding alike) with its last result written back. A loss is noticed
+    // only here, where the step waits for the worker — never by a poll or a
+    // send — so a degraded step stages the same subgroups (those the worker
+    // finished and the window behind them) under every interleaving.
+    let flush = |state: &mut MixedPrecisionState,
+                 fp16: &mut [F16],
+                 pending: &mut Vec<SubgroupSpec>,
+                 worker: &DeviceWorker,
+                 limit: usize| {
+        loop {
+            let upd = if pending.len() >= limit {
+                match worker.results.recv() {
+                    Ok(upd) => upd,
+                    Err(_) => return false,
+                }
+            } else {
+                match worker.results.try_recv() {
+                    Ok(upd) => upd,
+                    Err(_) => return true,
+                }
+            };
             let bytes = 4 * 3 * upd.sg.len() + 2 * upd.sg.len(); // f32 state + f16 params
             let _span = stage_span(tracer, CPU_TRACK, "pcie.d2h", "flush", &upd.sg, bytes);
             if let Some(t) = tracer {
@@ -361,28 +491,66 @@ pub fn hybrid_update_pooled(
             state.write_back_range(upd.sg.range(), &upd.p, &upd.m, &upd.v);
             fp16[upd.sg.range()].copy_from_slice(&upd.p16);
         }
+    };
 
-        // Contain a worker panic instead of letting the scope re-raise it.
-        if let Err(payload) = worker.join() {
-            worker_lost = Some(format!("device worker panicked: {}", panic_message(payload)));
-        } else if !pending.is_empty() && worker_lost.is_none() {
-            worker_lost = Some("device worker disconnected".to_string());
+    // Every k-th dynamic subgroup ships to the device, and so does the
+    // static-resident tail (conceptually already device-resident, so it
+    // updates there without the stride's say) — unless the device is
+    // gone, in which case everything falls back to the CPU.
+    for (i, sg) in subgroups.iter().enumerate() {
+        if let Some(worker) = &device {
+            // Flush as you go (Alg. 1): what came back while the last
+            // subgroup ran is written back now, its leases returned while
+            // the worker runs the next job; only staging one more subgroup
+            // waits, for the double buffer to have room.
+            let ship = plan.on_device(i);
+            let limit = if ship { MAX_IN_FLIGHT } else { usize::MAX };
+            if !flush(state, &mut fp16, &mut pending, worker, limit) {
+                lost = device.take();
+            } else if ship {
+                // A send fails once the worker hung up; the job is then as
+                // lost as one queued behind a worker about to die, and its
+                // subgroup waits in `pending` to be re-run all the same.
+                let _ = worker.jobs.send(prefetch(state, sg, device_count));
+                pending.push(*sg);
+                device_count += 1;
+                in_flight_peak = in_flight_peak.max(pending.len());
+                continue;
+            }
         }
+        cpu_apply(state, &mut fp16, sg);
+        cpu_count += 1;
+    }
 
-        // Re-run shipped-but-lost jobs on the CPU. Their host ranges were
-        // never written back, so the result is byte-identical to what the
-        // device would have produced.
-        for sg in std::mem::take(&mut pending) {
-            cpu_apply(state, &mut fp16, &sg);
-            device_count -= 1;
-            cpu_count += 1;
-            lost_retried += 1;
-        }
+    // The step ends by counting results, not by joining a thread: nothing
+    // pending means it holds the last one, and the worker parks.
+    if device.as_ref().is_some_and(|w| !flush(state, &mut fp16, &mut pending, w, 1)) {
+        lost = device.take();
+    }
+    let in_flight_high_water = pool.device().check_in(device, in_flight_peak);
+
+    // A lost worker is reaped: what it finished before dying is written
+    // back already, and the join — which contains a panic instead of
+    // re-raising it — tells how it died. The next step that ships work
+    // starts a new one.
+    let worker_lost = lost.map(|worker| match worker.shutdown() {
+        Err(payload) => format!("device worker panicked: {}", panic_message(payload)),
+        Ok(()) => "device worker disconnected".to_string(),
     });
+
+    // Re-run shipped-but-lost jobs on the CPU. Their host ranges were
+    // never written back, so the result is byte-identical to what the
+    // device would have produced.
+    for sg in std::mem::take(&mut pending) {
+        cpu_apply(state, &mut fp16, &sg);
+        device_count -= 1;
+        cpu_count += 1;
+    }
 
     if let Some(t) = tracer {
         t.metrics().inc_counter("pipeline.device_subgroups", device_count as u64);
         t.metrics().inc_counter("pipeline.cpu_subgroups", cpu_count as u64);
+        t.metrics().set_gauge("pipeline.in_flight_high_water", in_flight_high_water as f64);
         if worker_lost.is_some() {
             t.metrics().inc_counter("pipeline.degraded_steps", 1);
             // A `fault:` instant triggers the tracer's automatic
@@ -396,15 +564,18 @@ pub fn hybrid_update_pooled(
         fp16_params: fp16,
         device_subgroups: device_count,
         cpu_subgroups: cpu_count,
-        degraded: worker_lost
-            .map(|reason| PipelineDegradation { reason, lost_jobs_retried_on_cpu: lost_retried }),
+        degraded: worker_lost.map(|reason| PipelineDegradation {
+            reason,
+            lost_jobs_retried_on_cpu: plan.n_device() - device_count,
+        }),
     })
 }
 
 /// [`hybrid_update_pooled`] untraced and over a step-local [`ArenaPool`]:
 /// the four-argument form the oracles, `dos-check` scenarios and property
 /// tests call. Buffers still recycle *within* the step once the first
-/// stride's leases cycle back.
+/// stride's leases cycle back; the worker is step-local with the pool,
+/// joined when it drops.
 ///
 /// # Errors
 ///
@@ -641,6 +812,11 @@ mod tests {
         assert_eq!(on(super::CPU_TRACK, "update:sg"), report.cpu_subgroups);
         assert_eq!(on(super::CPU_TRACK, "downscale:sg"), report.cpu_subgroups);
         assert_eq!(tracer.metrics().counter("pipeline.degraded_steps"), 1);
+        // The loss is noticed only where the step waits for the worker, so
+        // what was staged is the same under every interleaving: the jobs
+        // the worker finished and the window that filled up behind them.
+        assert_eq!(on(super::CPU_TRACK, "prefetch:sg"), 2 + MAX_IN_FLIGHT);
+        assert_eq!(report.degraded.unwrap().lost_jobs_retried_on_cpu, 5 - 2);
     }
 
     #[test]
@@ -669,6 +845,88 @@ mod tests {
             pool.allocation_misses()
         );
         assert!(pool.high_water_bytes() > 0);
+    }
+
+    #[test]
+    fn one_parked_worker_serves_every_step_and_none_serves_cpu_only() {
+        let n = 1000;
+        let (mut seq, grads) = setup(n);
+        let (mut hyb, _) = setup(n);
+        let sgs = partition_into_subgroups(n, 64);
+        let pool = ArenaPool::new();
+        let cpu_only = PipelineConfig { stride: StridePolicy::CpuOnly, ..Default::default() };
+        for cfg in [cpu_only; 3].into_iter().chain([PipelineConfig::default(); 20]) {
+            // A plan that ships nothing neither starts nor wakes a worker.
+            let before = pool.worker_spawns();
+            seq.full_step(&grads);
+            hybrid_update_pooled(&mut hyb, &grads, &sgs, cfg, None, &pool).unwrap();
+            assert_eq!(pool.in_use_bytes(), 0, "the step's last result returns its last lease");
+            if matches!(cfg.stride, StridePolicy::CpuOnly) {
+                assert_eq!((before, pool.worker_spawns()), (0, 0));
+            }
+        }
+        assert_eq!(seq.params(), hyb.params());
+        assert_eq!(pool.worker_spawns(), 1, "started by the first step that ships, then parked");
+        // The double buffer: never more than two staged subgroups out, so
+        // the arena never holds more than their 2 × (4 f32 + 1 f16) leases.
+        assert!((1..=MAX_IN_FLIGHT).contains(&pool.in_flight_high_water()));
+        assert!(pool.high_water_bytes() <= MAX_IN_FLIGHT * 64 * (4 * 4 + 2));
+    }
+
+    #[test]
+    fn lost_worker_is_replaced_by_the_next_step_that_ships_work() {
+        let n = 600;
+        let (mut seq, grads) = setup(n);
+        let (mut hyb, _) = setup(n);
+        let sgs = partition_into_subgroups(n, 40);
+        let pool = ArenaPool::new();
+        let steps = [
+            (Some(DeviceFault::PanicAfter(1)), StridePolicy::Auto, 1),
+            // The worker is gone, and a plan without device work leaves it so.
+            (None, StridePolicy::CpuOnly, 1),
+            (None, StridePolicy::Auto, 2),
+            (Some(DeviceFault::DisconnectAfter(0)), StridePolicy::Auto, 2),
+            (None, StridePolicy::Auto, 3),
+        ];
+        for (fault_injection, stride, spawns) in steps {
+            seq.full_step(&grads);
+            let cfg = PipelineConfig { stride, static_residents: 0, fault_injection };
+            let report = hybrid_update_pooled(&mut hyb, &grads, &sgs, cfg, None, &pool).unwrap();
+            assert_eq!(report.degraded.is_some(), fault_injection.is_some(), "{cfg:?}");
+            assert_eq!(hyb.params(), seq.params(), "{cfg:?}");
+            assert_eq!(report.fp16_params, seq.downscale_range(0..n), "{cfg:?}");
+            assert_eq!(pool.worker_spawns(), spawns, "{cfg:?}");
+            assert_eq!(pool.in_use_bytes(), 0, "{cfg:?}");
+        }
+    }
+
+    #[test]
+    fn traced_and_untraced_steps_alternate_over_one_worker() {
+        let n = 1000;
+        let (mut state, grads) = setup(n);
+        let sgs = partition_into_subgroups(n, 64);
+        let (pool, tracer) = (ArenaPool::new(), Tracer::new());
+        let mut traced_device_subgroups = 0;
+        for step in 0..5 {
+            let t = (step % 2 == 0).then_some(&tracer); // first and last traced
+            let report =
+                hybrid_update_pooled(&mut state, &grads, &sgs, PipelineConfig::default(), t, &pool)
+                    .unwrap();
+            if t.is_some() {
+                traced_device_subgroups += report.device_subgroups;
+            }
+            // Device spans land in the tracer of the step that shipped the
+            // job, and are all there when that step returns.
+            let on_device =
+                tracer.events().iter().filter(|e| e.track == super::DEVICE_TRACK).count();
+            assert_eq!(on_device, 2 * traced_device_subgroups, "after step {step}");
+        }
+        assert_eq!(pool.worker_spawns(), 1);
+        assert_eq!(tracer.metrics().counter("pipeline.worker_spawns"), 1);
+        assert_eq!(
+            tracer.metrics().gauge("pipeline.in_flight_high_water"),
+            Some(pool.in_flight_high_water() as f64)
+        );
     }
 
     #[test]

@@ -483,6 +483,36 @@ mod tests {
     }
 
     #[test]
+    fn one_device_worker_serves_a_trainer_and_a_lost_one_is_replaced() {
+        let n = 40;
+        let json = r#"{ "params": 40, "subgroup_size": 5,
+                        "deep_optimizer_states": { "update_stride": 2 } }"#;
+        let mut trainer = Trainer::from_json(json, init(n)).unwrap();
+        let mut seq = MixedPrecisionState::new(init(n), UpdateRule::adam(), 0.01);
+        for step in 0..100 {
+            seq.full_step(&grads(n, step));
+            trainer.step(&grads(n, step)).unwrap();
+        }
+        assert_eq!(trainer.arena().worker_spawns(), 1, "parked between steps, not respawned");
+        assert!(trainer.arena().in_flight_high_water() <= 2);
+
+        trainer.inject_fault(Some(DeviceFault::PanicAfter(1)));
+        seq.full_step(&grads(n, 100));
+        assert!(trainer.step(&grads(n, 100)).unwrap().degraded.is_some());
+        assert_eq!(trainer.arena().worker_spawns(), 1, "a lost worker is replaced lazily");
+        trainer.inject_fault(None);
+        seq.full_step(&grads(n, 101));
+        let report = trainer.step(&grads(n, 101)).unwrap();
+        assert!(report.degraded.is_none(), "the step after a loss runs on a fresh worker");
+        assert!(report.device_subgroups > 0);
+        assert_eq!(trainer.arena().worker_spawns(), 2);
+        assert_eq!(report.fp16_params, seq.downscale_range(0..n));
+        assert_eq!(trainer.params(), seq.params());
+        assert_eq!(trainer.momentum(), seq.momentum());
+        assert_eq!(trainer.variance(), seq.variance());
+    }
+
+    #[test]
     fn monitored_trainer_is_bitwise_identical_and_reports() {
         let n = 47;
         let plain = r#"{ "params": 47, "subgroup_size": 8,

@@ -137,11 +137,21 @@ pub mod channel {
     }
 
     impl<T> Receiver<T> {
+        /// Pops the head of the queue. Only a bounded channel can have a
+        /// sender waiting for the slot this frees, so only there is the
+        /// wake-up (a `futex` syscall, heard or not) worth making.
+        fn pop(&self, st: &mut State<T>) -> Option<T> {
+            let v = st.queue.pop_front()?;
+            if st.capacity.is_some() {
+                self.inner.cv.notify_all();
+            }
+            Some(v)
+        }
+
         pub fn recv(&self) -> Result<T, RecvError> {
             let mut st = self.inner.state.lock().expect("channel lock");
             loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.inner.cv.notify_all();
+                if let Some(v) = self.pop(&mut st) {
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -156,8 +166,7 @@ pub mod channel {
             let deadline = std::time::Instant::now() + timeout;
             let mut st = self.inner.state.lock().expect("channel lock");
             loop {
-                if let Some(v) = st.queue.pop_front() {
-                    self.inner.cv.notify_all();
+                if let Some(v) = self.pop(&mut st) {
                     return Ok(v);
                 }
                 if st.senders == 0 {
@@ -179,8 +188,7 @@ pub mod channel {
 
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut st = self.inner.state.lock().expect("channel lock");
-            if let Some(v) = st.queue.pop_front() {
-                self.inner.cv.notify_all();
+            if let Some(v) = self.pop(&mut st) {
                 return Ok(v);
             }
             if st.senders == 0 {
@@ -288,6 +296,28 @@ pub mod channel {
                 rx.recv_timeout(Duration::from_millis(10)),
                 Err(RecvTimeoutError::Disconnected)
             );
+        }
+
+        #[test]
+        fn pop_releases_a_sender_blocked_on_a_full_bounded_channel() {
+            // Each receive flavour in turn frees the one slot; the blocked
+            // `send` returning is the proof that the pop still notifies.
+            type Pop = fn(&Receiver<u8>) -> Option<u8>;
+            let pops: [Pop; 3] = [
+                |rx| rx.recv().ok(),
+                |rx| rx.recv_timeout(std::time::Duration::from_secs(5)).ok(),
+                |rx| rx.try_recv().ok(),
+            ];
+            for pop in pops {
+                let (tx, rx) = bounded::<u8>(1);
+                tx.send(1).unwrap();
+                thread::scope(|s| {
+                    let blocked = s.spawn(|| tx.send(2));
+                    assert_eq!(pop(&rx), Some(1));
+                    assert_eq!(blocked.join().unwrap(), Ok(()));
+                });
+                assert_eq!(rx.try_recv(), Ok(2));
+            }
         }
 
         #[test]
