@@ -54,8 +54,9 @@ pub enum ScenarioKind {
     /// every schedule: the terminal state is bitwise equal to as many
     /// `full_step`s, jobs still queued behind a dead worker deadlock
     /// nothing, a lost worker is replaced exactly once (the spawn count
-    /// rides in `momentum`), and the parked worker ends with the pool — a
-    /// worker left parked would be reported as a deadlock.
+    /// rides in `momentum`), every lent range is back after each step (the
+    /// pool's lent bytes ride in `variance`), and the parked worker ends
+    /// with the pool — a worker left parked would be reported as a deadlock.
     PipelineWorker,
     /// Blocking-mode collectives over the in-process mesh transport (must
     /// pass under every schedule). Field reuse: `params` is the per-rank
@@ -408,11 +409,13 @@ impl CheckScenario {
     /// the ZenFlow scenario's time-varying gradient stream, the fault armed
     /// in the first, then the pool dropped *inside* the run so the parked
     /// worker's exit is part of every schedule. `momentum` carries the
-    /// pool's spawn count as a marker.
+    /// pool's spawn count as a marker, `variance` the bytes still metered
+    /// as lent after each step (0 when every loan came back).
     fn worker_observed(&self) -> Observed {
         let (mut state, _, sgs) = self.fresh_state();
         let pool = ArenaPool::new();
         let mut fp16 = Vec::new();
+        let mut lent_after_steps = 0;
         for step in 0..WORKER_STEPS {
             let cfg = PipelineConfig {
                 stride: StridePolicy::Fixed(self.stride.max(1)),
@@ -424,17 +427,15 @@ impl CheckScenario {
                 Ok(r) => r.fp16_params,
                 Err(e) => panic!("scenario {} precondition failure: {e}", self.encode()),
             };
+            lent_after_steps += pool.in_use_bytes();
         }
         let spawns = pool.worker_spawns();
         drop(pool);
         let mut momentum = state.momentum().to_vec();
         momentum.push(spawns as f32);
-        Observed {
-            params: state.params().to_vec(),
-            momentum,
-            variance: state.variance().to_vec(),
-            fp16,
-        }
+        let mut variance = state.variance().to_vec();
+        variance.push(lent_after_steps as f32);
+        Observed { params: state.params().to_vec(), momentum, variance, fp16 }
     }
 
     /// Sequential oracle for [`ScenarioKind::PipelineWorker`]: as many
@@ -448,12 +449,9 @@ impl CheckScenario {
         let fp16 = state.downscale_range(0..self.params);
         let mut momentum = state.momentum().to_vec();
         momentum.push(if self.fault == FaultPlan::None { 1.0 } else { 2.0 });
-        Observed {
-            params: state.params().to_vec(),
-            momentum,
-            variance: state.variance().to_vec(),
-            fp16,
-        }
+        let mut variance = state.variance().to_vec();
+        variance.push(0.0);
+        Observed { params: state.params().to_vec(), momentum, variance, fp16 }
     }
 
     /// Runs the blocking-mode collective rendezvous: one virtual thread
@@ -772,23 +770,28 @@ impl CheckScenario {
     /// The worker-lifetime suite `dos-cli check` explores alongside the
     /// pipeline (`--scenario plw`): two steps over one pool with a
     /// static-resident tail, at strides 1 and 2, healthy and with the
-    /// first step's worker lost to a panic or a disconnect.
+    /// first step's worker lost to a panic or a disconnect; then an
+    /// all-device cell (every subgroup lent) healthy, lost before its first
+    /// job, and lost on its last (the sixth).
     pub fn worker_suite() -> Vec<CheckScenario> {
-        let plw = |stride, fault| CheckScenario {
+        let plw = |stride, residents, fault| CheckScenario {
             kind: ScenarioKind::PipelineWorker,
             params: 48,
             subgroup: 8,
             stride,
-            residents: 1,
+            residents,
             fault,
         };
         vec![
-            plw(2, FaultPlan::None),
-            plw(1, FaultPlan::None),
-            plw(2, FaultPlan::Panic(1)),
-            plw(1, FaultPlan::Panic(2)),
-            plw(2, FaultPlan::Disconnect(0)),
-            plw(1, FaultPlan::Disconnect(1)),
+            plw(2, 1, FaultPlan::None),
+            plw(1, 1, FaultPlan::None),
+            plw(2, 1, FaultPlan::Panic(1)),
+            plw(1, 1, FaultPlan::Panic(2)),
+            plw(2, 1, FaultPlan::Disconnect(0)),
+            plw(1, 1, FaultPlan::Disconnect(1)),
+            plw(1, 2, FaultPlan::None),
+            plw(1, 2, FaultPlan::Panic(0)),
+            plw(1, 2, FaultPlan::Disconnect(5)),
         ]
     }
 

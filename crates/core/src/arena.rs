@@ -1,28 +1,30 @@
-//! Pinned-buffer arena pool for zero-copy pipeline stage handoffs.
+//! Pinned-buffer arena pool and the pipeline's host-memory meter.
 //!
-//! Every subgroup the hybrid pipeline ships to the device worker needs
-//! staging buffers (`p`, `m`, `v`, `g` in FP32 plus the FP16 parameter
-//! copy coming back). Allocating those per subgroup per step is exactly
-//! the churn the paper's pinned-buffer design avoids: real DMA requires
-//! page-locked memory, which is expensive to register, so implementations
-//! keep a fixed arena of pinned buffers and recycle them. [`ArenaPool`]
-//! is that arena's functional analogue: leased buffers hand themselves
-//! back on drop — wherever the drop happens, CPU thread or device worker
-//! — so a steady-state `hybrid_update` allocates nothing per subgroup.
+//! Algorithm 1 stages every device subgroup (`p`, `m`, `v`, `g` in FP32
+//! plus the FP16 parameter copy coming back) through pinned buffers, which
+//! real implementations keep in a fixed arena and recycle because
+//! page-locked memory is expensive to register. [`ArenaPool`] is that
+//! arena's functional analogue: leased buffers hand themselves back on
+//! drop, wherever the drop happens, so a steady-state lease allocates
+//! nothing. ZenFlow's FP16 downscale and the benchmark's replayed step
+//! lease from it.
 //!
-//! The pool is the pipeline's *host memory meter*: its in-use/high-water
-//! gauges (exported through `dos-telemetry` as `arena.in_use_bytes` /
-//! `arena.high_water_bytes`) are what `ResidentPolicy::Headroom` observes
-//! on the functional path to size static residents — the host-RSS
-//! analogue of the simulator's HBM headroom signal. The step writes
-//! results back as they arrive and stages at most two subgroups ahead, so
-//! the high water is that in-flight window (two subgroups × 18 B/param),
-//! not the step's device share.
+//! The hybrid step itself stages nothing: its device worker shares the
+//! host's DRAM and updates each subgroup in place through ranges lent to
+//! it (`lend`). The pool still *meters* those ranges — 18 B/param, what a
+//! staged subgroup's leases held — so its in-use/high-water gauges
+//! (exported through `dos-telemetry` as `arena.in_use_bytes` /
+//! `arena.high_water_bytes`) keep measuring what the step holds out. They
+//! are what `ResidentPolicy::Headroom` observes on the functional path to
+//! size static residents — the host-RSS analogue of the simulator's HBM
+//! headroom signal. The step lends at most two subgroups at a time, so the high
+//! water is that in-flight window (two subgroups × 18 B/param), not the
+//! step's device share.
 //!
 //! The pool also owns what outlives a step beside the buffers: the parked
 //! device worker (`pipeline`'s `DeviceSlot`), shut down and joined when the
 //! last [`ArenaPool`] handle drops. Leases hold the buffer store only, so a
-//! lease on the worker's thread never keeps the worker's owner alive.
+//! lease never keeps the worker's owner alive.
 
 use std::sync::Arc;
 
@@ -57,6 +59,19 @@ impl Inner {
         }
     }
 
+    /// Accounts `bytes` more in use.
+    fn take(&mut self, bytes: usize) {
+        self.in_use_bytes += bytes;
+        self.high_water_bytes = self.high_water_bytes.max(self.in_use_bytes);
+        self.publish();
+    }
+
+    /// Accounts `bytes` no longer in use.
+    fn give_back(&mut self, bytes: usize) {
+        self.in_use_bytes = self.in_use_bytes.saturating_sub(bytes);
+        self.publish();
+    }
+
     /// Accounts one lease of `bytes` served from `recycled` (a hit) or
     /// from a fresh, empty buffer (a miss).
     fn lease<T>(&mut self, recycled: Option<Vec<T>>, bytes: usize) -> Vec<T> {
@@ -64,31 +79,15 @@ impl Inner {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
         }
-        self.in_use_bytes += bytes;
-        self.high_water_bytes = self.high_water_bytes.max(self.in_use_bytes);
-        self.publish();
+        self.take(bytes);
         recycled.unwrap_or_default()
     }
 }
 
 /// The buffer store alone — what a lease holds to hand itself back. It
-/// deliberately is not an [`ArenaPool`]: a lease can sit on the device
-/// worker's thread, and the worker must never own the handle that owns it.
+/// deliberately is not an [`ArenaPool`]: a lease must never keep the
+/// device worker's owner alive.
 type Store = Arc<Mutex<Inner>>;
-
-fn lease_f16_downscaled(store: &Store, src: &[f32]) -> PooledF16 {
-    let mut buf = {
-        let mut inner = store.lock();
-        let recycled = inner.free_f16.pop();
-        inner.lease(recycled, src.len() * 2)
-    };
-    // Recycled buffers come back with their length intact, so in steady
-    // state this is a no-op and the kernel below is the only pass over
-    // the buffer; it zero-fills only what a longer lease adds.
-    buf.resize(src.len(), F16::ZERO);
-    kernels::downscale(src, &mut buf);
-    PooledF16 { buf, store: store.clone() }
-}
 
 /// A shared, thread-safe pool of reusable `f32`/`F16` staging buffers.
 ///
@@ -151,18 +150,40 @@ impl ArenaPool {
     /// (the device-side `.half()` copy), using the vectorized conversion
     /// kernel.
     pub fn lease_f16_downscaled(&self, src: &[f32]) -> PooledF16 {
-        lease_f16_downscaled(&self.inner, src)
+        let mut buf = {
+            let mut inner = self.inner.lock();
+            let recycled = inner.free_f16.pop();
+            inner.lease(recycled, src.len() * 2)
+        };
+        // Recycled buffers come back with their length intact, so in steady
+        // state this is a no-op and the kernel below is the only pass over
+        // the buffer; it zero-fills only what a longer lease adds.
+        buf.resize(src.len(), F16::ZERO);
+        kernels::downscale(src, &mut buf);
+        PooledF16 { buf, store: self.inner.clone() }
     }
 
-    /// Bytes currently leased out.
+    /// Meters `bytes` of host state lent in place to the device worker: no
+    /// buffer moves, but the bytes count as in use, as a staged subgroup's
+    /// leases did, until [`ArenaPool::returned`].
+    pub(crate) fn lent(&self, bytes: usize) {
+        self.inner.lock().take(bytes);
+    }
+
+    /// Meters the end of a loan [`ArenaPool::lent`] counted.
+    pub(crate) fn returned(&self, bytes: usize) {
+        self.inner.lock().give_back(bytes);
+    }
+
+    /// Bytes currently leased out or lent to the device worker.
     pub fn in_use_bytes(&self) -> usize {
         self.inner.lock().in_use_bytes
     }
 
-    /// Peak concurrent lease footprint since creation or the last
-    /// [`ArenaPool::take_high_water_bytes`]. The hybrid step keeps at most
-    /// two staged subgroups in flight, so this is the size of that window,
-    /// not of the step's whole device share.
+    /// Peak concurrent lease footprint — leases and lent ranges — since
+    /// creation or the last [`ArenaPool::take_high_water_bytes`]. The
+    /// hybrid step lends at most two subgroups at a time, so this is the
+    /// size of that window, not of the step's whole device share.
     pub fn high_water_bytes(&self) -> usize {
         self.inner.lock().high_water_bytes
     }
@@ -212,15 +233,6 @@ pub struct PooledF32 {
     store: Store,
 }
 
-impl PooledF32 {
-    /// Leases an FP16 buffer from this lease's own pool, filled with its
-    /// downscaled contents: [`ArenaPool::lease_f16_downscaled`] for a
-    /// holder that has the lease but not the pool (the device worker).
-    pub(crate) fn downscaled(&self) -> PooledF16 {
-        lease_f16_downscaled(&self.store, &self.buf)
-    }
-}
-
 impl std::ops::Deref for PooledF32 {
     type Target = [f32];
     fn deref(&self) -> &[f32] {
@@ -237,9 +249,8 @@ impl std::ops::DerefMut for PooledF32 {
 impl Drop for PooledF32 {
     fn drop(&mut self) {
         let mut inner = self.store.lock();
-        inner.in_use_bytes = inner.in_use_bytes.saturating_sub(self.buf.len() * 4);
+        inner.give_back(self.buf.len() * 4);
         inner.free_f32.push(std::mem::take(&mut self.buf));
-        inner.publish();
     }
 }
 
@@ -260,9 +271,8 @@ impl std::ops::Deref for PooledF16 {
 impl Drop for PooledF16 {
     fn drop(&mut self) {
         let mut inner = self.store.lock();
-        inner.in_use_bytes = inner.in_use_bytes.saturating_sub(self.buf.len() * 2);
+        inner.give_back(self.buf.len() * 2);
         inner.free_f16.push(std::mem::take(&mut self.buf));
-        inner.publish();
     }
 }
 

@@ -2,28 +2,35 @@
 //!
 //! The simulator (`schedulers`) reproduces the paper's *timing*; this module
 //! reproduces its *mechanism* with real concurrency: a device worker thread
-//! ("the GPU"), DMA channels carrying subgroup state back and forth, and the
-//! calling thread playing the CPU — exactly Algorithm 1's structure. The
+//! ("the GPU") and the calling thread playing the CPU, each updating its
+//! share of the subgroups — exactly Algorithm 1's structure. The
 //! correctness claim under test is §4.1's: out-of-order, cross-device
 //! subgroup updates produce results identical to a sequential CPU update.
 //!
-//! Buffers move through `crossbeam` channels by value, mirroring the fact
-//! that a subgroup's (p, m, v) is staged on exactly one device at a time.
-//! Channels and threads come from the [`crate::sync`] facade: real
-//! crossbeam/std primitives in production, schedule-controlled twins under
-//! `dos-check`'s deterministic exploration.
+//! The device updates in place. The paper stages a device subgroup's
+//! p/m/v/g over PCIe because its GPU has memory of its own; this device is
+//! a second core on the host's DRAM, so the step lends it the subgroup's
+//! own ranges of the state, the gradients and the FP16 output (through
+//! `lend`, the crate's one `unsafe` module) and a subgroup is
+//! still updated on exactly one thread at a time. PCIe stays priced where
+//! it is modelled: in `dos-hal` and the simulator. Channels and threads
+//! come from the [`crate::sync`] facade: real crossbeam/std primitives in
+//! production, schedule-controlled twins under `dos-check`'s deterministic
+//! exploration.
 //!
 //! The device outlives the step, as Alg. 1's streams do: the worker is one
 //! detached thread parked in `recv` between jobs and between steps, kept
 //! by the [`ArenaPool`] the step receives — started by the first step that
 //! ships a subgroup, hung up on and joined when the pool's last handle
 //! drops, replaced by the next shipping step if a step loses it. A step
-//! ends by counting results, not by joining a thread. In between it writes
-//! finished subgroups back as they arrive and stages a new one only while
-//! fewer than two are in flight (Alg. 1's double buffer), so the arena
-//! holds two staged subgroups, not the step's whole device share.
+//! ends by counting loans back, not by joining a thread. In between it
+//! reclaims finished subgroups as they arrive and lends a new one only
+//! while fewer than two are out (Alg. 1's double buffer).
 
-use crate::arena::{ArenaPool, PooledF16, PooledF32};
+use std::ops::ControlFlow;
+
+use crate::arena::ArenaPool;
+use crate::lend::{self, Lender, Ranges};
 use crate::sync;
 
 use dos_optim::{MixedPrecisionState, UpdateRule};
@@ -39,11 +46,15 @@ pub const CPU_TRACK: &str = "cpu";
 /// Track name for the device worker's spans.
 pub const DEVICE_TRACK: &str = "device-worker";
 
-/// Staged subgroups in flight (shipped, not yet written back) at which the
-/// caller stops staging and waits for a result: Algorithm 1's double
-/// buffer — one subgroup under update, one queued behind it — which is
-/// also what bounds the arena to two subgroups of staging.
+/// Subgroups lent to the worker and not yet back at which the caller stops
+/// lending and waits for one: Algorithm 1's double buffer — one subgroup
+/// under update, one queued behind it.
 const MAX_IN_FLIGHT: usize = 2;
+
+/// Bytes a lent subgroup holds per parameter — `p`, `m`, `v`, `g` in FP32
+/// and its FP16 slice — counted by the `pipeline.h2d|d2h.bytes` counters
+/// and metered by the pool, as a staged subgroup's leases were.
+const LENT_BYTES_PER_PARAM: usize = 4 * 4 + 2;
 
 /// Typed precondition failures of the hybrid pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,7 +111,8 @@ pub struct PipelineConfig {
     /// `Auto` runs at [`DEFAULT_STRIDE`], the paper's measured optimum.
     pub stride: StridePolicy,
     /// Number of trailing subgroups treated as static device residents
-    /// (updated on the device without staging transfers).
+    /// (updated on the device without staging transfers — as every device
+    /// subgroup of the functional pipeline is).
     pub static_residents: usize,
     /// Optional injected device fault (chaos testing). `None` in
     /// production use.
@@ -119,9 +131,8 @@ pub struct PipelineDegradation {
     /// What happened to the device worker (panic message or disconnect).
     pub reason: String,
     /// Subgroups the plan placed on the device that the loss moved to the
-    /// CPU: those shipped but never returned, re-run from their
-    /// still-unmodified host state, and those not shipped once the loss was
-    /// known.
+    /// CPU: those lent but never returned, re-run from their still-unmodified
+    /// host state, and those not lent once the loss was known.
     pub lost_jobs_retried_on_cpu: usize,
 }
 
@@ -142,88 +153,67 @@ pub struct PipelineReport {
     pub degraded: Option<PipelineDegradation>,
 }
 
-/// One staged subgroup travelling to the device worker, with everything
-/// the worker needs to update it — the worker outlives the step and can
-/// borrow nothing from it. The buffers are arena leases ("pinned" staging
-/// memory), not fresh allocations; they return to the pool wherever the
-/// subgroup is dropped.
-struct StagedSubgroup {
+/// What the worker needs beside the ranges it borrows — the worker
+/// outlives the step and can borrow nothing else from it.
+struct Job {
     sg: SubgroupSpec,
-    p: PooledF32,
-    m: PooledF32,
-    v: PooledF32,
-    g: PooledF32,
     step: u64,
     lr: f32,
     rule: UpdateRule,
-    /// The shipping step's tracer: traced and untraced steps share a worker.
+    /// The lending step's tracer: traced and untraced steps share a worker.
     tracer: Option<Tracer>,
     /// The step's armed fault, which fires on the job that `seq` of the
-    /// step's jobs were shipped before.
+    /// step's jobs were lent before.
     fault: Option<DeviceFault>,
     seq: usize,
 }
 
-/// An updated subgroup travelling back, carrying the same leased buffers.
-struct UpdatedSubgroup {
-    sg: SubgroupSpec,
-    p: PooledF32,
-    m: PooledF32,
-    v: PooledF32,
-    p16: PooledF16,
-}
-
 /// The device worker ("the GPU"): one thread, parked in `recv` between
-/// jobs and between steps, behind its two DMA channels — H2D staging in,
-/// D2H updated state out.
+/// jobs and between steps, behind the step's end of its channels.
 struct DeviceWorker {
-    jobs: sync::Sender<StagedSubgroup>,
-    results: sync::Receiver<UpdatedSubgroup>,
+    lending: lend::Lending<Job>,
     handle: sync::JoinHandle<()>,
 }
 
 impl DeviceWorker {
     fn spawn() -> DeviceWorker {
-        let (jobs, h2d_rx) = sync::unbounded::<StagedSubgroup>();
-        let (d2h_tx, results) = sync::unbounded::<UpdatedSubgroup>();
+        let (lending, borrowing) = lend::channel::<Job>();
         let handle = sync::spawn(move || {
-            while let Ok(job) = h2d_rx.recv() {
+            borrowing.serve(|job, r| {
+                // Faults fire at the job boundary, before a range is
+                // touched, so a lost job has never started.
                 match job.fault {
                     Some(DeviceFault::PanicAfter(n)) if job.seq == n => {
                         panic!("injected device fault after {n} jobs")
                     }
-                    Some(DeviceFault::DisconnectAfter(n)) if job.seq == n => return,
+                    Some(DeviceFault::DisconnectAfter(n)) if job.seq == n => {
+                        return ControlFlow::Break(())
+                    }
                     _ => {}
                 }
-                // The same element-wise rule, then the FP16 copy on-device
-                // (the D2D `.half()` of Alg. 1). All of the job but its
-                // echo — gradient lease, spans, tracer — ends with this
-                // block, before the send: a caller holding its step's last
-                // result finds every lease returned and every span recorded.
-                let echo = {
-                    let StagedSubgroup { sg, mut p, mut m, mut v, g, tracer, .. } = job;
-                    let tracer = tracer.as_ref();
-                    {
-                        let _span =
-                            stage_span(tracer, DEVICE_TRACK, "gpu", "update", &sg, sg.len());
-                        job.rule.apply(job.step, job.lr, &mut p, &g, &mut m, &mut v);
-                    }
-                    let _span = stage_span(tracer, DEVICE_TRACK, "gpu", "flush", &sg, 0);
-                    let p16 = p.downscaled();
-                    UpdatedSubgroup { sg, p, m, v, p16 }
-                };
-                if d2h_tx.send(echo).is_err() {
-                    return; // the caller is gone; nothing left to do
+                // The same element-wise rule in place, then the FP16 copy
+                // straight into the step's output (the D2D `.half()` of
+                // Alg. 1). The job — spans, tracer — ends with this call,
+                // before the loan goes back: a caller holding its step's
+                // last loan finds every span recorded.
+                let tracer = job.tracer.as_ref();
+                {
+                    let _span =
+                        stage_span(tracer, DEVICE_TRACK, "gpu", "update", &job.sg, job.sg.len());
+                    job.rule.apply(job.step, job.lr, r.p, r.g, r.m, r.v);
                 }
-            }
+                let _span = stage_span(tracer, DEVICE_TRACK, "gpu", "flush", &job.sg, 0);
+                kernels::downscale(r.p, r.p16);
+                ControlFlow::Continue(())
+            })
         });
-        DeviceWorker { jobs, results, handle }
+        DeviceWorker { lending, handle }
     }
 
     /// Hangs up on the worker and waits for its thread; `Err` carries its
     /// panic payload.
     fn shutdown(self) -> std::thread::Result<()> {
-        drop(self.jobs);
+        drop(self.lending);
         self.handle.join()
     }
 }
@@ -318,26 +308,53 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
+/// The step's five flat vectors cut at the (validated) subgroup ends: one
+/// [`Ranges`] per subgroup, in order.
+///
+/// # Panics
+///
+/// Panics if the five lengths differ: `m`/`v` against `p` is the state's
+/// own invariant, `g` and `p16` were sized from it.
+fn split<'a>(
+    (p, m, v): (&'a mut [f32], &'a mut [f32], &'a mut [f32]),
+    g: &'a [f32],
+    p16: &'a mut [F16],
+    subgroups: &[SubgroupSpec],
+) -> Vec<Ranges<'a>> {
+    let n = p.len();
+    assert!(
+        [m.len(), v.len(), g.len(), p16.len()].iter().all(|&len| len == n),
+        "optimizer state, gradient and FP16 lengths differ"
+    );
+    let mut rest = Ranges { p, m, v, g, p16 };
+    let mut out = Vec::with_capacity(subgroups.len());
+    for sg in subgroups {
+        let (head, tail) = rest.split_at(sg.len());
+        out.push(head);
+        rest = tail;
+    }
+    out
+}
+
 /// Runs one interleaved hybrid optimizer step over `state` with `grads`,
 /// scheduling subgroups per `cfg` across the calling thread and the device
-/// worker parked in `pool`, staging every shipped subgroup through leases
-/// from `pool`.
+/// worker parked in `pool`, which updates its subgroups in place.
 ///
 /// Equivalent to `state.full_step(grads)` followed by a full downscale —
 /// bitwise, for any stride and resident set (verified by the crate's
 /// property tests) — but executed with the paper's interleaved concurrency.
 ///
 /// Trainers hold one [`ArenaPool`] across iterations, so steady-state steps
-/// recycle the same leases instead of allocating per subgroup and wake the
-/// same worker instead of spawning one; the pool's high-water gauge (the
-/// two-deep in-flight window) is what the resident-sizing policy observes.
+/// wake the same worker instead of spawning one; the pool meters the lent
+/// ranges (18 B/param, two subgroups at most) in the high-water gauge the
+/// resident-sizing policy observes.
 ///
 /// With `tracer: Some(_)` every pipeline stage emits a wall-clock span —
-/// `prefetch:sg{id}` (H2D staging) / `update:sg{id}` / `downscale:sg{id}`
-/// (FP32→FP16, `D_c`) / `flush:sg{id}` (D2H write-back) on [`CPU_TRACK`],
-/// and `update:sg{id}` / `flush:sg{id}` (on-device downscale + send) on
-/// [`DEVICE_TRACK`] — plus `pipeline.*` counters in the tracer's metrics
-/// registry, among them `pipeline.worker_spawns` and the
+/// `prefetch:sg{id}` (the hand-off to the worker) / `update:sg{id}` /
+/// `downscale:sg{id}` (FP32→FP16, `D_c`) / `flush:sg{id}` (the reclaim) on
+/// [`CPU_TRACK`], and `update:sg{id}` / `flush:sg{id}` (on-device
+/// downscale) on [`DEVICE_TRACK`] — plus `pipeline.*` counters in the
+/// tracer's metrics registry, among them `pipeline.worker_spawns` and the
 /// `pipeline.in_flight_high_water` gauge ([`ArenaPool::worker_spawns`] /
 /// [`ArenaPool::in_flight_high_water`] read the same untraced). Tracing
 /// only observes: numerics are identical either way.
@@ -345,10 +362,9 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// The pipeline is panic-safe: if the device worker dies mid-step (a real
 /// panic or a channel disconnect, injectable via
 /// [`PipelineConfig::fault_injection`]), the remaining subgroups degrade to
-/// the CPU-only path, any shipped-but-lost jobs are re-run on the CPU from
-/// their still-unmodified host state, and the step completes byte-exact
-/// with [`PipelineReport::degraded`] set. The lost worker is reaped before
-/// the step returns.
+/// the CPU-only path, any lent-but-lost jobs are re-run on the CPU from
+/// their still-unmodified host state once the worker is joined, and the
+/// step completes byte-exact with [`PipelineReport::degraded`] set.
 ///
 /// # Errors
 ///
@@ -405,144 +421,123 @@ pub fn hybrid_update_pooled(
     let mut device_count = 0usize;
     let mut cpu_count = 0usize;
     let mut in_flight_peak = 0usize;
-    // Shipped subgroups whose results have not been written back yet. If
-    // the worker dies, whatever is left here re-runs on the CPU: write-back
-    // never happened, so the host state for those ranges is untouched and a
-    // CPU update from it is byte-exact.
-    let mut pending: Vec<SubgroupSpec> = Vec::new();
     let mut fp16 = vec![F16::ZERO; state.len()];
+    // One borrow of the state, the gradients and the FP16 output, cut once
+    // into every subgroup's ranges: the CPU updates its own through them,
+    // the worker borrows the device's.
+    let ranges = split(state.parts_mut(), grads, &mut fp16, subgroups);
 
     // The pool's parked worker, checked out for the step — unless the plan
-    // ships nothing (`cpu_only`), which neither starts nor wakes one. A
-    // worker that stops answering moves to `lost`, and the step goes on as
-    // if the plan had no device.
+    // ships nothing (`cpu_only`), which neither starts nor wakes one.
     let mut device = (plan.n_device() > 0).then(|| pool.device().check_out(tracer));
-    let mut lost: Option<DeviceWorker> = None;
-
-    // The CPU side: walk dynamic subgroups, shipping every k-th to the
-    // device (prefetch = send), updating the rest locally and
-    // downscaling them.
-    let prefetch = |state: &MixedPrecisionState, sg: &SubgroupSpec, seq: usize| {
-        let bytes = 4 * (3 * sg.len() + sg.len()); // p, m, v + grads, f32
-        let _span = stage_span(tracer, CPU_TRACK, "pcie.h2d", "prefetch", sg, bytes);
-        let (p, m, v) = state.snapshot_range(sg.range());
-        if let Some(t) = tracer {
-            t.metrics().inc_counter("pipeline.h2d.bytes", bytes as u64);
-        }
-        StagedSubgroup {
-            sg: *sg,
-            p: pool.lease_f32_copy(p),
-            m: pool.lease_f32_copy(m),
-            v: pool.lease_f32_copy(v),
-            g: pool.lease_f32_copy(&grads[sg.range()]),
-            step,
-            lr,
-            rule,
-            tracer: tracer.cloned(),
-            fault: cfg.fault_injection,
-            seq,
-        }
-    };
 
     // Local (CPU) update of one subgroup; also the degraded fallback
     // path when the device worker is gone. The FP32→FP16 downscale is a
     // distinct pipeline stage (`D_c` in Eq. 1), so it gets its own span
     // — folding it into the update span would inflate the tuner's `U_c`
     // estimate and leave `D_c` unobservable.
-    let cpu_apply = |state: &mut MixedPrecisionState, fp16: &mut [F16], sg: &SubgroupSpec| {
+    let cpu_apply = |sg: &SubgroupSpec, r: Ranges<'_>| {
         {
             let _span = stage_span(tracer, CPU_TRACK, "cpu", "update", sg, sg.len());
-            state.update_range(sg.range(), &grads[sg.range()]);
+            rule.apply(step, lr, r.p, r.g, r.m, r.v);
         }
         let _span = stage_span(tracer, CPU_TRACK, "cpu", "downscale", sg, sg.len());
-        kernels::downscale(&state.params()[sg.range()], &mut fp16[sg.range()]);
+        kernels::downscale(r.p, r.p16);
     };
 
-    // The D2H side: writes back what the worker has finished, in arrival
-    // order, waiting while `limit` or more staged subgroups are in flight.
-    // `false` when that wait finds the worker hung up (early return or
-    // unwinding alike) with its last result written back. A loss is noticed
-    // only here, where the step waits for the worker — never by a poll or a
-    // send — so a degraded step stages the same subgroups (those the worker
-    // finished and the window behind them) under every interleaving.
-    let flush = |state: &mut MixedPrecisionState,
-                 fp16: &mut [F16],
-                 pending: &mut Vec<SubgroupSpec>,
-                 worker: &DeviceWorker,
-                 limit: usize| {
-        loop {
-            let upd = if pending.len() >= limit {
-                match worker.results.recv() {
-                    Ok(upd) => upd,
-                    Err(_) => return false,
-                }
-            } else {
-                match worker.results.try_recv() {
-                    Ok(upd) => upd,
-                    Err(_) => return true,
-                }
-            };
-            let bytes = 4 * 3 * upd.sg.len() + 2 * upd.sg.len(); // f32 state + f16 params
-            let _span = stage_span(tracer, CPU_TRACK, "pcie.d2h", "flush", &upd.sg, bytes);
-            if let Some(t) = tracer {
-                t.metrics().inc_counter("pipeline.d2h.bytes", bytes as u64);
-            }
-            pending.retain(|p| p.id != upd.sg.id);
-            state.write_back_range(upd.sg.range(), &upd.p, &upd.m, &upd.v);
-            fp16[upd.sg.range()].copy_from_slice(&upd.p16);
+    // The H2D side, now a hand-off: meters the lent bytes and describes the
+    // job. The send that wakes the worker follows the span — like the wait
+    // before a reclaim, it is scheduling, not transfer.
+    let prefetch = |sg: &SubgroupSpec, seq: usize| {
+        let bytes = LENT_BYTES_PER_PARAM * sg.len();
+        let _span = stage_span(tracer, CPU_TRACK, "pcie.h2d", "prefetch", sg, bytes);
+        if let Some(t) = tracer {
+            t.metrics().inc_counter("pipeline.h2d.bytes", bytes as u64);
         }
+        pool.lent(bytes);
+        let fault = cfg.fault_injection;
+        Job { sg: *sg, step, lr, rule, tracer: tracer.cloned(), fault, seq }
     };
 
-    // Every k-th dynamic subgroup ships to the device, and so does the
+    // The D2H side: reclaims what the worker has finished, in arrival
+    // order, waiting while `limit` or more loans are out. `false` when that
+    // wait finds the worker hung up (early return or unwinding alike). A
+    // loss is noticed only here, where the step waits for the worker —
+    // never by a poll or a send — so a degraded step lends the same
+    // subgroups (those the worker finished and the window behind them)
+    // under every interleaving.
+    let flush = |lender: &mut Lender<'_, '_, Job>, limit: usize| loop {
+        let i = match lender.reclaim(lender.out() >= limit) {
+            Ok(Some(i)) => i,
+            Ok(None) => return true,
+            Err(lend::HungUp) => return false,
+        };
+        let bytes = LENT_BYTES_PER_PARAM * subgroups[i].len();
+        let _span = stage_span(tracer, CPU_TRACK, "pcie.d2h", "flush", &subgroups[i], bytes);
+        if let Some(t) = tracer {
+            t.metrics().inc_counter("pipeline.d2h.bytes", bytes as u64);
+        }
+        pool.returned(bytes);
+    };
+
+    // Every k-th dynamic subgroup is lent to the device, and so is the
     // static-resident tail (conceptually already device-resident, so it
     // updates there without the stride's say) — unless the device is
-    // gone, in which case everything falls back to the CPU.
-    for (i, sg) in subgroups.iter().enumerate() {
-        if let Some(worker) = &device {
-            // Flush as you go (Alg. 1): what came back while the last
-            // subgroup ran is written back now, its leases returned while
-            // the worker runs the next job; only staging one more subgroup
-            // waits, for the double buffer to have room.
-            let ship = plan.on_device(i);
-            let limit = if ship { MAX_IN_FLIGHT } else { usize::MAX };
-            if !flush(state, &mut fp16, &mut pending, worker, limit) {
-                lost = device.take();
-            } else if ship {
-                // A send fails once the worker hung up; the job is then as
-                // lost as one queued behind a worker about to die, and its
-                // subgroup waits in `pending` to be re-run all the same.
-                let _ = worker.jobs.send(prefetch(state, sg, device_count));
-                pending.push(*sg);
-                device_count += 1;
-                in_flight_peak = in_flight_peak.max(pending.len());
-                continue;
+    // gone, in which case everything falls back to the CPU. The lender's
+    // scope ends only once every loan is back or the worker hung up; what
+    // never came back returns as `lost`.
+    let (hung_up, lost) = match device.as_mut() {
+        None => {
+            for (sg, r) in subgroups.iter().zip(ranges) {
+                cpu_apply(sg, r);
+                cpu_count += 1;
             }
+            (false, Vec::new())
         }
-        cpu_apply(state, &mut fp16, sg);
-        cpu_count += 1;
-    }
-
-    // The step ends by counting results, not by joining a thread: nothing
-    // pending means it holds the last one, and the worker parks.
-    if device.as_ref().is_some_and(|w| !flush(state, &mut fp16, &mut pending, w, 1)) {
-        lost = device.take();
-    }
-    let in_flight_high_water = pool.device().check_in(device, in_flight_peak);
-
-    // A lost worker is reaped: what it finished before dying is written
+        Some(worker) => worker.lending.scope(|lender| {
+            let mut hung_up = false;
+            for (i, (sg, r)) in subgroups.iter().zip(ranges).enumerate() {
+                if !hung_up {
+                    // Flush as you go (Alg. 1): what came back while the
+                    // last subgroup ran is reclaimed now; only lending one
+                    // more waits, for the double buffer to have room.
+                    let ship = plan.on_device(i);
+                    let limit = if ship { MAX_IN_FLIGHT } else { usize::MAX };
+                    if !flush(lender, limit) {
+                        hung_up = true;
+                    } else if ship {
+                        lender.lend(i, prefetch(sg, device_count), r);
+                        device_count += 1;
+                        in_flight_peak = in_flight_peak.max(lender.out());
+                        continue;
+                    }
+                }
+                cpu_apply(sg, r);
+                cpu_count += 1;
+            }
+            // The step ends by counting loans back, not by joining a
+            // thread: none out means it holds the last, and the worker parks.
+            hung_up = hung_up || !flush(lender, 1);
+            (hung_up, lender.recover())
+        }),
+    };
+    // A worker that hung up is reaped: what it finished before dying is
     // back already, and the join — which contains a panic instead of
     // re-raising it — tells how it died. The next step that ships work
     // starts a new one.
-    let worker_lost = lost.map(|worker| match worker.shutdown() {
+    let lost_worker = if hung_up { device.take() } else { None };
+    let in_flight_high_water = pool.device().check_in(device, in_flight_peak);
+    let worker_lost = lost_worker.map(|worker| match worker.shutdown() {
         Err(payload) => format!("device worker panicked: {}", panic_message(payload)),
         Ok(()) => "device worker disconnected".to_string(),
     });
 
-    // Re-run shipped-but-lost jobs on the CPU. Their host ranges were
-    // never written back, so the result is byte-identical to what the
-    // device would have produced.
-    for sg in std::mem::take(&mut pending) {
-        cpu_apply(state, &mut fp16, &sg);
+    // Re-run lent-but-lost jobs on the CPU, the worker joined. Faults fire
+    // before a job touches its ranges, so they are untouched and the
+    // result is byte-identical to what the device would have produced.
+    for (i, r) in lost {
+        cpu_apply(&subgroups[i], r);
+        pool.returned(LENT_BYTES_PER_PARAM * subgroups[i].len());
         device_count -= 1;
         cpu_count += 1;
     }
@@ -573,9 +568,8 @@ pub fn hybrid_update_pooled(
 
 /// [`hybrid_update_pooled`] untraced and over a step-local [`ArenaPool`]:
 /// the four-argument form the oracles, `dos-check` scenarios and property
-/// tests call. Buffers still recycle *within* the step once the first
-/// stride's leases cycle back; the worker is step-local with the pool,
-/// joined when it drops.
+/// tests call. The worker is step-local with the pool, joined when it
+/// drops.
 ///
 /// # Errors
 ///
@@ -625,19 +619,22 @@ mod tests {
     #[test]
     fn all_strides_agree() {
         let n = 500;
-        let (expected_p, _) = reference(n);
-        for stride in [
-            StridePolicy::CpuOnly,
-            StridePolicy::Fixed(1),
-            StridePolicy::Fixed(2),
-            StridePolicy::Fixed(3),
-            StridePolicy::Fixed(7),
+        let (expected_p, expected_16) = reference(n);
+        for (stride, residents) in [
+            (StridePolicy::CpuOnly, 0),
+            (StridePolicy::Fixed(1), 0),
+            (StridePolicy::Fixed(2), 0),
+            (StridePolicy::Fixed(3), 0),
+            (StridePolicy::Fixed(7), 0),
+            // All-device: every subgroup lent, the resident tail included.
+            (StridePolicy::Fixed(1), 3),
         ] {
             let (mut state, grads) = setup(n);
             let sgs = partition_into_subgroups(n, 33);
-            let cfg = PipelineConfig { stride, ..PipelineConfig::default() };
+            let cfg = PipelineConfig { stride, static_residents: residents, fault_injection: None };
             let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
             assert_eq!(state.params(), &expected_p[..], "stride {stride:?} diverged");
+            assert_eq!(report.fp16_params, expected_16, "stride {stride:?} fp16 diverged");
             if matches!(stride, StridePolicy::CpuOnly) {
                 assert_eq!(report.device_subgroups, 0);
             }
@@ -697,8 +694,8 @@ mod tests {
         let on = |track: &str, prefix: &str| {
             events.iter().filter(|e| e.track == track && e.name.starts_with(prefix)).count()
         };
-        // CPU track: prefetch per shipped subgroup, update + downscale per
-        // local one, flush per write-back.
+        // CPU track: prefetch per lent subgroup, update + downscale per
+        // local one, flush per reclaim.
         assert_eq!(on(super::CPU_TRACK, "prefetch:sg"), report.device_subgroups);
         assert_eq!(on(super::CPU_TRACK, "update:sg"), report.cpu_subgroups);
         assert_eq!(on(super::CPU_TRACK, "downscale:sg"), report.cpu_subgroups);
@@ -806,21 +803,21 @@ mod tests {
         let on = |track: &str, prefix: &str| {
             events.iter().filter(|e| e.track == track && e.name.starts_with(prefix)).count()
         };
-        // Write-backs happened only for jobs the worker finished; CPU
+        // Reclaims happened only for jobs the worker finished; CPU
         // updates cover the rest (locals + lost retries).
         assert_eq!(on(super::CPU_TRACK, "flush:sg"), report.device_subgroups);
         assert_eq!(on(super::CPU_TRACK, "update:sg"), report.cpu_subgroups);
         assert_eq!(on(super::CPU_TRACK, "downscale:sg"), report.cpu_subgroups);
         assert_eq!(tracer.metrics().counter("pipeline.degraded_steps"), 1);
         // The loss is noticed only where the step waits for the worker, so
-        // what was staged is the same under every interleaving: the jobs
-        // the worker finished and the window that filled up behind them.
+        // what was lent is the same under every interleaving: the jobs the
+        // worker finished and the window that filled up behind them.
         assert_eq!(on(super::CPU_TRACK, "prefetch:sg"), 2 + MAX_IN_FLIGHT);
         assert_eq!(report.degraded.unwrap().lost_jobs_retried_on_cpu, 5 - 2);
     }
 
     #[test]
-    fn pooled_steps_recycle_buffers_and_stay_bitwise_exact() {
+    fn pooled_steps_stage_nothing_and_stay_bitwise_exact() {
         let n = 1000;
         let (mut seq, grads) = setup(n);
         let (mut hyb, _) = setup(n);
@@ -830,21 +827,16 @@ mod tests {
             seq.full_step(&grads);
             hybrid_update_pooled(&mut hyb, &grads, &sgs, PipelineConfig::default(), None, &pool)
                 .unwrap();
+            // Every lent range came back with its step.
+            assert_eq!(pool.in_use_bytes(), 0);
         }
         assert_eq!(seq.params(), hyb.params());
         assert_eq!(seq.momentum(), hyb.momentum());
         assert_eq!(seq.variance(), hyb.variance());
-        // Every lease came back: the pool owns all buffers again.
-        assert_eq!(pool.in_use_bytes(), 0);
-        // Steady state recycles: later steps hit the free lists instead of
-        // allocating (first step can only miss).
-        assert!(
-            pool.reuse_hits() > pool.allocation_misses(),
-            "hits {} vs misses {}",
-            pool.reuse_hits(),
-            pool.allocation_misses()
-        );
-        assert!(pool.high_water_bytes() > 0);
+        // The device updates in place: no buffer is leased, fresh or recycled...
+        assert_eq!((pool.allocation_misses(), pool.reuse_hits()), (0, 0));
+        // ...but the meter still reads the two-deep window of lent subgroups.
+        assert_eq!(pool.high_water_bytes(), MAX_IN_FLIGHT * LENT_BYTES_PER_PARAM * 64);
     }
 
     #[test]
@@ -860,17 +852,17 @@ mod tests {
             let before = pool.worker_spawns();
             seq.full_step(&grads);
             hybrid_update_pooled(&mut hyb, &grads, &sgs, cfg, None, &pool).unwrap();
-            assert_eq!(pool.in_use_bytes(), 0, "the step's last result returns its last lease");
+            assert_eq!(pool.in_use_bytes(), 0, "the step's last reclaim returns its last loan");
             if matches!(cfg.stride, StridePolicy::CpuOnly) {
                 assert_eq!((before, pool.worker_spawns()), (0, 0));
             }
         }
         assert_eq!(seq.params(), hyb.params());
         assert_eq!(pool.worker_spawns(), 1, "started by the first step that ships, then parked");
-        // The double buffer: never more than two staged subgroups out, so
-        // the arena never holds more than their 2 × (4 f32 + 1 f16) leases.
+        // The double buffer: never more than two subgroups lent, so the
+        // meter never reads more than their 2 × 18 B/param.
         assert!((1..=MAX_IN_FLIGHT).contains(&pool.in_flight_high_water()));
-        assert!(pool.high_water_bytes() <= MAX_IN_FLIGHT * 64 * (4 * 4 + 2));
+        assert!(pool.high_water_bytes() <= MAX_IN_FLIGHT * 64 * LENT_BYTES_PER_PARAM);
     }
 
     #[test]
@@ -943,7 +935,7 @@ mod tests {
         let report = hybrid_update_pooled(&mut state, &grads, &sgs, cfg, None, &pool).unwrap();
         assert!(report.degraded.is_some());
         assert_eq!(state.params(), &expected_p[..]);
-        assert_eq!(pool.in_use_bytes(), 0, "worker loss must not leak leases");
+        assert_eq!(pool.in_use_bytes(), 0, "worker loss must not leak lent bytes");
     }
 }
 

@@ -93,6 +93,13 @@ impl MixedPrecisionState {
         &self.v
     }
 
+    /// Borrows `(p, m, v)` mutably at once: the one borrow of the state a
+    /// scheduler cuts into disjoint per-subgroup ranges, each updated in
+    /// place by whichever thread holds it (`dos-core`'s hybrid step).
+    pub fn parts_mut(&mut self) -> (&mut [f32], &mut [f32], &mut [f32]) {
+        (&mut self.p, &mut self.m, &mut self.v)
+    }
+
     /// The completed step count.
     pub fn step_count(&self) -> u64 {
         self.step
@@ -166,7 +173,11 @@ impl MixedPrecisionState {
     }
 
     /// Borrows `(p, m, v)` slices of a range — what gets staged to the GPU
-    /// when a subgroup is scheduled there (Algorithm 1's prefetch).
+    /// when a subgroup is scheduled there (Algorithm 1's prefetch). Its
+    /// remaining users are `dos-core`'s ZenFlow cold flush and the
+    /// benchmark's replayed step (and `dos-check`'s seeded-bug fixture,
+    /// which copies the old staged pipeline); the hybrid step updates in
+    /// place instead ([`MixedPrecisionState::parts_mut`]).
     ///
     /// # Panics
     ///
@@ -177,7 +188,8 @@ impl MixedPrecisionState {
     }
 
     /// Writes back `(p, m, v)` for a range — Algorithm 1's flush-out after a
-    /// GPU-side update.
+    /// GPU-side update. Its users are those of
+    /// [`MixedPrecisionState::snapshot_range`].
     ///
     /// # Panics
     ///

@@ -914,6 +914,26 @@ mod tests {
     }
 
     #[test]
+    fn an_in_place_step_reads_as_eq1s_zero_transfer_case() {
+        // The device borrows its ranges instead of staging copies, so the
+        // hand-off and the reclaim move no bytes: from one traced step the
+        // wall estimator must read a `B` far above `U_c` (Eq. 1 with
+        // B → ∞), not stall on a missing or copy-rate one.
+        let n = 1 << 20;
+        let sgs = dos_zero::partition_into_subgroups(n, n / 2);
+        let mut state = MixedPrecisionState::new(vec![0.5; n], UpdateRule::adam(), 1e-3);
+        let (tracer, pool) = (Tracer::new(), dos_core::ArenaPool::new());
+        let cfg = PipelineConfig { stride: StridePolicy::Fixed(2), ..PipelineConfig::default() };
+        let grads = vec![0.1; n];
+        dos_core::hybrid_update_pooled(&mut state, &grads, &sgs, cfg, Some(&tracer), &pool)
+            .unwrap();
+        let mut est = dos_control::InputEstimators::wall(1.0);
+        est.observe_wall_events(&tracer.events());
+        let inputs = est.inputs().expect("every Eq. 1 input observed");
+        assert!(inputs.b >= 100.0 * inputs.uc, "b {} vs uc {}", inputs.b, inputs.uc);
+    }
+
+    #[test]
     fn adaptive_stride_with_shared_tracer_records_pipeline_spans() {
         let ds = toy_dataset(8);
         let tracer = dos_telemetry::Tracer::new();

@@ -438,6 +438,35 @@ mod tests {
     }
 
     #[test]
+    fn a_guard_receiving_while_its_thread_unwinds_waits_for_the_teardown() {
+        struct RecvOnDrop(Receiver<u32>);
+        impl Drop for RecvOnDrop {
+            fn drop(&mut self) {
+                let _ = self.0.recv();
+            }
+        }
+        let outcome = run_with_scheduler(
+            || {
+                let (jobs_tx, jobs_rx) = unbounded::<u32>();
+                let (back_tx, back_rx) = unbounded::<u32>();
+                let _worker = spawn(move || {
+                    while let Ok(v) = jobs_rx.recv() {
+                        let _ = back_tx.send(v);
+                    }
+                });
+                let _guard = RecvOnDrop(back_rx);
+                let _parked = jobs_tx; // keeps the worker parked in `recv`
+                panic!("the root dies while its guard waits on the worker");
+            },
+            first,
+            10_000,
+        );
+        // The guard's receive neither aborted the process nor hung: it tore
+        // the run down and returned once the worker had unwound.
+        assert!(outcome.result.is_err(), "root must have been unwound");
+    }
+
+    #[test]
     fn detached_spawn_poll_and_join_are_schedulable() {
         let outcome = run_with_scheduler(
             || {

@@ -374,10 +374,24 @@ impl<T> VirtReceiver<T> {
     /// Receives one value, yielding until the channel is readable or
     /// disconnected. The controller only grants this operation when it is
     /// enabled, so after the grant exactly one outcome applies.
+    ///
+    /// While unwinding (a guard that must outlive a peer's work), no grant
+    /// can come: the run is torn down instead, so every parked peer
+    /// unwinds too, and the receive waits until the channel is readable or
+    /// its last sender is gone.
     pub fn recv(&self) -> Result<T, crossbeam::channel::RecvError> {
         let ctx = endpoint_ctx(&self.shared);
         ctx.yield_op(PendingOp::Recv(self.id));
         let mut core = self.shared.core.lock();
+        let chan = &core.chans[self.id];
+        if std::thread::panicking() && chan.len == 0 && chan.senders > 0 {
+            drop(core);
+            self.shared.abort_all();
+            core = self.shared.core.lock();
+            while core.chans[self.id].len == 0 && core.chans[self.id].senders > 0 {
+                self.shared.cv.wait(&mut core);
+            }
+        }
         if core.chans[self.id].len > 0 {
             core.chans[self.id].len -= 1;
             drop(core);

@@ -14,8 +14,8 @@
 //! the reference the conformance harness checks against. Where the host
 //! CPU reports AVX2 and F16C, the downscale (`D_c`) runs on `vcvtps2ph`
 //! instead — same bits, chosen at run time, named by
-//! [`kernels::dispatch_path`]. [`simd`] is the one module in the workspace
-//! allowed to contain `unsafe`; everything it exports is safe.
+//! [`kernels::dispatch_path`]. [`simd`] is this crate's one module allowed
+//! to contain `unsafe`; everything it exports is safe.
 //!
 //! ```
 //! use dos_tensor::{Tensor, DType, F16};

@@ -1,11 +1,12 @@
-//! The workspace's one home for `unsafe`: the two places where the kernels
-//! of Eq. 1 — and, through the same frame, `dos-nn`'s matrix products —
-//! step up to the vector width the host CPU reports.
+//! One of the workspace's two homes for `unsafe` (the other is `dos-core`'s
+//! `lend`): the two places where the kernels of Eq. 1 — and, through the
+//! same frame, `dos-nn`'s matrix products — step up to the vector width the
+//! host CPU reports.
 //!
-//! Every other module of every crate is compiled under
-//! `forbid(unsafe_code)` (this crate under `deny`, with the one `allow` on
-//! this module; `tools/unsafe-audit.sh` holds the line in CI). Two things
-//! cannot be written without it:
+//! Every other module of this crate is compiled under `deny(unsafe_code)`,
+//! with the one `allow` on this module, and every crate but this one and
+//! `dos-core` under `forbid(unsafe_code)`; `tools/unsafe-audit.sh` holds the
+//! line in CI. Two things cannot be written without it:
 //!
 //! * calling a `#[target_feature]` function from code compiled for the
 //!   baseline target — sound exactly when the feature was detected first;

@@ -230,7 +230,8 @@ impl TrainingCheckpoint {
     /// # Errors
     ///
     /// Any deviation — wrong magic, unknown version, short payload,
-    /// checksum mismatch, trailing bytes, undecodable JSON — returns the
+    /// checksum mismatch, trailing bytes, undecodable JSON, optimizer
+    /// moments whose lengths differ from the parameters' — returns the
     /// corresponding typed [`CheckpointError`]; corrupted input is never
     /// silently restored.
     pub fn from_bytes(bytes: &[u8]) -> Result<TrainingCheckpoint, CheckpointError> {
@@ -284,8 +285,19 @@ impl TrainingCheckpoint {
         if got_sum != expected_sum {
             return Err(CheckpointError::ChecksumMismatch { expected: expected_sum, got: got_sum });
         }
-        serde_json::from_slice(rest)
-            .map_err(|e| CheckpointError::Corrupt { detail: format!("payload decode: {e}") })
+        let ckpt: TrainingCheckpoint = serde_json::from_slice(rest)
+            .map_err(|e| CheckpointError::Corrupt { detail: format!("payload decode: {e}") })?;
+        // The decoder fills the optimizer's three vectors independently; a
+        // state whose moments do not match its parameters is not one any
+        // constructor builds, and the update step relies on that.
+        let opt = &ckpt.optimizer;
+        let (p, m, v) = (opt.params().len(), opt.momentum().len(), opt.variance().len());
+        if m != p || v != p {
+            return Err(CheckpointError::Corrupt {
+                detail: format!("optimizer state lengths differ: p {p}, m {m}, v {v}"),
+            });
+        }
+        Ok(ckpt)
     }
 
     /// Writes the snapshot to `path` crash-consistently: serialize, write
@@ -594,6 +606,25 @@ mod tests {
             // header is a different typed error — also acceptable.
             Err(_) => {}
             Ok(_) => panic!("corrupted checkpoint restored silently"),
+        }
+    }
+
+    #[test]
+    fn mismatched_optimizer_lengths_are_corrupt() {
+        let state = MixedPrecisionState::new(vec![1.0, 2.0], UpdateRule::adam(), 0.5);
+        let ckpt = TrainingCheckpoint { params: vec![1.0, 2.0], optimizer: state, iteration: 0 };
+        let json = String::from_utf8(serde_json::to_vec(&ckpt).unwrap()).unwrap();
+        // A hand-built file whose checksum is right but whose `v` is short.
+        let short_v = json.replacen("\"v\":[0.0,0.0]", "\"v\":[0.0]", 1);
+        assert_ne!(short_v, json, "payload layout changed: {json}");
+        let sum = fnv1a64(short_v.as_bytes());
+        let mut file = format!("DOSCKPT1\n{sum:016x}\n{}\n", short_v.len()).into_bytes();
+        file.extend_from_slice(short_v.as_bytes());
+        match TrainingCheckpoint::from_bytes(&file) {
+            Err(CheckpointError::Corrupt { detail }) => {
+                assert!(detail.contains("lengths differ"), "{detail}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
         }
     }
 
