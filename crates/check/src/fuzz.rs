@@ -205,7 +205,7 @@ pub fn run_case(case: &FuzzCase) -> Option<String> {
         let grads: Vec<f32> = (0..n).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
         seq.full_step(&grads);
         match trainer.step(&grads) {
-            Ok(report) => last_fp16 = report.fp16_params,
+            Ok(report) => last_fp16 = report.fp16_params.to_vec(),
             Err(e) => return Some(format!("step {step}: pipeline precondition failure: {e}")),
         }
         if let Some(d) = bitwise_mismatch("params", step, trainer.params(), seq.params())

@@ -10,9 +10,11 @@
 //!   Expected to pass under *every* schedule; any divergence, deadlock, or
 //!   panic is a pipeline bug.
 //! * [`ScenarioKind::PipelineWorker`] — two
-//!   [`dos_core::hybrid_update_pooled`] steps over one pool, so the device
-//!   worker parks between them (or is lost in the first and replaced in the
-//!   second) and must end when the pool drops. Same expectation.
+//!   [`dos_core::hybrid_update_into`] steps over one pool and one FP16
+//!   output slot, so the device worker parks between them (or is lost in
+//!   the first and replaced in the second) and must end when the pool
+//!   drops, and the second step writes into the first one's FP16 buffer.
+//!   Same expectation.
 //! * [`ScenarioKind::Rendezvous`] — the real
 //!   [`dos_collectives::Communicator`] in blocking mode over
 //!   [`dos_collectives::InProcTransport`], one virtual thread per rank:
@@ -36,7 +38,7 @@ use dos_core::sync;
 use dos_hal::HardwareProfile;
 use dos_serve::{Coordinator, JobSpec, ServeOptions};
 use dos_core::{
-    hybrid_update, hybrid_update_pooled, zenflow_reference, ArenaPool, DeviceFault,
+    hybrid_update, hybrid_update_into, zenflow_reference, ArenaPool, DeviceFault,
     PipelineConfig, StridePolicy, ZenFlowConfig, ZenFlowPipeline,
 };
 use dos_optim::{MixedPrecisionState, UpdateRule};
@@ -49,7 +51,8 @@ pub enum ScenarioKind {
     /// The real hybrid pipeline (must pass under every schedule).
     Pipeline,
     /// The device worker's life across steps: two consecutive
-    /// [`hybrid_update_pooled`] steps over one [`ArenaPool`], the fault (if
+    /// [`hybrid_update_into`] steps over one [`ArenaPool`] and one FP16
+    /// output slot (the second writes the first's buffer), the fault (if
     /// any) armed in the first only, then the pool dropped. Must pass under
     /// every schedule: the terminal state is bitwise equal to as many
     /// `full_step`s, jobs still queued behind a dead worker deadlock
@@ -380,7 +383,7 @@ impl CheckScenario {
                     params: state.params().to_vec(),
                     momentum: state.momentum().to_vec(),
                     variance: state.variance().to_vec(),
-                    fp16: report.fp16_params,
+                    fp16: report.fp16_params.to_vec(),
                 }
             }
             ScenarioKind::BuggyLostSend => {
@@ -408,13 +411,15 @@ impl CheckScenario {
     /// Runs the worker-lifetime body: [`WORKER_STEPS`] pooled steps over
     /// the ZenFlow scenario's time-varying gradient stream, the fault armed
     /// in the first, then the pool dropped *inside* the run so the parked
-    /// worker's exit is part of every schedule. `momentum` carries the
-    /// pool's spawn count as a marker, `variance` the bytes still metered
-    /// as lent after each step (0 when every loan came back).
+    /// worker's exit is part of every schedule. Each report is copied and
+    /// dropped, so every step after the first writes the slot's buffer.
+    /// `momentum` carries the pool's spawn count as a marker, `variance`
+    /// the bytes still metered as lent after each step (0 when every loan
+    /// came back).
     fn worker_observed(&self) -> Observed {
         let (mut state, _, sgs) = self.fresh_state();
         let pool = ArenaPool::new();
-        let mut fp16 = Vec::new();
+        let (mut out, mut fp16) = (None, Vec::new());
         let mut lent_after_steps = 0;
         for step in 0..WORKER_STEPS {
             let cfg = PipelineConfig {
@@ -423,8 +428,8 @@ impl CheckScenario {
                 fault_injection: if step == 0 { self.fault.to_device_fault() } else { None },
             };
             let grads = zenflow_grads(self.params, step);
-            fp16 = match hybrid_update_pooled(&mut state, &grads, &sgs, cfg, None, &pool) {
-                Ok(r) => r.fp16_params,
+            fp16 = match hybrid_update_into(&mut state, &grads, &sgs, cfg, None, &pool, &mut out) {
+                Ok(r) => r.fp16_params.to_vec(),
                 Err(e) => panic!("scenario {} precondition failure: {e}", self.encode()),
             };
             lent_after_steps += pool.in_use_bytes();

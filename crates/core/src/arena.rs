@@ -6,8 +6,9 @@
 //! page-locked memory is expensive to register. [`ArenaPool`] is that
 //! arena's functional analogue: leased buffers hand themselves back on
 //! drop, wherever the drop happens, so a steady-state lease allocates
-//! nothing. ZenFlow's FP16 downscale and the benchmark's replayed step
-//! lease from it.
+//! nothing. Only the benchmark's replayed step still leases from it: no
+//! step of the program stages a buffer, and the `Trainer` downscales into
+//! the FP16 buffer it keeps across steps.
 //!
 //! The hybrid step itself stages nothing: its device worker shares the
 //! host's DRAM and updates each subgroup in place through ranges lent to
@@ -125,10 +126,12 @@ impl ArenaPool {
     }
 
     /// Creates an empty pool that mirrors its in-use/high-water bytes into
-    /// `metrics` as the [`GAUGE_IN_USE`] and [`GAUGE_HIGH_WATER`] gauges on
-    /// every lease and return.
+    /// `metrics` as the [`GAUGE_IN_USE`] and [`GAUGE_HIGH_WATER`] gauges,
+    /// published at zero now and again on every lease and return — so a
+    /// pool nothing leases from or lends through still exports both.
     pub fn with_metrics(metrics: MetricsRegistry) -> ArenaPool {
         let inner = Inner { metrics: Some(metrics), ..Inner::default() };
+        inner.publish();
         ArenaPool { inner: Arc::new(Mutex::new(inner)), device: Arc::default() }
     }
 
@@ -340,6 +343,9 @@ mod tests {
     fn gauges_are_published_through_telemetry() {
         let metrics = MetricsRegistry::new();
         let pool = ArenaPool::with_metrics(metrics.clone());
+        // Published before the first lease: an idle pool exports zeros.
+        assert_eq!(metrics.gauge(GAUGE_IN_USE), Some(0.0));
+        assert_eq!(metrics.gauge(GAUGE_HIGH_WATER), Some(0.0));
         let a = pool.lease_f32_copy(&[0.0; 25]);
         assert_eq!(metrics.gauge(GAUGE_IN_USE), Some(100.0));
         assert_eq!(metrics.gauge(GAUGE_HIGH_WATER), Some(100.0));

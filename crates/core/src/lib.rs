@@ -26,9 +26,11 @@
 //!   *real threads and real Adam numerics*, demonstrating the §4.1
 //!   correctness claim: out-of-order, cross-device subgroup updates are
 //!   bitwise identical to a sequential CPU update. It is the one pipeline
-//!   body (optional tracer, caller-owned [`ArenaPool`]); [`hybrid_update`]
-//!   is its four-argument form for oracles and property tests, and
-//!   `dos_train::Trainer::step` its one production caller. The pool keeps
+//!   body (optional tracer, caller-owned [`ArenaPool`]) with a fresh FP16
+//!   output; [`hybrid_update_into`] is the same body writing into an FP16
+//!   buffer kept across steps, and [`hybrid_update`] the four-argument form
+//!   for oracles and property tests. `dos_train::Trainer::step` is the one
+//!   production caller, and keeps the FP16 buffer. The pool keeps
 //!   the one device worker parked between steps (started by the first step
 //!   that ships work, ended with the pool's last handle); a step lends it
 //!   at most two subgroups at a time, which it updates in place — their own
@@ -74,8 +76,8 @@ pub use explain::{explain_schedule, ScheduleExplanation};
 pub use nvme::NvmeOffload;
 pub use perf_model::{PerfModel, SweepOutcome};
 pub use pipeline::{
-    hybrid_update, hybrid_update_pooled, DeviceFault, PipelineConfig, CPU_TRACK, DEVICE_TRACK,
-    PipelineDegradation, PipelineError, PipelineReport,
+    hybrid_update, hybrid_update_into, hybrid_update_pooled, take_fp16_buffer, DeviceFault,
+    PipelineConfig, CPU_TRACK, DEVICE_TRACK, PipelineDegradation, PipelineError, PipelineReport,
 };
 pub use schedulers::{
     DeepOptimizerStates, StridePolicy, TwinFlow, UpdatePlan, ZenFlowAsync, Zero3Offload,

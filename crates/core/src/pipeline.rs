@@ -28,6 +28,7 @@
 //! while fewer than two are out (Alg. 1's double buffer).
 
 use std::ops::ControlFlow;
+use std::sync::Arc;
 
 use crate::arena::ArenaPool;
 use crate::lend::{self, Lender, Ranges};
@@ -140,8 +141,12 @@ pub struct PipelineDegradation {
 #[derive(Debug, Clone)]
 pub struct PipelineReport {
     /// Downscaled FP16 parameters for the whole flat space (what the GPU
-    /// trains the next iteration with).
-    pub fp16_params: Vec<F16>,
+    /// trains the next iteration with). Immutable and cheap to clone: a
+    /// step that keeps an output slot ([`hybrid_update_into`], the
+    /// `Trainer`) writes the next step's parameters into this same buffer
+    /// once every report sharing it has dropped, and into a fresh one while
+    /// any is still held — so a report never changes under its holder.
+    pub fp16_params: Arc<[F16]>,
     /// How many subgroups were updated on the device worker.
     pub device_subgroups: usize,
     /// How many subgroups were updated on the calling (CPU) thread
@@ -366,6 +371,9 @@ fn split<'a>(
 /// their still-unmodified host state once the worker is joined, and the
 /// step completes byte-exact with [`PipelineReport::degraded`] set.
 ///
+/// The FP16 output is a fresh buffer every call; [`hybrid_update_into`] is
+/// the same step writing into a buffer kept across steps.
+///
 /// # Errors
 ///
 /// Returns [`PipelineError`] if `grads.len() != state.len()` or if
@@ -378,6 +386,43 @@ pub fn hybrid_update_pooled(
     cfg: PipelineConfig,
     tracer: Option<&Tracer>,
     pool: &ArenaPool,
+) -> Result<PipelineReport, PipelineError> {
+    hybrid_update_into(state, grads, subgroups, cfg, tracer, pool, &mut None)
+}
+
+/// Takes the FP16 buffer out of `slot` when a step may overwrite it — it
+/// holds `n` values and no report still shares it — and allocates a zeroed
+/// one otherwise. The buffer returned is unshared either way.
+pub fn take_fp16_buffer(slot: &mut Option<Arc<[F16]>>, n: usize) -> Arc<[F16]> {
+    if let Some(mut buf) = slot.take() {
+        if buf.len() == n && Arc::get_mut(&mut buf).is_some() {
+            return buf;
+        }
+    }
+    std::iter::repeat_n(F16::ZERO, n).collect()
+}
+
+/// [`hybrid_update_pooled`] writing its FP16 output into the buffer `out`
+/// keeps across steps, as Alg. 1's `D_c` writes the model's persistent FP16
+/// tensor in place.
+///
+/// The step writes into `out`'s buffer when it holds `state.len()` values
+/// and no report still shares it, and into a fresh one otherwise
+/// ([`take_fp16_buffer`]): a held report is never overwritten. On `Ok`,
+/// `out` holds a clone of the report's [`PipelineReport::fp16_params`]; on
+/// `Err` it is left as it was.
+///
+/// # Errors
+///
+/// Fails under the same conditions as [`hybrid_update_pooled`].
+pub fn hybrid_update_into(
+    state: &mut MixedPrecisionState,
+    grads: &[f32],
+    subgroups: &[SubgroupSpec],
+    cfg: PipelineConfig,
+    tracer: Option<&Tracer>,
+    pool: &ArenaPool,
+    out: &mut Option<Arc<[F16]>>,
 ) -> Result<PipelineReport, PipelineError> {
     if grads.len() != state.len() {
         return Err(PipelineError::GradientLengthMismatch {
@@ -421,11 +466,12 @@ pub fn hybrid_update_pooled(
     let mut device_count = 0usize;
     let mut cpu_count = 0usize;
     let mut in_flight_peak = 0usize;
-    let mut fp16 = vec![F16::ZERO; state.len()];
-    // One borrow of the state, the gradients and the FP16 output, cut once
-    // into every subgroup's ranges: the CPU updates its own through them,
-    // the worker borrows the device's.
-    let ranges = split(state.parts_mut(), grads, &mut fp16, subgroups);
+    let mut fp16 = take_fp16_buffer(out, state.len());
+    // One borrow of the state, the gradients and the FP16 output (unshared,
+    // so `make_mut` borrows it and never clones), cut once into every
+    // subgroup's ranges: the CPU updates its own through them, the worker
+    // borrows the device's.
+    let ranges = split(state.parts_mut(), grads, Arc::make_mut(&mut fp16), subgroups);
 
     // The pool's parked worker, checked out for the step — unless the plan
     // ships nothing (`cpu_only`), which neither starts nor wakes one.
@@ -555,6 +601,7 @@ pub fn hybrid_update_pooled(
         }
     }
 
+    *out = Some(Arc::clone(&fp16));
     Ok(PipelineReport {
         fp16_params: fp16,
         device_subgroups: device_count,
@@ -610,7 +657,7 @@ mod tests {
         let sgs = partition_into_subgroups(n, 64);
         let report = hybrid_update(&mut state, &grads, &sgs, PipelineConfig::default()).unwrap();
         assert_eq!(state.params(), &expected_p[..]);
-        assert_eq!(report.fp16_params, expected_16);
+        assert_eq!(report.fp16_params[..], expected_16[..]);
         assert!(report.device_subgroups > 0);
         assert!(report.cpu_subgroups > 0);
         assert!(report.degraded.is_none());
@@ -634,7 +681,7 @@ mod tests {
             let cfg = PipelineConfig { stride, static_residents: residents, fault_injection: None };
             let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
             assert_eq!(state.params(), &expected_p[..], "stride {stride:?} diverged");
-            assert_eq!(report.fp16_params, expected_16, "stride {stride:?} fp16 diverged");
+            assert_eq!(report.fp16_params[..], expected_16[..], "stride {stride:?} fp16 diverged");
             if matches!(stride, StridePolicy::CpuOnly) {
                 assert_eq!(report.device_subgroups, 0);
             }
@@ -688,7 +735,7 @@ mod tests {
             hybrid_update_pooled(&mut state, &grads, &sgs, cfg, Some(&tracer), &ArenaPool::new())
                 .unwrap();
         assert_eq!(state.params(), &expected_p[..]);
-        assert_eq!(report.fp16_params, expected_16);
+        assert_eq!(report.fp16_params[..], expected_16[..]);
 
         let events = tracer.events();
         let on = |track: &str, prefix: &str| {
@@ -754,7 +801,7 @@ mod tests {
                 let cfg = PipelineConfig { fault_injection: Some(fault), ..Default::default() };
                 let report = hybrid_update(&mut state, &grads, &sgs, cfg).unwrap();
                 assert_eq!(state.params(), &expected_p[..], "{fault:?} diverged");
-                assert_eq!(report.fp16_params, expected_16, "{fault:?} fp16 diverged");
+                assert_eq!(report.fp16_params[..], expected_16[..], "{fault:?} fp16 diverged");
                 let deg = report.degraded.expect("worker loss must be reported");
                 assert!(deg.lost_jobs_retried_on_cpu > 0, "{fault:?} lost nothing?");
                 if matches!(fault, DeviceFault::PanicAfter(_)) {
@@ -886,7 +933,7 @@ mod tests {
             let report = hybrid_update_pooled(&mut hyb, &grads, &sgs, cfg, None, &pool).unwrap();
             assert_eq!(report.degraded.is_some(), fault_injection.is_some(), "{cfg:?}");
             assert_eq!(hyb.params(), seq.params(), "{cfg:?}");
-            assert_eq!(report.fp16_params, seq.downscale_range(0..n), "{cfg:?}");
+            assert_eq!(report.fp16_params[..], seq.downscale_range(0..n)[..], "{cfg:?}");
             assert_eq!(pool.worker_spawns(), spawns, "{cfg:?}");
             assert_eq!(pool.in_use_bytes(), 0, "{cfg:?}");
         }
@@ -919,6 +966,34 @@ mod tests {
             tracer.metrics().gauge("pipeline.in_flight_high_water"),
             Some(pool.in_flight_high_water() as f64)
         );
+    }
+
+    #[test]
+    fn output_slot_is_written_in_place_only_when_unshared() {
+        let n = 600;
+        let (mut seq, grads) = setup(n);
+        let (mut hyb, _) = setup(n);
+        let sgs = partition_into_subgroups(n, 40);
+        let (pool, cfg, mut out) = (ArenaPool::new(), PipelineConfig::default(), None);
+        let addr = |b: &Arc<[F16]>| Arc::as_ptr(b).cast::<F16>();
+        let mut step = |out: &mut Option<Arc<[F16]>>| {
+            seq.full_step(&grads);
+            let r = hybrid_update_into(&mut hyb, &grads, &sgs, cfg, None, &pool, out).unwrap();
+            assert_eq!(r.fp16_params[..], seq.downscale_range(0..n)[..]);
+            (r.fp16_params, seq.downscale_range(0..n))
+        };
+        let (held, twin) = step(&mut out);
+        // `held` shares the slot's buffer, so the next step writes elsewhere.
+        let (next, _) = step(&mut out);
+        assert_ne!(addr(&next), addr(&held));
+        assert_eq!(held[..], twin[..], "a held report never changes");
+        let buffer = addr(&next);
+        drop(next);
+        assert_eq!(addr(&step(&mut out).0), buffer, "an unshared buffer is reused");
+        // A rejected step leaves the slot as it was.
+        let short = vec![0.0; n - 1];
+        assert!(hybrid_update_into(&mut hyb, &short, &sgs, cfg, None, &pool, &mut out).is_err());
+        assert_eq!(out.as_ref().map(addr), Some(buffer));
     }
 
     #[test]

@@ -54,7 +54,7 @@ proptest! {
         prop_assert_eq!(reference.params(), hybrid.params());
         prop_assert_eq!(reference.momentum(), hybrid.momentum());
         prop_assert_eq!(reference.variance(), hybrid.variance());
-        prop_assert_eq!(report.fp16_params, ref_fp16);
+        prop_assert_eq!(&report.fp16_params[..], &ref_fp16[..]);
         // A healthy step places exactly what the plan says it places.
         let plan = UpdatePlan::new(subgroups.len(), residents, Some(stride));
         prop_assert_eq!(report.device_subgroups, plan.n_device());

@@ -676,7 +676,7 @@ fn run_rank(
         // the weights and advance the step count — and republishes the
         // unchanged FP16 shard.
         let shard_fp16 = if skipped {
-            trainer.state().downscale_range(0..trainer.state().len())
+            trainer.state().downscale_range(0..trainer.state().len()).into()
         } else {
             let mark = tracer.as_ref().map_or(0.0, Tracer::now);
             let report = {

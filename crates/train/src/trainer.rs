@@ -3,14 +3,17 @@
 //! ZenFlow driver assembled once, stepped through the zero-copy
 //! hybrid-update pipeline.
 
+use std::sync::Arc;
+
 use dos_core::{
-    hybrid_update_pooled, ArenaPool, DeviceFault, PipelineConfig, PipelineReport, StridePolicy,
-    ZenFlowPipeline, CPU_TRACK, DEVICE_TRACK,
+    hybrid_update_into, take_fp16_buffer, ArenaPool, DeviceFault, PipelineConfig, PipelineReport,
+    StridePolicy, ZenFlowPipeline, CPU_TRACK, DEVICE_TRACK,
 };
 use dos_optim::MixedPrecisionState;
 use dos_telemetry::{
     window_stats, HealthBoard, HealthEvent, HealthMonitor, IterationReport, Tracer, HEALTH_TRACK,
 };
+use dos_tensor::{kernels, F16};
 use dos_zero::{partition_into_subgroups, SubgroupSpec};
 
 use crate::checkpoint::TrainingCheckpoint;
@@ -24,14 +27,24 @@ use crate::config::{TrainerConfig, TrainerError};
 /// entry, partitioning, `"monitor"`, `"scheduler"`) and the per-rank shards
 /// of `dos-runtime`'s data-parallel loop ([`Trainer::new`] over the rank's
 /// slice of the ZeRO-sharded state) exercise the exact same
-/// [`hybrid_update_pooled`] call with a per-trainer [`ArenaPool`], never a
+/// [`hybrid_update_into`] call with a per-trainer [`ArenaPool`], never a
 /// hand-assembled one.
+///
+/// The trainer keeps the step's FP16 output across steps, as Alg. 1 keeps
+/// the model's FP16 tensor: each step writes [`PipelineReport::fp16_params`]
+/// into the buffer the previous report handed back once that report has
+/// dropped. A caller that still holds a report keeps its own buffer — the
+/// next step sees the share and allocates a fresh one — so nothing a caller
+/// holds is ever overwritten.
 #[derive(Debug)]
 pub struct Trainer {
     state: MixedPrecisionState,
     subgroups: Vec<SubgroupSpec>,
     pipeline: PipelineConfig,
     pool: ArenaPool,
+    /// The last step's FP16 output, shared with its report: the buffer the
+    /// next step writes when no report holds it any more.
+    fp16: Option<Arc<[F16]>>,
     steps_taken: usize,
     /// Where the pipeline records its spans and counters and the arena its
     /// gauges: the caller's run tracer ([`Trainer::new`]) or the
@@ -91,6 +104,7 @@ impl Trainer {
             subgroups,
             pipeline,
             pool,
+            fp16: None,
             steps_taken: 0,
             tracer,
             monitoring: None,
@@ -155,13 +169,11 @@ impl Trainer {
                 // cold in-flight ranges deterministically show their
                 // pre-dispatch (bounded-stale) parameters — the precision
                 // the next iteration actually trains with under ZenFlow.
-                // Staged through the arena (same vectorized kernel, bit
-                // identical) so monitored ZenFlow runs publish the arena
-                // gauges the /metrics smoke keys on.
-                let staged = self.pool.lease_f16_downscaled(self.state.params());
-                let fp16_params = staged.to_vec();
-                drop(staged);
+                // The buffer is unshared, so `make_mut` never clones it.
+                let mut fp16_params = take_fp16_buffer(&mut self.fp16, self.state.len());
+                kernels::downscale(self.state.params(), Arc::make_mut(&mut fp16_params));
                 zf.poll_pending(&mut self.state);
+                self.fp16 = Some(Arc::clone(&fp16_params));
                 PipelineReport {
                     fp16_params,
                     device_subgroups: zr.hot.len(),
@@ -169,13 +181,14 @@ impl Trainer {
                     degraded: None,
                 }
             }
-            None => hybrid_update_pooled(
+            None => hybrid_update_into(
                 &mut self.state,
                 grads,
                 &self.subgroups,
                 self.pipeline,
                 self.tracer.as_ref(),
                 &self.pool,
+                &mut self.fp16,
             )?,
         };
         self.steps_taken += 1;
@@ -415,7 +428,7 @@ mod tests {
             seq.full_step(&g);
             let report = trainer.step(&g).unwrap();
             assert!(report.device_subgroups > 0, "stride 2 must use the device");
-            assert_eq!(report.fp16_params, seq.downscale_range(0..n));
+            assert_eq!(report.fp16_params[..], seq.downscale_range(0..n)[..]);
         }
         assert_eq!(trainer.params(), seq.params());
         assert_eq!(trainer.momentum(), seq.momentum());
@@ -447,7 +460,7 @@ mod tests {
             trainer.set_lr(lr);
             trainer.set_schedule(stride, residents);
             let report = trainer.step(&g).unwrap();
-            assert_eq!(report.fp16_params, seq.downscale_range(0..n), "{stride:?}");
+            assert_eq!(report.fp16_params[..], seq.downscale_range(0..n)[..], "{stride:?}");
         }
         assert_eq!(trainer.params(), seq.params());
         assert_eq!(trainer.momentum(), seq.momentum());
@@ -506,7 +519,7 @@ mod tests {
         assert!(report.degraded.is_none(), "the step after a loss runs on a fresh worker");
         assert!(report.device_subgroups > 0);
         assert_eq!(trainer.arena().worker_spawns(), 2);
-        assert_eq!(report.fp16_params, seq.downscale_range(0..n));
+        assert_eq!(report.fp16_params[..], seq.downscale_range(0..n)[..]);
         assert_eq!(trainer.params(), seq.params());
         assert_eq!(trainer.momentum(), seq.momentum());
         assert_eq!(trainer.variance(), seq.variance());
@@ -635,9 +648,9 @@ mod tests {
 
     #[test]
     fn monitored_zenflow_run_publishes_arena_gauges() {
-        // The ZenFlow path stages its device downscale through the arena,
-        // so a monitored run's /metrics payload carries the same
-        // arena.in_use_bytes gauge the smoke tests key on.
+        // The ZenFlow path neither leases nor lends, yet a monitored run's
+        // /metrics payload carries the arena.in_use_bytes gauge the smoke
+        // tests key on: the pool publishes it when it is built.
         let n = 48;
         let json = r#"{ "params": 48, "subgroup_size": 8, "scheduler": "zenflow_async",
                         "importance_ratio": 0.25, "staleness_bound": 1,
@@ -648,8 +661,98 @@ mod tests {
         }
         let metrics = trainer.tracer().unwrap().metrics().clone();
         assert!(metrics.gauge("arena.in_use_bytes").is_some(), "missing arena gauge");
-        assert_eq!(trainer.arena().in_use_bytes(), 0, "staging lease returned");
-        assert!(trainer.arena().high_water_bytes() >= n * 2, "downscale staged via arena");
+        assert_eq!(trainer.arena().in_use_bytes(), 0, "nothing left lent or leased");
+    }
+
+    #[test]
+    fn monitored_cpu_only_trainer_publishes_arena_gauges() {
+        // A cpu_only step neither leases nor lends, so only the pool's
+        // construction publishes the gauges `/metrics` exports.
+        let json = r#"{ "params": 40, "subgroup_size": 5, "monitor": {},
+                        "deep_optimizer_states": { "update_stride": "cpu_only" } }"#;
+        let mut trainer = Trainer::from_json(json, init(40)).unwrap();
+        let report = trainer.step(&grads(40, 0)).unwrap();
+        assert_eq!(report.device_subgroups, 0);
+        let metrics = trainer.tracer().unwrap().metrics();
+        assert_eq!(metrics.gauge("arena.in_use_bytes"), Some(0.0));
+        assert_eq!(metrics.gauge("arena.high_water_bytes"), Some(0.0));
+    }
+
+    const STRIDE_2: &str = r#"{ "params": 40, "subgroup_size": 5,
+                                "deep_optimizer_states": { "update_stride": 2 } }"#;
+
+    /// Where a report's FP16 parameters live.
+    fn buffer_of(report: &PipelineReport) -> *const F16 {
+        Arc::as_ptr(&report.fp16_params).cast()
+    }
+
+    #[test]
+    fn a_held_report_keeps_its_own_buffer() {
+        let n = 40;
+        let mut trainer = Trainer::from_json(STRIDE_2, init(n)).unwrap();
+        let mut seq = MixedPrecisionState::new(init(n), UpdateRule::adam(), 0.01);
+        seq.full_step(&grads(n, 0));
+        let twin0 = seq.downscale_range(0..n);
+        let held = trainer.step(&grads(n, 0)).unwrap();
+        for step in 1..4 {
+            seq.full_step(&grads(n, step));
+            let next = trainer.step(&grads(n, step)).unwrap();
+            // The held report is shared with the trainer's slot, so the
+            // step wrote elsewhere and left it as its own step made it.
+            assert!(!Arc::ptr_eq(&held.fp16_params, &next.fp16_params), "step {step}");
+            assert_eq!(held.fp16_params[..], twin0[..], "step {step}");
+            assert_eq!(next.fp16_params[..], seq.downscale_range(0..n)[..], "step {step}");
+        }
+    }
+
+    #[test]
+    fn dropped_reports_hand_one_buffer_from_step_to_step() {
+        let zenflow = r#"{ "params": 40, "subgroup_size": 5, "scheduler": "zenflow_async",
+                          "importance_ratio": 0.25, "staleness_bound": 2 }"#;
+        for json in [STRIDE_2, zenflow] {
+            let n = 40;
+            let mut trainer = Trainer::from_json(json, init(n)).unwrap();
+            let mut seq = MixedPrecisionState::new(init(n), UpdateRule::adam(), 0.01);
+            let buffer = buffer_of(&trainer.step(&grads(n, 0)).unwrap());
+            seq.full_step(&grads(n, 0));
+            for step in 1..5 {
+                let report = trainer.step(&grads(n, step)).unwrap();
+                assert_eq!(buffer_of(&report), buffer, "{json} step {step}");
+                if trainer.zenflow().is_none() {
+                    seq.full_step(&grads(n, step));
+                    assert_eq!(report.fp16_params[..], seq.downscale_range(0..n)[..]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_degraded_step_over_a_reused_buffer_rewrites_every_range() {
+        // The reused buffer still holds the last step's halves, so a lost
+        // job's range that no one re-ran would show them.
+        let n = 40;
+        let mut trainer = Trainer::from_json(STRIDE_2, init(n)).unwrap();
+        let mut seq = MixedPrecisionState::new(init(n), UpdateRule::adam(), 0.01);
+        seq.full_step(&grads(n, 0));
+        let buffer = buffer_of(&trainer.step(&grads(n, 0)).unwrap());
+        trainer.inject_fault(Some(DeviceFault::PanicAfter(1)));
+        seq.full_step(&grads(n, 1));
+        let report = trainer.step(&grads(n, 1)).unwrap();
+        let lost = report.degraded.as_ref().expect("the armed fault must fire");
+        assert!(lost.lost_jobs_retried_on_cpu > 0);
+        assert_eq!(buffer_of(&report), buffer);
+        assert_eq!(report.fp16_params[..], seq.downscale_range(0..n)[..]);
+        assert_eq!(trainer.params(), seq.params());
+    }
+
+    #[test]
+    fn a_rejected_step_leaves_the_buffer_reusable() {
+        let n = 40;
+        let mut trainer = Trainer::from_json(STRIDE_2, init(n)).unwrap();
+        let buffer = buffer_of(&trainer.step(&grads(n, 0)).unwrap());
+        assert!(matches!(trainer.step(&grads(n + 1, 1)), Err(TrainerError::Invalid { .. })));
+        let report = trainer.step(&grads(n, 1)).unwrap();
+        assert_eq!(buffer_of(&report), buffer);
     }
 
     #[test]
