@@ -501,8 +501,8 @@ impl Default for WallClockTunerConfig {
 /// The functional-trainer tuner: the same sweep + hysteresis loop as
 /// [`Controller`], fed purely from wall-clock spans recorded by the real
 /// threaded pipeline (a traced `hybrid_update_pooled` step) — `U_c` from
-/// `update:sg*` spans, `D_c` from the pipeline's dedicated `downscale:sg*` spans, `B`
-/// from the staging transfers. No contention compensation is applied —
+/// the `update:sg*` spans that fuse the downscale (`D_c` is pinned), `B`
+/// from the hand-off and reclaim. No contention compensation is applied —
 /// wall spans already measure the contended machine. When configured with
 /// [`ResidentPolicy::Headroom`], it additionally sizes the static-resident
 /// tail against the arena pool's high-water gauge, the functional path's
@@ -841,8 +841,7 @@ mod tests {
         };
         let events_at = |b: f64| {
             vec![
-                mk("cpu", "update:sg0", 0.5, 1.0e9),
-                mk("cpu", "downscale:sg0", 0.1, 1.0e9),
+                mk("cpu", "update:sg0", 0.6, 1.0e9),
                 mk("gpu", "update:sg1", 0.1, 2.5e9),
                 mk("pcie.h2d", "prefetch:sg1", 1.0e9 / b, 4.0 * 1.0e9),
                 mk("pcie.d2h", "flush:sg1", 1.0e9 / b, 4.0 * 1.0e9),
@@ -863,7 +862,7 @@ mod tests {
         );
         assert!(tuner.retunes() >= 2);
         let inputs = tuner.estimated_inputs().expect("all four inputs observed");
-        assert!((inputs.dc - 1.0e10).abs() / 1.0e10 < 1e-6, "D_c is measured: {}", inputs.dc);
+        assert_eq!(inputs.dc, 1e30, "D_c is pinned: the update span carries the downscale");
     }
 
     #[test]

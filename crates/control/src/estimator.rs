@@ -101,16 +101,16 @@ impl InputEstimators {
         }
     }
 
-    /// Unseeded estimators for wall-clock feeds with no calibrated prior.
-    /// All four inputs — including `D_c`, which the threaded pipeline now
-    /// traces as its own `downscale:sg*` span per CPU subgroup — start
-    /// empty and converge on real samples.
+    /// Estimators for wall-clock feeds with no calibrated prior. Every
+    /// `update:sg*` span fuses the downscale: `D_c` is pinned huge, as the
+    /// CPU span's rate is Eq. 1's whole CPU term, and `U_g` includes the
+    /// on-device `.half()`, as Alg. 1's GPU step does. The rest start empty.
     pub fn wall(alpha: f64) -> InputEstimators {
         InputEstimators {
             nominal: PerfModelInputs { b: 1.0, ug: 1.0, uc: 1.0, dc: 1.0 },
             contention: 1.0,
             uc: Ewma::new(alpha),
-            dc: Ewma::new(alpha),
+            dc: Ewma::seeded(alpha, 1e30),
             ug: Ewma::new(alpha),
             b_h2d: Ewma::new(alpha),
             b_d2h: Ewma::new(alpha),
@@ -200,8 +200,8 @@ impl InputEstimators {
 
     /// Feeds one functional iteration's wall-clock spans (from a traced
     /// `hybrid_update_pooled` step). Wall spans carry `work` directly in
-    /// params (CPU/GPU updates) or bytes (staging transfers), so no
-    /// nominal conversion is needed.
+    /// params (CPU/GPU updates, each fused with its downscale) or bytes
+    /// (the hand-off and reclaim), so no nominal conversion is needed.
     pub fn observe_wall_events(&mut self, events: &[TraceEvent]) {
         let mut agg = Aggregates::default();
         for ev in events {
@@ -210,7 +210,6 @@ impl InputEstimators {
             }
             let slot = match ev.resource.as_str() {
                 "cpu" if ev.name.starts_with("update:sg") => &mut agg.uc,
-                "cpu" if ev.name.starts_with("downscale:sg") => &mut agg.dc,
                 "gpu" if ev.name.starts_with("update:sg") => &mut agg.ug,
                 "pcie.h2d" if ev.name.starts_with("prefetch:sg") => &mut agg.b_h2d,
                 "pcie.d2h" if ev.name.starts_with("flush:sg") => &mut agg.b_d2h,
@@ -320,7 +319,7 @@ mod tests {
         };
         let events = vec![
             mk("cpu", "update:sg0", 0.5, 1.0e9),       // 2e9 params/s
-            mk("cpu", "downscale:sg0", 0.1, 1.0e9),    // 10e9 params/s
+            mk("cpu", "downscale:sg0", 0.1, 1.0e9),    // not a span the pipeline emits
             mk("gpu", "update:sg1", 0.1, 2.5e9),       // 25e9 params/s
             mk("pcie.h2d", "prefetch:sg1", 0.4, 6.4e9), // 6.4e9/(4*0.4) = 4e9
             mk("pcie.d2h", "flush:sg1", 0.2, 2.8e9),   // 3.5e9
@@ -329,17 +328,17 @@ mod tests {
         est.observe_wall_events(&events);
         let got = est.inputs().unwrap();
         assert!((got.uc - 2.0e9).abs() < 1.0);
-        assert!((got.dc - 10.0e9).abs() < 1.0, "wall D_c reads its own span: {}", got.dc);
+        assert_eq!(got.dc, 1e30, "wall D_c is pinned (fused into U_c)");
         assert!((got.ug - 25.0e9).abs() < 1.0);
         assert!((got.b - 3.5e9).abs() < 1.0, "min(h2d, d2h) = {}", got.b);
     }
 
-    /// Satellite regression for the unpinned wall-clock `D_c`: replay a
-    /// recorded stream of per-iteration pipeline spans whose downscale
-    /// throughput settles at a steady rate, and require the EWMA to
-    /// converge onto it (it used to stay pinned at 1e30 forever).
+    /// The fused step's stream: each iteration's `update:sg*` span times
+    /// the rule and the downscale together. Replayed over a recorded
+    /// stream whose fused rate settles, wall `U_c` converges onto it while
+    /// `D_c` stays pinned, so Eq. 1's CPU term is the fused rate alone.
     #[test]
-    fn wall_dc_converges_on_recorded_downscale_stream() {
+    fn wall_dc_stays_pinned_while_uc_follows_the_fused_span() {
         let mut est = InputEstimators::wall(0.3);
         let mk = |resource: &str, name: &str, dur: f64, work: f64| TraceEvent {
             track: "cpu".into(),
@@ -352,17 +351,15 @@ mod tests {
             depth: 0,
             kind: EventKind::Span,
         };
-        // Recorded per-iteration downscale throughputs (params/s): a cold
-        // first iteration, then a steady 8.7e8 — the vectorized kernel's
-        // measured rate.
-        let warmup = [2.0e8, 8.0e8, 8.6e8, 8.8e8];
+        // Recorded per-iteration fused throughputs (params/s): a cold first
+        // iteration, then a steady 4.3e8.
+        let warmup = [1.0e8, 3.9e8, 4.2e8, 4.4e8];
         let recorded: Vec<f64> =
-            warmup.into_iter().chain(std::iter::repeat_n(8.7e8, 16)).collect();
-        for dc_pps in recorded {
+            warmup.into_iter().chain(std::iter::repeat_n(4.3e8, 16)).collect();
+        for fused_pps in recorded {
             let work = 1.0e6; // one subgroup of a million params
             let events = vec![
-                mk("cpu", "update:sg0", work / 8.5e8, work),
-                mk("cpu", "downscale:sg0", work / dc_pps, work),
+                mk("cpu", "update:sg0", work / fused_pps, work),
                 mk("gpu", "update:sg1", work / 2.5e10, work),
                 mk("pcie.h2d", "prefetch:sg1", 1e-3, 1.6e7),
                 mk("pcie.d2h", "flush:sg1", 1e-3, 1.4e7),
@@ -370,9 +367,11 @@ mod tests {
             est.observe_wall_events(&events);
         }
         let got = est.inputs().unwrap();
-        let rel = (got.dc - 8.7e8).abs() / 8.7e8;
-        assert!(rel < 0.02, "D_c must converge on the recorded rate, got {} ({rel})", got.dc);
-        assert!(got.dc < 1e10, "D_c must be a real measurement, not a pin");
+        let rel = (got.uc - 4.3e8).abs() / 4.3e8;
+        assert!(rel < 0.02, "U_c must converge on the fused rate, got {} ({rel})", got.uc);
+        assert_eq!(got.dc, 1e30, "D_c must stay pinned");
+        // The CPU term Eq. 1 prices is the fused span's rate.
+        assert!(((1.0 / got.uc + 1.0 / got.dc) * got.uc - 1.0).abs() < 1e-12);
     }
 
     #[test]

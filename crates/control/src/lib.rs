@@ -13,7 +13,8 @@
 //!   (per PCIe direction), and `D_c`, fed from either clock: simulated
 //!   interval logs ([`InputEstimators::observe_sim_timeline`]) or
 //!   wall-clock spans from a traced `dos_core::hybrid_update_pooled` step
-//!   ([`InputEstimators::observe_wall_events`]). Observed CPU throughputs
+//!   ([`InputEstimators::observe_wall_events`]), whose update spans fuse
+//!   the downscale, so wall `D_c` is pinned. Observed CPU throughputs
 //!   are divided by the known DRAM-contention factor while interleaving is
 //!   active, so the estimates stay comparable to the paper's standalone
 //!   measurements.

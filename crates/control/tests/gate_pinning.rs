@@ -79,8 +79,7 @@ fn tuner_decision_log() -> (Vec<String>, StridePolicy, usize) {
     };
     let events_at = |b: f64| {
         vec![
-            mk("cpu", "update:sg0", 0.5, 1.0e9),
-            mk("cpu", "downscale:sg0", 0.1, 1.0e9),
+            mk("cpu", "update:sg0", 0.6, 1.0e9),
             mk("gpu", "update:sg1", 0.1, 2.5e9),
             mk("pcie.h2d", "prefetch:sg1", 1.0e9 / b, 4.0 * 1.0e9),
             mk("pcie.d2h", "flush:sg1", 1.0e9 / b, 4.0 * 1.0e9),
@@ -112,11 +111,12 @@ fn controller_decisions_on_recorded_stream_are_pinned() {
 
 #[test]
 fn tuner_decisions_on_recorded_stream_are_pinned() {
-    // Re-pinned when wall-clock `D_c` was unpinned: the synthetic stream
-    // now carries `downscale:sg*` spans (D_c = 1e10 params/s), which
-    // shifts every predicted gain and keeps Equation 1's CPU-only retreat
-    // out of reach on this particular stream (the deep-degradation ladder
-    // is exercised by the tuner's unit tests instead).
+    // The stream is in the fused step's shape: one `update:sg*` span of
+    // 0.6 s per 1e9 params carries `1/U_c + 1/D_c` (0.5 s + 0.1 s when the
+    // downscale had a span of its own), so the CPU term — and every
+    // decision — is the two-span stream's. Equation 1's CPU-only retreat
+    // stays out of reach on this stream (the tuner's unit tests exercise
+    // the ladder).
     let want = vec![
         "Retune k2->k3 (predicted gain 12.6%)",
         "Retune k3->k6 (predicted gain 26.5%)",

@@ -37,7 +37,7 @@ use crate::sync;
 use dos_optim::{MixedPrecisionState, UpdateRule};
 use parking_lot::Mutex;
 use dos_telemetry::{SpanGuard, Tracer};
-use dos_tensor::{kernels, F16};
+use dos_tensor::F16;
 use dos_zero::SubgroupSpec;
 
 use crate::schedulers::{StridePolicy, UpdatePlan, DEFAULT_STRIDE};
@@ -196,19 +196,15 @@ impl DeviceWorker {
                     }
                     _ => {}
                 }
-                // The same element-wise rule in place, then the FP16 copy
-                // straight into the step's output (the D2D `.half()` of
-                // Alg. 1). The job — spans, tracer — ends with this call,
+                // The same element-wise rule in place, fused with the FP16
+                // copy straight into the step's output (the D2D `.half()`
+                // of Alg. 1). The job — span, tracer — ends with this call,
                 // before the loan goes back: a caller holding its step's
                 // last loan finds every span recorded.
                 let tracer = job.tracer.as_ref();
-                {
-                    let _span =
-                        stage_span(tracer, DEVICE_TRACK, "gpu", "update", &job.sg, job.sg.len());
-                    job.rule.apply(job.step, job.lr, r.p, r.g, r.m, r.v);
-                }
-                let _span = stage_span(tracer, DEVICE_TRACK, "gpu", "flush", &job.sg, 0);
-                kernels::downscale(r.p, r.p16);
+                let _span =
+                    stage_span(tracer, DEVICE_TRACK, "gpu", "update", &job.sg, job.sg.len());
+                job.rule.apply_downscale(job.step, job.lr, r.p, r.g, r.m, r.v, r.p16);
                 ControlFlow::Continue(())
             })
         });
@@ -355,12 +351,12 @@ fn split<'a>(
 /// resident-sizing policy observes.
 ///
 /// With `tracer: Some(_)` every pipeline stage emits a wall-clock span —
-/// `prefetch:sg{id}` (the hand-off to the worker) / `update:sg{id}` /
-/// `downscale:sg{id}` (FP32→FP16, `D_c`) / `flush:sg{id}` (the reclaim) on
-/// [`CPU_TRACK`], and `update:sg{id}` / `flush:sg{id}` (on-device
-/// downscale) on [`DEVICE_TRACK`] — plus `pipeline.*` counters in the
-/// tracer's metrics registry, among them `pipeline.worker_spawns` and the
-/// `pipeline.in_flight_high_water` gauge ([`ArenaPool::worker_spawns`] /
+/// `prefetch:sg{id}` (the hand-off to the worker) / `update:sg{id}` (the
+/// rule fused with the FP32→FP16 downscale, `U_c` and `D_c` in one pass) /
+/// `flush:sg{id}` (the reclaim) on [`CPU_TRACK`], and one `update:sg{id}`
+/// per shipped subgroup, fused the same way, on [`DEVICE_TRACK`] — plus
+/// `pipeline.*` counters in the tracer's metrics registry, among them
+/// `pipeline.worker_spawns` and the `pipeline.in_flight_high_water` gauge ([`ArenaPool::worker_spawns`] /
 /// [`ArenaPool::in_flight_high_water`] read the same untraced). Tracing
 /// only observes: numerics are identical either way.
 ///
@@ -478,17 +474,12 @@ pub fn hybrid_update_into(
     let mut device = (plan.n_device() > 0).then(|| pool.device().check_out(tracer));
 
     // Local (CPU) update of one subgroup; also the degraded fallback
-    // path when the device worker is gone. The FP32→FP16 downscale is a
-    // distinct pipeline stage (`D_c` in Eq. 1), so it gets its own span
-    // — folding it into the update span would inflate the tuner's `U_c`
-    // estimate and leave `D_c` unobservable.
+    // path when the device worker is gone. The rule and the FP32→FP16
+    // downscale run as one pass over the subgroup, so its one span times
+    // Eq. 1's whole CPU term, `1/U_c + 1/D_c`.
     let cpu_apply = |sg: &SubgroupSpec, r: Ranges<'_>| {
-        {
-            let _span = stage_span(tracer, CPU_TRACK, "cpu", "update", sg, sg.len());
-            rule.apply(step, lr, r.p, r.g, r.m, r.v);
-        }
-        let _span = stage_span(tracer, CPU_TRACK, "cpu", "downscale", sg, sg.len());
-        kernels::downscale(r.p, r.p16);
+        let _span = stage_span(tracer, CPU_TRACK, "cpu", "update", sg, sg.len());
+        rule.apply_downscale(step, lr, r.p, r.g, r.m, r.v, r.p16);
     };
 
     // The H2D side, now a hand-off: meters the lent bytes and describes the
@@ -741,15 +732,21 @@ mod tests {
         let on = |track: &str, prefix: &str| {
             events.iter().filter(|e| e.track == track && e.name.starts_with(prefix)).count()
         };
-        // CPU track: prefetch per lent subgroup, update + downscale per
+        // CPU track: prefetch per lent subgroup, one fused update per
         // local one, flush per reclaim.
         assert_eq!(on(super::CPU_TRACK, "prefetch:sg"), report.device_subgroups);
         assert_eq!(on(super::CPU_TRACK, "update:sg"), report.cpu_subgroups);
-        assert_eq!(on(super::CPU_TRACK, "downscale:sg"), report.cpu_subgroups);
         assert_eq!(on(super::CPU_TRACK, "flush:sg"), report.device_subgroups);
-        // Device-worker track: update + flush per shipped subgroup.
+        // Device-worker track: one fused update per shipped subgroup.
         assert_eq!(on(super::DEVICE_TRACK, "update:sg"), report.device_subgroups);
-        assert_eq!(on(super::DEVICE_TRACK, "flush:sg"), report.device_subgroups);
+        assert_eq!(on(super::DEVICE_TRACK, "flush:sg"), 0);
+        // The downscale is inside the update: no span of its own anywhere.
+        assert!(events.iter().all(|e| !e.name.starts_with("downscale:sg")));
+        assert_eq!(
+            events.len(),
+            report.cpu_subgroups + 3 * report.device_subgroups,
+            "update per subgroup, prefetch + flush per shipped one"
+        );
         // All wall-clock spans carry the update phase and real durations.
         assert!(events.iter().all(|e| e.phase == "update" && e.dur >= 0.0));
         // Byte counters rode along in the metrics registry.
@@ -854,7 +851,9 @@ mod tests {
         // updates cover the rest (locals + lost retries).
         assert_eq!(on(super::CPU_TRACK, "flush:sg"), report.device_subgroups);
         assert_eq!(on(super::CPU_TRACK, "update:sg"), report.cpu_subgroups);
-        assert_eq!(on(super::CPU_TRACK, "downscale:sg"), report.cpu_subgroups);
+        assert_eq!(on(super::DEVICE_TRACK, "update:sg"), report.device_subgroups);
+        assert!(events.iter().all(|e| !e.name.starts_with("downscale:sg")));
+        assert_eq!(on(super::DEVICE_TRACK, "flush:sg"), 0);
         assert_eq!(tracer.metrics().counter("pipeline.degraded_steps"), 1);
         // The loss is noticed only where the step waits for the worker, so
         // what was lent is the same under every interleaving: the jobs the
@@ -954,11 +953,13 @@ mod tests {
             if t.is_some() {
                 traced_device_subgroups += report.device_subgroups;
             }
-            // Device spans land in the tracer of the step that shipped the
-            // job, and are all there when that step returns.
-            let on_device =
-                tracer.events().iter().filter(|e| e.track == super::DEVICE_TRACK).count();
-            assert_eq!(on_device, 2 * traced_device_subgroups, "after step {step}");
+            // Device spans — one fused update per job — land in the tracer
+            // of the step that shipped the job, and are all there when that
+            // step returns.
+            let events = tracer.events();
+            let on_device = events.iter().filter(|e| e.track == super::DEVICE_TRACK);
+            assert!(on_device.clone().all(|e| e.name.starts_with("update:sg")));
+            assert_eq!(on_device.count(), traced_device_subgroups, "after step {step}");
         }
         assert_eq!(pool.worker_spawns(), 1);
         assert_eq!(tracer.metrics().counter("pipeline.worker_spawns"), 1);

@@ -8,6 +8,7 @@
 //! what makes the subgroup-permutation invariance tests in this crate (and
 //! the interleaved pipeline in `dos-core`) possible.
 
+use dos_tensor::F16;
 use serde::{Deserialize, Serialize};
 
 /// Hyper-parameters of an element-wise update rule.
@@ -82,6 +83,26 @@ impl UpdateRule {
         v: &mut [f32],
     ) {
         crate::kernels::apply(self, step, lr, p, g, m, v);
+    }
+
+    /// [`UpdateRule::apply`] and the FP16 downscale of the result into
+    /// `p16` in one pass ([`crate::kernels::apply_downscale`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths differ or `step == 0`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_downscale(
+        &self,
+        step: u64,
+        lr: f32,
+        p: &mut [f32],
+        g: &[f32],
+        m: &mut [f32],
+        v: &mut [f32],
+        p16: &mut [F16],
+    ) {
+        crate::kernels::apply_downscale(self, step, lr, p, g, m, v, p16);
     }
 
     /// The scalar reference implementation — the oracle the vectorized

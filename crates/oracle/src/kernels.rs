@@ -6,7 +6,9 @@
 //! of its scalar original — restructuring *between* elements is free,
 //! restructuring *within* one is not. This arm re-checks that contract as
 //! part of every `dos-cli conformance` run: [`dos_optim::kernels::apply`]
-//! against `apply_reference` for all four rules, and the
+//! against `apply_reference` for all four rules, the step's fused
+//! [`dos_optim::kernels::apply_downscale`] against `apply_reference` then
+//! `downscale_reference` in the same cells, and the
 //! [`dos_tensor::kernels`] conversions against their `_reference` twins
 //! over adversarial bit patterns (NaNs, infinities, subnormals) plus the
 //! full 65536-pattern FP16 space on the upscale side. Lengths are chosen
@@ -93,22 +95,33 @@ fn rule_op(rule: UpdateRule) -> &'static str {
     }
 }
 
-/// Runs one update-rule cell: three steps of [`optim_kernels::apply`] and
-/// `apply_reference` over identically-seeded state, compared bitwise after
-/// each step.
+/// Runs one update-rule cell: three steps of [`optim_kernels::apply`], of
+/// the step's fused [`optim_kernels::apply_downscale`] and of
+/// `apply_reference` + `downscale_reference` over identically-seeded
+/// state, compared bitwise — params, moments and FP16 output — after each
+/// step.
 pub fn run_apply_cell(rule: UpdateRule, n: usize) -> KernelCell {
     let mut pv = finite(n, 1);
     let mut mv = vec![0.0f32; n];
     let mut vv = vec![0.0f32; n];
     let (mut pr, mut mr, mut vr) = (pv.clone(), mv.clone(), vv.clone());
+    let (mut pf, mut mf, mut vf) = (pv.clone(), mv.clone(), vv.clone());
+    let (mut hf, mut hr) = (vec![F16::ZERO; n], vec![F16::ZERO; n]);
     let mut mismatch = None;
     for step in 1..=3u64 {
         let g = finite(n, 100 + step);
         optim_kernels::apply(&rule, step, 0.01, &mut pv, &g, &mut mv, &mut vv);
+        optim_kernels::apply_downscale(&rule, step, 0.01, &mut pf, &g, &mut mf, &mut vf, &mut hf);
         optim_kernels::apply_reference(&rule, step, 0.01, &mut pr, &g, &mut mr, &mut vr);
+        tensor_kernels::downscale_reference(&pr, &mut hr);
+        let halves = |h: &[F16]| h.iter().map(|x| f32::from(x.to_bits())).collect::<Vec<_>>();
         mismatch = first_bits_mismatch("params", &pv, &pr)
             .or_else(|| first_bits_mismatch("momentum", &mv, &mr))
             .or_else(|| first_bits_mismatch("variance", &vv, &vr))
+            .or_else(|| first_bits_mismatch("fused params", &pf, &pr))
+            .or_else(|| first_bits_mismatch("fused momentum", &mf, &mr))
+            .or_else(|| first_bits_mismatch("fused variance", &vf, &vr))
+            .or_else(|| first_bits_mismatch("fused fp16 bits", &halves(&hf), &halves(&hr)))
             .map(|m| format!("step {step}: {m}"));
         if mismatch.is_some() {
             break;

@@ -867,8 +867,8 @@ mod tests {
         assert_eq!(traced.losses, plain.losses);
 
         // Every rank thread has its own track, and the hybrid pipeline
-        // recorded wall-clock prefetch/update/flush spans on the shared
-        // cpu / device-worker tracks.
+        // recorded wall-clock prefetch/update/flush spans on the shared cpu
+        // track and one fused update span per job on the device-worker's.
         let tracks = tracer.tracks();
         assert!(tracks.iter().any(|t| t == "rank0"), "{tracks:?}");
         assert!(tracks.iter().any(|t| t == "rank1"), "{tracks:?}");
@@ -886,8 +886,10 @@ mod tests {
             assert_eq!(count(rank, "all-gather:it"), 4);
         }
         assert!(count("cpu", "prefetch:sg") > 0);
+        assert!(count("cpu", "flush:sg") > 0);
         assert!(count("device-worker", "update:sg") > 0);
-        assert!(count("device-worker", "flush:sg") > 0);
+        assert_eq!(count("device-worker", "flush:sg"), 0);
+        assert!(events.iter().all(|e| !e.name.starts_with("downscale:sg")));
         // Wall-clock spans: durations are non-negative and the trace ends
         // after it starts.
         assert!(events.iter().all(|e| e.dur >= 0.0));
