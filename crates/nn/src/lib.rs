@@ -38,7 +38,6 @@
 pub mod arch;
 mod attention;
 mod block;
-mod dropout;
 mod embedding;
 mod layernorm;
 mod linear;
@@ -47,16 +46,12 @@ pub mod math;
 mod mlp;
 mod model;
 mod param;
-mod rmsnorm;
-mod rope;
-mod swiglu;
 #[doc(hidden)]
 pub mod testutil;
 
 pub use arch::ModelSpec;
 pub use attention::CausalSelfAttention;
 pub use block::Block;
-pub use dropout::Dropout;
 pub use embedding::Embedding;
 pub use layernorm::LayerNorm;
 pub use linear::Linear;
@@ -64,6 +59,3 @@ pub use loss::cross_entropy;
 pub use mlp::Mlp;
 pub use model::{Gpt, GptConfig, SamplingConfig};
 pub use param::{Param, VisitParams};
-pub use rmsnorm::RmsNorm;
-pub use rope::Rope;
-pub use swiglu::SwiGlu;

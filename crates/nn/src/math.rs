@@ -4,12 +4,17 @@
 //!
 //! The three matrix products are one computation,
 //! `c[r, j] = init + Σ_q a(r, q) · b[q, j]`, and share one register-tiled
-//! kernel (`gemm`) that the wrappers run inside
-//! [`dos_tensor::simd::avx2_frame`], so it is compiled at the vector width
-//! the host CPU reports. Every output bit is what the plain loops it
-//! replaced produced (they survive as the `*_reference` test oracles),
-//! because the kernel keeps, per output element, the three things the
-//! bits depend on:
+//! kernel (`gemm`). Where the host reports `avx512f`, each full 64-column
+//! tile is computed four rows at a time by [`dos_tensor::simd::gemm_tile`]:
+//! 4 × 64 accumulators in 16 `zmm` registers for the whole reduction. The
+//! rows left over and the columns past the last full tile — and every
+//! output on a host without `avx512f` — take a one-row loop that the
+//! wrappers run inside [`dos_tensor::simd::avx2_frame`], so it is compiled
+//! at the vector width the host CPU reports.
+//! [`dos_tensor::kernels::dispatch_path`] names both paths. Every output
+//! bit is what the plain loops they replaced produced (they survive as the
+//! `*_reference` test oracles), because both paths keep, per output
+//! element, the three things the bits depend on:
 //!
 //! * **the order of the reduction** — `q` ascending, one multiply and one
 //!   add per term, no FMA (it rounds once where these round twice), no
@@ -27,13 +32,14 @@
 //! `NaN + NaN` is the operand order the compiler happened to pick, not a
 //! property of the source, so it is outside the contract.
 
-use dos_tensor::simd::avx2_frame;
+use dos_tensor::simd::{avx2_frame, gemm_tile, TILE_COLS, TILE_ROWS};
 
 /// Accumulators one output row keeps in registers across a whole
 /// reduction: 64 `f32` are 8 of the 16 `ymm` registers an AVX2 frame has,
-/// leaving room for the broadcast `a` and the `b` loads. Measured, not
-/// configurable.
-const TILE: usize = 64;
+/// leaving room for the broadcast `a` and the `b` loads — and 4 of the 32
+/// `zmm` registers, times [`TILE_ROWS`] rows, in the 512-bit tile.
+/// Measured, not configurable.
+const TILE: usize = TILE_COLS;
 
 /// `acc[t] += a(q) · b(q)[t]` for `q` in `0..red`, ascending, skipping the
 /// terms with a zero `a(q)` when `SKIP_ZERO`. Inlined into [`gemm`] twice:
@@ -63,11 +69,12 @@ fn accumulate<'b, const SKIP_ZERO: bool>(
 /// already holds, and `b(j0, w, q)` is `b[q, j0..j0 + w]`.
 ///
 /// Column tiles are outermost, so one `red × TILE` panel of `b` serves
-/// every row before the next is touched; within a tile each row's `TILE`
-/// accumulators live in registers for the whole reduction and are stored
-/// once. The columns past the last full tile take the same loop directly
-/// on `c`. Must be inlined into an [`avx2_frame`] closure, accessors
-/// included, to be compiled wide.
+/// every row before the next is touched. A full tile goes to
+/// [`gemm_tile`] [`TILE_ROWS`] rows at a time while the host has it; the
+/// rows left over keep each row's `TILE` accumulators in registers for
+/// the whole reduction and store them once, and the columns past the last
+/// full tile take the same loop directly on `c`. Must be inlined into an
+/// [`avx2_frame`] closure, accessors included, to be compiled wide.
 #[inline(always)]
 fn gemm<'b, const SKIP_ZERO: bool>(
     a: impl Fn(usize, usize) -> f32,
@@ -78,7 +85,32 @@ fn gemm<'b, const SKIP_ZERO: bool>(
 ) {
     for j0 in (0..n).step_by(TILE) {
         let w = TILE.min(n - j0);
-        for r in 0..rows {
+        let mut r0 = 0;
+        while w == TILE && r0 + TILE_ROWS <= rows && offer_512() {
+            let mut acc = [[0.0f32; TILE]; TILE_ROWS];
+            for (i, row) in acc.iter_mut().enumerate() {
+                match init {
+                    Some(v) => row.fill(v),
+                    None => row.copy_from_slice(&c[(r0 + i) * n + j0..][..TILE]),
+                }
+            }
+            let ran = gemm_tile::<SKIP_ZERO>(
+                &mut acc,
+                red,
+                #[inline(always)]
+                |q| std::array::from_fn(|i| a(r0 + i, q)),
+                #[inline(always)]
+                |q| b(j0, TILE, q).first_chunk().expect("a full tile's panel row"),
+            );
+            if !ran {
+                break;
+            }
+            for (i, row) in acc.iter().enumerate() {
+                c[(r0 + i) * n + j0..][..TILE].copy_from_slice(row);
+            }
+            r0 += TILE_ROWS;
+        }
+        for r in r0..rows {
             let out = &mut c[r * n + j0..][..w];
             if let Some(v) = init {
                 out.fill(v);
@@ -271,6 +303,20 @@ pub fn gelu_grad(x: f32) -> f32 {
     gelu_grad_from_tanh(x, gelu_tanh(x))
 }
 
+/// Whether `gemm` offers its full tiles to [`gemm_tile`]: always, but in
+/// the tests that pin the one-row loop (`tests::AVX2_ONLY`).
+#[cfg(not(test))]
+#[inline(always)]
+fn offer_512() -> bool {
+    true
+}
+
+#[cfg(test)]
+#[inline(always)]
+fn offer_512() -> bool {
+    !tests::AVX2_ONLY.get()
+}
+
 /// Where the GELU tests look: a grid over the curved part, the saturated
 /// tails where `tanh` is exactly `±1`, both zeros, the smallest and largest
 /// magnitudes, `±∞` and NaN.
@@ -295,8 +341,14 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    thread_local! {
+        /// Set while a test pins the one-row loop on a host that also has
+        /// the 512-bit tile, so both paths are held to the twins here.
+        pub(super) static AVX2_ONLY: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+    }
+
     // The three loops `gemm` replaced, verbatim: the oracles its bits are
-    // held to. Compiled for tests only; there is one runtime path.
+    // held to on both paths. Compiled for tests only.
 
     fn matmul_reference(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         c.fill(0.0);
@@ -382,10 +434,35 @@ mod tests {
         ABt,
     }
 
+    /// The two ways `gemm` computes an output.
+    #[derive(Clone, Copy, Debug)]
+    enum Path {
+        /// Full 4-row blocks of full column tiles on `gemm_tile`, the rest
+        /// on the one-row loop: what runs on a host with `avx512f`.
+        Tile512,
+        /// Every output on the one-row loop in the AVX2 frame: what runs on
+        /// a host without `avx512f`.
+        Avx2Frame,
+    }
+
+    /// Runs `check` on both paths: the one-row loop pinned, then the
+    /// 512-bit tile where the host has it, or a skip line naming what was
+    /// not run where it does not.
+    fn on_each_path(what: &str, check: impl Fn(Path)) {
+        AVX2_ONLY.set(true);
+        check(Path::Avx2Frame);
+        AVX2_ONLY.set(false);
+        if dos_tensor::kernels::dispatch_path().ends_with("avx512f products") {
+            check(Path::Tile512);
+        } else {
+            println!("skipped: {what} on the 512-bit tile (this host reports no avx512f)");
+        }
+    }
+
     /// One wrapper against its twin at one `[rows, red] × [red, width]`
-    /// problem, on salted inputs drawn from `seed`.
+    /// problem, on salted inputs drawn from `seed`, on the path in force.
     #[track_caller]
-    fn twin_agrees(product: Product, rows: usize, red: usize, width: usize, seed: u64) {
+    fn twin_agrees(product: Product, rows: usize, red: usize, width: usize, seed: u64, path: Path) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let (a, b) = (salted(rng, rows * red), salted(rng, red * width));
         // `matmul_at_b_acc` starts from what `c` holds; for the two that
@@ -413,46 +490,61 @@ mod tests {
                 matmul_a_bt_reference(&a, &b, &mut want, rows, red, width);
             }
         }
-        assert_same_bits(&format!("{product:?} {rows}x{red}x{width} seed {seed}"), &got, &want);
+        let what = format!("{product:?} {rows}x{red}x{width} seed {seed} on {path:?}");
+        assert_same_bits(&what, &got, &want);
     }
 
     #[track_caller]
-    fn twins_agree(rows: usize, red: usize, width: usize, seed: u64) {
+    fn twins_agree(rows: usize, red: usize, width: usize, seed: u64, path: Path) {
         for product in [Product::Matmul, Product::AtBAcc, Product::ABt] {
-            twin_agrees(product, rows, red, width, seed);
+            twin_agrees(product, rows, red, width, seed, path);
         }
     }
 
     #[test]
     fn wrappers_match_their_twins_on_the_fixed_table() {
-        // `train_dp2`'s five layers at 128 rows, as each product sees them:
-        // forward, `dW` and `dx` of a `Linear` of `inp -> out`.
-        for (seed, (inp, out)) in
-            [(64, 192), (64, 64), (64, 256), (256, 64), (64, 512)].into_iter().enumerate()
-        {
-            twin_agrees(Product::Matmul, 128, inp, out, seed as u64);
-            twin_agrees(Product::AtBAcc, inp, 128, out, seed as u64);
-            twin_agrees(Product::ABt, 128, out, inp, seed as u64);
-        }
-        // The smallest problem, empty reductions and empty outputs, and
-        // widths on either side of one and two tiles.
-        let edges = [
-            (1, 1, 1),
-            (3, 0, 5),
-            (3, 0, TILE + 1),
-            (0, 4, 5),
-            (4, 5, 0),
-            (3, 7, TILE - 1),
-            (3, 7, TILE),
-            (3, 7, TILE + 1),
-            (3, 7, 2 * TILE + 2),
-            (2, TILE + 1, 2 * TILE),
-        ];
-        for (i, (rows, red, width)) in edges.into_iter().enumerate() {
-            for seed in 0..8 {
-                twins_agree(rows, red, width, 100 * i as u64 + seed);
+        on_each_path("the fixed table", |path| {
+            // `train_dp2`'s five layers at 128 rows, as each product sees
+            // them: forward, `dW` and `dx` of a `Linear` of `inp -> out`.
+            for (seed, (inp, out)) in
+                [(64, 192), (64, 64), (64, 256), (256, 64), (64, 512)].into_iter().enumerate()
+            {
+                twin_agrees(Product::Matmul, 128, inp, out, seed as u64, path);
+                twin_agrees(Product::AtBAcc, inp, 128, out, seed as u64, path);
+                twin_agrees(Product::ABt, 128, out, inp, seed as u64, path);
             }
-        }
+            // The smallest problem, empty reductions and empty outputs,
+            // widths on either side of one and two tiles, and row counts
+            // that are whole 4-row blocks or leave each remainder.
+            let edges = [
+                (1, 1, 1),
+                (3, 0, 5),
+                (3, 0, TILE + 1),
+                (0, 4, 5),
+                (4, 5, 0),
+                (3, 7, TILE - 1),
+                (3, 7, TILE),
+                (3, 7, TILE + 1),
+                (3, 7, 2 * TILE + 2),
+                (2, TILE + 1, 2 * TILE),
+                (4, 0, TILE),
+                (4, 9, TILE),
+                (4, 9, 2 * TILE),
+                (5, 9, TILE),
+                (5, 9, 2 * TILE),
+                (7, 9, TILE),
+                (7, 9, 2 * TILE),
+                (8, 9, TILE),
+                (8, 9, 2 * TILE),
+                (129, 9, TILE),
+                (129, 9, 2 * TILE),
+            ];
+            for (i, (rows, red, width)) in edges.into_iter().enumerate() {
+                for seed in 0..8 {
+                    twins_agree(rows, red, width, 100 * i as u64 + seed, path);
+                }
+            }
+        });
     }
 
     proptest! {
@@ -460,12 +552,14 @@ mod tests {
 
         #[test]
         fn wrappers_match_their_twins(
-            rows in 0usize..6,
+            rows in 0usize..10,
             red in 0usize..48,
             width in 0usize..2 * TILE + 3,
             seed in any::<u64>(),
         ) {
-            twins_agree(rows, red, width, seed);
+            on_each_path("wrappers_match_their_twins", |path| {
+                twins_agree(rows, red, width, seed, path);
+            });
         }
     }
 

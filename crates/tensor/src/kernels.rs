@@ -115,16 +115,19 @@ pub(crate) fn downscale_portable(src: &[f32], dst: &mut [F16]) {
     }
 }
 
-/// Names the kernel path run-time dispatch chose on this host for
-/// [`downscale`] (`D_c`), `dos_optim::kernels::apply` (`U_c`) and the
-/// matrix products of `dos_nn::math` — one predicate governs all three —
-/// reported by `dos-cli calibrate` so a measured rate says which kernel
-/// produced it. The CPU picks it; nothing configures it.
+/// Names the kernel paths run-time dispatch chose on this host, reported
+/// by `dos-cli calibrate` so a measured rate says which kernel produced it.
+/// The first part names the one predicate behind [`downscale`] (`D_c`),
+/// `dos_optim::kernels::apply` (`U_c`) and the frame of `dos_nn::math`'s
+/// products; `", avx512f products"` follows when those products also run
+/// their full 4 × 64 blocks through [`simd::gemm_tile`]. The CPU picks;
+/// nothing configures it.
 pub fn dispatch_path() -> &'static str {
-    if simd::detected() {
-        "x86_64 avx2+f16c"
-    } else {
-        "portable"
+    match (simd::detected(), simd::detected_512()) {
+        (true, true) => "x86_64 avx2+f16c, avx512f products",
+        (true, false) => "x86_64 avx2+f16c",
+        (false, true) => "portable, avx512f products",
+        (false, false) => "portable",
     }
 }
 
