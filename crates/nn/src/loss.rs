@@ -1,7 +1,11 @@
 //! Cross-entropy loss with fused softmax backward.
 
+use dos_tensor::simd::exp;
+
 /// Mean cross-entropy over `rows` of logits `[rows, vocab]` against integer
 /// targets; returns `(loss, dlogits)` where `dlogits = (softmax - onehot)/rows`.
+/// Both passes' exps are [`dos_tensor::simd::exp`] over the row; the sum
+/// stays one sequential chain in index order.
 ///
 /// # Panics
 ///
@@ -17,16 +21,21 @@ pub fn cross_entropy(logits: &[f32], targets: &[usize], vocab: usize) -> (f32, V
         let target = targets[r];
         assert!(target < vocab, "target {target} out of vocab {vocab}");
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for &v in row {
-            sum += (v - max).exp();
+        // `drow` holds each pass's exps before it holds the gradient.
+        let drow = &mut dlogits[r * vocab..(r + 1) * vocab];
+        for (d, &v) in drow.iter_mut().zip(row) {
+            *d = v - max;
         }
+        exp(drow);
+        let sum = drow.iter().fold(0.0f32, |s, &e| s + e);
         let log_sum = sum.ln() + max;
         loss += (log_sum - row[target]) as f64;
-        let drow = &mut dlogits[r * vocab..(r + 1) * vocab];
-        for (i, &v) in row.iter().enumerate() {
-            let p = (v - log_sum).exp();
-            drow[i] = (p - if i == target { 1.0 } else { 0.0 }) * inv_rows;
+        for (d, &v) in drow.iter_mut().zip(row) {
+            *d = v - log_sum;
+        }
+        exp(drow);
+        for (i, d) in drow.iter_mut().enumerate() {
+            *d = (*d - if i == target { 1.0 } else { 0.0 }) * inv_rows;
         }
     }
     ((loss / rows as f64) as f32, dlogits)

@@ -32,7 +32,7 @@
 //! `NaN + NaN` is the operand order the compiler happened to pick, not a
 //! property of the source, so it is outside the contract.
 
-use dos_tensor::simd::{avx2_frame, gemm_tile, TILE_COLS, TILE_ROWS};
+use dos_tensor::simd::{avx2_frame, exp, gemm_tile, tanh, TILE_COLS, TILE_ROWS};
 
 /// Accumulators one output row keeps in registers across a whole
 /// reduction: 64 `f32` are 8 of the 16 `ymm` registers an AVX2 frame has,
@@ -250,7 +250,8 @@ pub(crate) fn matmul_a_bt_with(
 }
 
 /// Numerically stable in-place softmax over each row of an `[rows, cols]`
-/// matrix.
+/// matrix. The exps are [`dos_tensor::simd::exp`] over the row; the sum
+/// stays one sequential chain in index order.
 ///
 /// # Panics
 ///
@@ -260,11 +261,11 @@ pub fn softmax_rows(x: &mut [f32], rows: usize, cols: usize) {
     for r in 0..rows {
         let row = &mut x[r * cols..(r + 1) * cols];
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0;
         for v in row.iter_mut() {
-            *v = (*v - max).exp();
-            sum += *v;
+            *v -= max;
         }
+        exp(row);
+        let sum = row.iter().fold(0.0, |s, v| s + v);
         let inv = 1.0 / sum;
         for v in row.iter_mut() {
             *v *= inv;
@@ -275,11 +276,19 @@ pub fn softmax_rows(x: &mut [f32], rows: usize, cols: usize) {
 /// `sqrt(2/π)`, the scale inside GELU's tanh.
 const GELU_C: f32 = 0.797_884_6;
 
-/// The `tanh(√(2/π) · (x + 0.044715 x³))` both [`gelu`] and [`gelu_grad`]
-/// are functions of: the one transcendental of the pair, which a layer
-/// computes in forward and keeps for backward.
+/// `√(2/π) · (x + 0.044715 x³)`, the argument of GELU's tanh.
+pub(crate) fn gelu_arg(x: f32) -> f32 {
+    GELU_C * (x + 0.044715 * x * x * x)
+}
+
+/// The `tanh(gelu_arg(x))` both [`gelu`] and [`gelu_grad`] are functions
+/// of: the one transcendental of the pair, which a layer computes in
+/// forward (over a whole activation, through [`dos_tensor::simd::tanh`],
+/// as this does for one) and keeps for backward.
 pub(crate) fn gelu_tanh(x: f32) -> f32 {
-    (GELU_C * (x + 0.044715 * x * x * x)).tanh()
+    let mut t = [gelu_arg(x)];
+    tanh(&mut t);
+    t[0]
 }
 
 /// [`gelu`] given `t = gelu_tanh(x)`.
@@ -452,10 +461,10 @@ mod tests {
         AVX2_ONLY.set(true);
         check(Path::Avx2Frame);
         AVX2_ONLY.set(false);
-        if dos_tensor::kernels::dispatch_path().ends_with("avx512f products") {
+        if dos_tensor::kernels::dispatch_path().ends_with("avx512f+fma products, tanh, exp") {
             check(Path::Tile512);
         } else {
-            println!("skipped: {what} on the 512-bit tile (this host reports no avx512f)");
+            println!("skipped: {what} on the 512-bit tile (this host reports no avx512f and fma)");
         }
     }
 
@@ -667,14 +676,20 @@ mod tests {
     }
 
     /// `gelu` and `gelu_grad` as they were written before they shared
-    /// their tanh: same expression trees, so same bits, for every input.
+    /// their tanh: same expression trees around the same tanh, so same
+    /// bits, for every input.
     #[test]
     fn gelu_pair_through_the_shared_tanh_is_bitwise_the_direct_formulas() {
         const C: f32 = 0.797_884_6;
-        let gelu_reference = |x: f32| 0.5 * x * (1.0 + (C * (x + 0.044715 * x * x * x)).tanh());
+        fn tanh1(u: f32) -> f32 {
+            let mut t = [u];
+            tanh(&mut t);
+            t[0]
+        }
+        let gelu_reference = |x: f32| 0.5 * x * (1.0 + tanh1(C * (x + 0.044715 * x * x * x)));
         let gelu_grad_reference = |x: f32| {
             let u = C * (x + 0.044715 * x * x * x);
-            let t = u.tanh();
+            let t = tanh1(u);
             let du = C * (1.0 + 3.0 * 0.044715 * x * x);
             0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du
         };

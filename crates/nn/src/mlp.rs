@@ -1,9 +1,10 @@
 //! The transformer feed-forward block (GELU MLP).
 
+use dos_tensor::simd::tanh;
 use rand::Rng;
 
 use crate::linear::Linear;
-use crate::math::{gelu_from_tanh, gelu_grad_from_tanh, gelu_tanh};
+use crate::math::{gelu_arg, gelu_from_tanh, gelu_grad_from_tanh};
 use crate::param::{Param, VisitParams};
 
 /// Two-layer GELU MLP: `fc2(gelu(fc1(x)))` with hidden size
@@ -15,7 +16,7 @@ pub struct Mlp {
     /// Contraction projection `[dim*expansion, dim]`.
     pub fc2: Linear,
     cached_pre: Vec<f32>,
-    /// `gelu_tanh` of each `cached_pre` element: forward's one `tanhf` per
+    /// `gelu_tanh` of each `cached_pre` element: forward's one `tanh` per
     /// activation, kept so backward does not pay for it again.
     cached_tanh: Vec<f32>,
 }
@@ -41,7 +42,8 @@ impl Mlp {
     pub fn forward(&mut self, x: &[f32], rows: usize) -> Vec<f32> {
         let pre = self.fc1.forward(x, rows);
         self.cached_tanh.clear();
-        self.cached_tanh.extend(pre.iter().map(|&v| gelu_tanh(v)));
+        self.cached_tanh.extend(pre.iter().map(|&v| gelu_arg(v)));
+        tanh(&mut self.cached_tanh);
         let hidden: Vec<f32> =
             pre.iter().zip(&self.cached_tanh).map(|(&v, &t)| gelu_from_tanh(v, t)).collect();
         self.cached_pre = pre;

@@ -303,11 +303,9 @@ impl SamplingConfig {
         }
         // Probabilities at the given temperature, as (index, weight).
         let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut entries: Vec<(usize, f32)> = logits
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (i, ((v - max) / self.temperature).exp()))
-            .collect();
+        let mut weights: Vec<f32> = logits.iter().map(|&v| (v - max) / self.temperature).collect();
+        dos_tensor::simd::exp(&mut weights);
+        let mut entries: Vec<(usize, f32)> = weights.into_iter().enumerate().collect();
         entries.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
         if let Some(k) = self.top_k {
             entries.truncate(k.max(1));
@@ -449,9 +447,11 @@ mod checkpoint_and_generation_tests {
     /// Three SGD steps of the tiny model, gradients left to accumulate:
     /// every loss bit and a digest of the final gradients, as the plain
     /// loops `math::gemm` replaced and the two-`tanh` GELU produced them
-    /// (captured at the commit before, debug and release). `tanh`, `exp`
-    /// and `ln` come from the platform's libm, so the pin holds for the
-    /// libm it was captured on and says so instead of failing on another.
+    /// (captured at the commit before, debug and release). `tanh` and
+    /// `exp` come from `dos_tensor::simd` (glibc 2.36's algorithms on a
+    /// host with its 512-bit path, the platform's libm elsewhere) and `ln`
+    /// from libm, so the pin holds where those give the bits it was
+    /// captured with, and says so instead of failing elsewhere.
     #[test]
     fn trajectory_bits_are_pinned_plain_and_recomputed() {
         fn fnv1a(bits: impl Iterator<Item = u32>) -> u64 {
@@ -459,9 +459,12 @@ mod checkpoint_and_generation_tests {
                 (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
             })
         }
-        let libm = fnv1a((0..4096).flat_map(|i| {
-            let x = (i as f32 - 2048.0) / 256.0;
-            [x.tanh().to_bits(), x.exp().to_bits(), (x.abs() + 1e-3).ln().to_bits()]
+        let xs: Vec<f32> = (0..4096).map(|i| (i as f32 - 2048.0) / 256.0).collect();
+        let (mut t, mut e) = (xs.clone(), xs.clone());
+        dos_tensor::simd::tanh(&mut t);
+        dos_tensor::simd::exp(&mut e);
+        let libm = fnv1a(xs.iter().zip(t.iter().zip(&e)).flat_map(|(x, (t, e))| {
+            [t.to_bits(), e.to_bits(), (x.abs() + 1e-3).ln().to_bits()]
         }));
         if libm != 0x7423_1658_24c4_a79e {
             eprintln!("trajectory pin skipped: libm {libm:#018x} is not the one it was captured on");

@@ -18,6 +18,10 @@
 //! exhaustively), and the branchless loop remains what every other host
 //! runs. [`dispatch_path`] names which. `upscale` and `round_through_f16`
 //! stay portable: no measured workload spends its time there.
+//!
+//! The scalar twins of [`simd::tanh`]'s and [`simd::exp`]'s kernels live
+//! here too ([`tanh_reference`], [`exp_reference`]), with the libm
+//! constants both share.
 
 use crate::f16::F16;
 use crate::simd;
@@ -119,14 +123,15 @@ pub(crate) fn downscale_portable(src: &[f32], dst: &mut [F16]) {
 /// by `dos-cli calibrate` so a measured rate says which kernel produced it.
 /// The first part names the one predicate behind [`downscale`] (`D_c`),
 /// `dos_optim::kernels::apply` (`U_c`) and the frame of `dos_nn::math`'s
-/// products; `", avx512f products"` follows when those products also run
-/// their full 4 × 64 blocks through [`simd::gemm_tile`]. The CPU picks;
-/// nothing configures it.
+/// products; `", avx512f+fma products, tanh, exp"` follows when those
+/// products also run their full 4 × 64 blocks through [`simd::gemm_tile`]
+/// and [`simd::tanh`] and [`simd::exp`] run their 512-bit kernels instead
+/// of libm. The CPU picks; nothing configures it.
 pub fn dispatch_path() -> &'static str {
     match (simd::detected(), simd::detected_512()) {
-        (true, true) => "x86_64 avx2+f16c, avx512f products",
+        (true, true) => "x86_64 avx2+f16c, avx512f+fma products, tanh, exp",
         (true, false) => "x86_64 avx2+f16c",
-        (false, true) => "portable, avx512f products",
+        (false, true) => "portable, avx512f+fma products, tanh, exp",
         (false, false) => "portable",
     }
 }
@@ -137,6 +142,156 @@ pub fn downscale_reference(src: &[f32], dst: &mut [F16]) {
     for (x, y) in src.iter().zip(dst.iter_mut()) {
         *y = F16::from_f32(*x);
     }
+}
+
+/// `expm1f`'s `ln2_hi`, `ln2_lo` and `invln2` (fdlibm, as glibc 2.36).
+pub(crate) const LN2_HI: f32 = f32::from_bits(0x3f31_7180);
+pub(crate) const LN2_LO: f32 = f32::from_bits(0x3717_f7d1);
+pub(crate) const INVLN2: f32 = f32::from_bits(0x3fb8_aa3b);
+
+/// `expm1f`'s scaled `Q1..Q5`.
+pub(crate) const EXPM1F_Q: [f32; 5] = [
+    f32::from_bits(0xbd08_8889),
+    f32::from_bits(0x3ad0_0d01),
+    f32::from_bits(0xb8a6_70cd),
+    f32::from_bits(0x3686_7e54),
+    f32::from_bits(0xb457_edbb),
+];
+
+/// `expf`'s table: `tab[i]` is the bits of `2^(i/32)` less `i << 47`.
+pub(crate) const EXPF_TAB: [u64; 32] = [
+    0x3ff0000000000000, 0x3fefd9b0d3158574, 0x3fefb5586cf9890f, 0x3fef9301d0125b51,
+    0x3fef72b83c7d517b, 0x3fef54873168b9aa, 0x3fef387a6e756238, 0x3fef1e9df51fdee1,
+    0x3fef06fe0a31b715, 0x3feef1a7373aa9cb, 0x3feedea64c123422, 0x3feece086061892d,
+    0x3feebfdad5362a27, 0x3feeb42b569d4f82, 0x3feeab07dd485429, 0x3feea47eb03a5585,
+    0x3feea09e667f3bcd, 0x3fee9f75e8ec5f74, 0x3feea11473eb0187, 0x3feea589994cce13,
+    0x3feeace5422aa0db, 0x3feeb737b0cdc5e5, 0x3feec49182a3f090, 0x3feed503b23e255d,
+    0x3feee89f995ad3ad, 0x3feeff76f2fb5e47, 0x3fef199bdd85529c, 0x3fef3720dcef9069,
+    0x3fef5818dcfba487, 0x3fef7c97337b9b5f, 0x3fefa4afa2a490da, 0x3fefd0765b6e4540,
+];
+
+/// `expf`'s `32/ln2`, the `1.5·2⁵²` rounding shift, and `C0..C2` of its
+/// cubic in `r` (all scaled for the 32-entry table).
+pub(crate) const EXPF_INVLN2N: f64 = f64::from_bits(0x4047_1547_652b_82fe);
+pub(crate) const EXPF_SHIFT: f64 = f64::from_bits(0x4338_0000_0000_0000);
+pub(crate) const EXPF_C: [f64; 3] = [
+    f64::from_bits(0x3ebc_6af8_4b91_2394),
+    f64::from_bits(0x3f2e_bfce_50fa_c4f3),
+    f64::from_bits(0x3f96_2e42_ff0c_52d6),
+];
+
+/// Above this `expf` overflows to `+∞`; below [`EXPF_UNDER`] it is `+0`.
+pub(crate) const EXPF_OVER: f32 = f32::from_bits(0x42b1_7217);
+pub(crate) const EXPF_UNDER: f32 = f32::from_bits(0xc2cf_f1b4);
+
+/// Scalar twin of [`simd::tanh`]'s 512-bit kernel: glibc 2.36's `tanhf`
+/// (fdlibm's, over its `expm1f`), ported operation for operation, with no
+/// FMA (the source has none). The kernel equals it on every input, and so
+/// does glibc 2.36's own `tanhf` on x86-64; the exhaustive tests hold both.
+pub fn tanh_reference(x: f32) -> f32 {
+    tanhf(x, expm1f)
+}
+
+/// `tanhf` over the given `expm1f` (the tests pass a wrong one).
+pub(crate) fn tanhf(x: f32, expm1f: fn(f32) -> f32) -> f32 {
+    let ix = x.to_bits() & 0x7fff_ffff;
+    if ix > 0x7f80_0000 {
+        // `1/x ± 1`: the quieted NaN, as `x + x` is.
+        return x + x;
+    }
+    if ix < 0x2400_0000 {
+        // |x| < 2⁻⁵⁵. fdlibm returns ±0 itself first; this is the same bits.
+        return x * (1.0 + x);
+    }
+    let z = if ix >= 0x41b0_0000 {
+        // |x| ≥ 22 and ±∞: `1 − 10⁻³⁰`, which rounds to 1.
+        1.0
+    } else if ix >= 0x3f80_0000 {
+        let t = expm1f(2.0 * x.abs());
+        1.0 - 2.0 / (t + 2.0)
+    } else {
+        let t = expm1f(-2.0 * x.abs());
+        -t / (t + 2.0)
+    };
+    if x.is_sign_negative() {
+        -z
+    } else {
+        z
+    }
+}
+
+/// fdlibm's `expm1f` on the arguments [`tanhf`] passes — `2|x|` in
+/// `[2, 44)` and `−2|x|` in `(−2, 0)` — so without its overflow, NaN and
+/// `x ≤ −27·ln2` arms, which those never reach.
+fn expm1f(x: f32) -> f32 {
+    let hx = x.to_bits() & 0x7fff_ffff;
+    let neg = x.is_sign_negative();
+    // x = k·ln2 + (hi − lo); `c` is what rounding `hi − lo` lost.
+    let (k, x, c) = if hx > 0x3eb1_7218 {
+        let (hi, lo, k) = if hx < 0x3f85_1592 {
+            if neg {
+                (x + LN2_HI, -LN2_LO, -1)
+            } else {
+                (x - LN2_HI, LN2_LO, 1)
+            }
+        } else {
+            let k = (INVLN2 * x + if neg { -0.5 } else { 0.5 }) as i32;
+            let t = k as f32;
+            (x - t * LN2_HI, t * LN2_LO, k)
+        };
+        let r = hi - lo;
+        (k, r, (hi - r) - lo)
+    } else if hx < 0x3300_0000 {
+        return x;
+    } else {
+        (0, x, 0.0)
+    };
+    let hfx = 0.5 * x;
+    let hxs = x * hfx;
+    let q = EXPM1F_Q;
+    let r1 = 1.0 + hxs * (q[0] + hxs * (q[1] + hxs * (q[2] + hxs * (q[3] + hxs * q[4]))));
+    let t = 3.0 - r1 * hfx;
+    let e = hxs * ((r1 - t) / (6.0 - x * t));
+    if k == 0 {
+        return x - (x * e - hxs);
+    }
+    let e = x * (e - c) - c - hxs;
+    let scale = |y: f32| f32::from_bits(y.to_bits().wrapping_add((k << 23) as u32));
+    match k {
+        -1 => 0.5 * (x - e) - 0.5,
+        1 if x < -0.25 => -2.0 * (e - (x + 0.5)),
+        1 => 1.0 + 2.0 * (x - e),
+        _ if k <= -2 || k > 56 => scale(1.0 - (e - x)) - 1.0,
+        2..=22 => scale(f32::from_bits(0x3f80_0000 - (0x0100_0000u32 >> k)) - (e - x)),
+        _ => scale(x - (e + f32::from_bits(((0x7f - k) << 23) as u32)) + 1.0),
+    }
+}
+
+/// Scalar twin of [`simd::exp`]'s 512-bit kernel: glibc 2.36's `expf` as
+/// its x86-64 FMA variant computes it (the compiler contracted the source's
+/// three polynomial steps and both uses of `InvLn2N · x`), in `f64`. The
+/// kernel equals it on every input, and so does that `expf`.
+pub fn exp_reference(x: f32) -> f32 {
+    // The slow path's arms, which it takes from |x| ≥ 88 (and ±∞, NaN);
+    // the rest of that range goes on to the fast path.
+    if x.is_nan() {
+        return x + x;
+    }
+    if x > EXPF_OVER {
+        return f32::INFINITY;
+    }
+    if x < EXPF_UNDER {
+        return 0.0;
+    }
+    let xd = f64::from(x);
+    let kd = EXPF_INVLN2N.mul_add(xd, EXPF_SHIFT);
+    let ki = kd.to_bits();
+    let r = EXPF_INVLN2N.mul_add(xd, -(kd - EXPF_SHIFT));
+    let s = f64::from_bits(EXPF_TAB[(ki % 32) as usize].wrapping_add(ki << 47));
+    let [c0, c1, c2] = EXPF_C;
+    let z = c0.mul_add(r, c1);
+    let y = c2.mul_add(r, 1.0);
+    (z.mul_add(r * r, y) * s) as f32
 }
 
 /// Vectorized FP16→FP32 upscale over equal-length slices.
