@@ -32,7 +32,7 @@
 //! `NaN + NaN` is the operand order the compiler happened to pick, not a
 //! property of the source, so it is outside the contract.
 
-use dos_tensor::simd::{avx2_frame, exp, gemm_tile, tanh, TILE_COLS, TILE_ROWS};
+use dos_tensor::simd::{avx2_frame, gemm_tile, tanh, TILE_COLS, TILE_ROWS};
 
 /// Accumulators one output row keeps in registers across a whole
 /// reduction: 64 `f32` are 8 of the 16 `ymm` registers an AVX2 frame has,
@@ -249,30 +249,6 @@ pub(crate) fn matmul_a_bt_with(
     );
 }
 
-/// Numerically stable in-place softmax over each row of an `[rows, cols]`
-/// matrix. The exps are [`dos_tensor::simd::exp`] over the row; the sum
-/// stays one sequential chain in index order.
-///
-/// # Panics
-///
-/// Panics if `x.len() != rows * cols`.
-pub fn softmax_rows(x: &mut [f32], rows: usize, cols: usize) {
-    assert_eq!(x.len(), rows * cols, "x has wrong length");
-    for r in 0..rows {
-        let row = &mut x[r * cols..(r + 1) * cols];
-        let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        for v in row.iter_mut() {
-            *v -= max;
-        }
-        exp(row);
-        let sum = row.iter().fold(0.0, |s, v| s + v);
-        let inv = 1.0 / sum;
-        for v in row.iter_mut() {
-            *v *= inv;
-        }
-    }
-}
-
 /// `sqrt(2/π)`, the scale inside GELU's tanh.
 const GELU_C: f32 = 0.797_884_6;
 
@@ -344,7 +320,7 @@ pub(crate) fn same_bits(got: f32, want: f32) -> bool {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -410,7 +386,7 @@ mod tests {
     }
 
     #[track_caller]
-    fn assert_same_bits(what: &str, got: &[f32], want: &[f32]) {
+    pub(crate) fn assert_same_bits(what: &str, got: &[f32], want: &[f32]) {
         assert_eq!(got.len(), want.len(), "{what}: length");
         for (i, (g, w)) in got.iter().zip(want).enumerate() {
             assert!(
@@ -445,7 +421,7 @@ mod tests {
 
     /// The two ways `gemm` computes an output.
     #[derive(Clone, Copy, Debug)]
-    enum Path {
+    pub(crate) enum Path {
         /// Full 4-row blocks of full column tiles on `gemm_tile`, the rest
         /// on the one-row loop: what runs on a host with `avx512f`.
         Tile512,
@@ -457,7 +433,7 @@ mod tests {
     /// Runs `check` on both paths: the one-row loop pinned, then the
     /// 512-bit tile where the host has it, or a skip line naming what was
     /// not run where it does not.
-    fn on_each_path(what: &str, check: impl Fn(Path)) {
+    pub(crate) fn on_each_path(what: &str, check: impl Fn(Path)) {
         AVX2_ONLY.set(true);
         check(Path::Avx2Frame);
         AVX2_ONLY.set(false);
@@ -654,25 +630,6 @@ mod tests {
         let mut c2 = [0.0; 4];
         matmul_a_bt(&a, &bt, &mut c2, 2, 3, 2);
         assert_eq!(c1, c2);
-    }
-
-    #[test]
-    fn softmax_rows_sum_to_one() {
-        let mut x = vec![1.0, 2.0, 3.0, -1.0, 0.0, 1.0];
-        softmax_rows(&mut x, 2, 3);
-        for r in 0..2 {
-            let s: f32 = x[r * 3..(r + 1) * 3].iter().sum();
-            assert!((s - 1.0).abs() < 1e-6);
-        }
-        assert!(x[2] > x[1] && x[1] > x[0]);
-    }
-
-    #[test]
-    fn softmax_is_stable_for_large_inputs() {
-        let mut x = vec![1000.0, 1001.0];
-        softmax_rows(&mut x, 1, 2);
-        assert!(x.iter().all(|v| v.is_finite()));
-        assert!((x[0] + x[1] - 1.0).abs() < 1e-6);
     }
 
     /// `gelu` and `gelu_grad` as they were written before they shared

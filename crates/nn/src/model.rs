@@ -444,21 +444,18 @@ mod checkpoint_and_generation_tests {
         assert_eq!(plain.gather_grads(), ckpt.gather_grads(), "grads must be bitwise equal");
     }
 
-    /// Three SGD steps of the tiny model, gradients left to accumulate:
-    /// every loss bit and a digest of the final gradients, as the plain
-    /// loops `math::gemm` replaced and the two-`tanh` GELU produced them
-    /// (captured at the commit before, debug and release). `tanh` and
-    /// `exp` come from `dos_tensor::simd` (glibc 2.36's algorithms on a
-    /// host with its 512-bit path, the platform's libm elsewhere) and `ln`
-    /// from libm, so the pin holds where those give the bits it was
-    /// captured with, and says so instead of failing elsewhere.
-    #[test]
-    fn trajectory_bits_are_pinned_plain_and_recomputed() {
-        fn fnv1a(bits: impl Iterator<Item = u32>) -> u64 {
-            bits.flat_map(u32::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |h, b| {
-                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
-            })
-        }
+    fn fnv1a(bits: impl Iterator<Item = u32>) -> u64 {
+        bits.flat_map(u32::to_le_bytes).fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// Whether `tanh`, `exp` and `ln` give the bits the trajectory pins
+    /// were captured with. `tanh` and `exp` come from `dos_tensor::simd`
+    /// (glibc 2.36's algorithms on a host with its 512-bit path, the
+    /// platform's libm elsewhere) and `ln` from libm, so a pin holds where
+    /// they match, and says so instead of failing elsewhere.
+    fn libm_is_the_pinned_one(what: &str) -> bool {
         let xs: Vec<f32> = (0..4096).map(|i| (i as f32 - 2048.0) / 256.0).collect();
         let (mut t, mut e) = (xs.clone(), xs.clone());
         dos_tensor::simd::tanh(&mut t);
@@ -467,30 +464,74 @@ mod checkpoint_and_generation_tests {
             [t.to_bits(), e.to_bits(), (x.abs() + 1e-3).ln().to_bits()]
         }));
         if libm != 0x7423_1658_24c4_a79e {
-            eprintln!("trajectory pin skipped: libm {libm:#018x} is not the one it was captured on");
-            return;
+            eprintln!("{what} skipped: libm {libm:#018x} is not the one it was captured on");
         }
-        let tokens: Vec<usize> = (0..16).map(|i| (i * 7 + 3) % 64).collect();
-        let targets: Vec<usize> = (0..16).map(|i| (i * 11 + 5) % 64).collect();
-        for recompute in [false, true] {
-            let mut m = model(21);
+        libm == 0x7423_1658_24c4_a79e
+    }
+
+    /// Three SGD steps (`p -= lr · g`, gradients left to accumulate) of a
+    /// model built from `seed`, plain and recomputed: each step's loss
+    /// bits and a digest of the final gradients.
+    fn trajectory(
+        cfg: GptConfig,
+        seed: u64,
+        (tokens, targets): (&[usize], &[usize]),
+        (batch, seq): (usize, usize),
+        lr: f32,
+    ) -> [([u32; 3], u64); 2] {
+        [false, true].map(|recompute| {
+            let mut m = Gpt::new(cfg.clone(), &mut StdRng::seed_from_u64(seed));
             let losses = [(); 3].map(|()| {
-                let loss = m.loss_and_backward_with(&tokens, &targets, 2, 8, None, recompute);
+                let loss = m.loss_and_backward_with(tokens, targets, batch, seq, None, recompute);
                 let grads = m.gather_grads();
                 let mut params = m.gather_params();
                 for (p, g) in params.iter_mut().zip(&grads) {
-                    *p -= 0.5 * g;
+                    *p -= lr * g;
                 }
                 m.scatter_params(&params);
                 loss.to_bits()
             });
-            assert_eq!(losses, [0x408a_739c, 0x4074_45e2, 0x4059_15ee], "recompute {recompute}");
-            assert_eq!(
-                fnv1a(m.gather_grads().iter().map(|g| g.to_bits())),
-                0x3116_da5f_36b5_b5e7,
-                "recompute {recompute}"
-            );
+            (losses, fnv1a(m.gather_grads().iter().map(|g| g.to_bits())))
+        })
+    }
+
+    /// The tiny model's trajectory as the plain loops `math::gemm`
+    /// replaced and the two-`tanh` GELU produced it (captured at the
+    /// commit before, debug and release).
+    #[test]
+    fn trajectory_bits_are_pinned_plain_and_recomputed() {
+        if !libm_is_the_pinned_one("tiny trajectory pin") {
+            return;
         }
+        let tokens: Vec<usize> = (0..16).map(|i| (i * 7 + 3) % 64).collect();
+        let targets: Vec<usize> = (0..16).map(|i| (i * 11 + 5) % 64).collect();
+        let want = ([0x408a_739c, 0x4074_45e2, 0x4059_15ee], 0x3116_da5f_36b5_b5e7);
+        let got = trajectory(GptConfig::tiny(), 21, (&tokens, &targets), (2, 8), 0.5);
+        assert_eq!(got, [want, want], "[plain, recomputed]");
+    }
+
+    /// The same at `train_dp2`'s shape (head dim 16, seq 32, vocab 512,
+    /// four sequences: 128 rows), where attention and cross-entropy take
+    /// every branch of their kernels the tiny model misses. Captured at
+    /// the commit before they left their scalar loops, debug and release.
+    #[test]
+    fn trajectory_bits_are_pinned_at_the_benchmark_shape() {
+        if !libm_is_the_pinned_one("benchmark-shape trajectory pin") {
+            return;
+        }
+        let cfg = GptConfig {
+            vocab_size: 512,
+            max_seq: 32,
+            dim: 64,
+            num_layers: 2,
+            num_heads: 4,
+            init_std: 0.08,
+        };
+        let tokens: Vec<usize> = (0..128).map(|i| (i * 37 + 11) % 512).collect();
+        let targets: Vec<usize> = (0..128).map(|i| (i * 53 + 7) % 512).collect();
+        let got = trajectory(cfg, 7, (&tokens, &targets), (4, 32), 0.5);
+        let want = ([0x40cd_56c1, 0x40b7_9a83, 0x40a4_5ae7], 0x9f25_ca8c_4b38_ec9c);
+        assert_eq!(got, [want, want], "[plain, recomputed]");
     }
 
     #[test]

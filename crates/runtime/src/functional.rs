@@ -28,6 +28,8 @@ use dos_tensor::kernels;
 use dos_train::checkpoint::{AsyncCheckpointer, CheckpointError, CheckpointStore, TrainingCheckpoint};
 use dos_train::{Trainer, TrainerError};
 use dos_zero::rank_range;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 /// Everything that can abort a functional training run.
 #[derive(Debug)]
@@ -338,13 +340,20 @@ pub fn train_functional(
     let mut recoveries = 0usize;
     let (results, final_world) = loop {
         let comms = build_comms(cfg, world, plan.as_ref())?;
+        // Identical init on every rank: one seeded build, cloned for all
+        // but the last rank, which takes it.
+        let init = Gpt::new(cfg.model.clone(), &mut StdRng::seed_from_u64(cfg.seed));
+        let models = std::iter::repeat_n(init, comms.len());
         let run: Result<Vec<RankRun>, TrainError> =
             std::thread::scope(|scope| {
                 let resume_ref = resume.as_ref();
                 let handles: Vec<_> = comms
                     .into_iter()
-                    .map(|comm| {
-                        scope.spawn(move || run_rank(cfg, dataset, remaining, comm, resume_ref))
+                    .zip(models)
+                    .map(|(comm, model)| {
+                        scope.spawn(move || {
+                            run_rank(cfg, dataset, model, remaining, comm, resume_ref)
+                        })
                     })
                     .collect();
                 handles
@@ -498,25 +507,20 @@ fn iteration_events(tracer: &Tracer, mark: f64, shared: bool) -> Vec<TraceEvent>
 /// degraded-step count).
 type RankRun = (Vec<f32>, Vec<f32>, usize);
 
-/// One rank's training loop.
+/// One rank's training loop, from its copy of the seeded initial model.
 fn run_rank(
     cfg: &FunctionalConfig,
     dataset: &TokenDataset,
+    mut model: Gpt,
     iterations: usize,
     comm: Communicator,
     resume: Option<&TrainingCheckpoint>,
 ) -> Result<RankRun, TrainError> {
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
     let rank = comm.rank();
     let world = comm.world_size();
     if let Some(t) = &cfg.tracer {
         t.set_thread_track(&format!("rank{rank}"));
     }
-    // Identical init on every rank (same seed).
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut model = Gpt::new(cfg.model.clone(), &mut rng);
     let mut loader = DataLoader::new(rank, world, cfg.micro_batch, cfg.seed ^ 0x5EED);
 
     // ZeRO-style shard: this rank owns the optimizer state of its range of

@@ -12,12 +12,14 @@
 //! The downscale is `D_c` in the paper's Eq. 1 — one of the two CPU-side
 //! throughput constants the adaptive controller steers on — so this is a
 //! measured hot path, not a micro-optimization; `benchmark/` reports it as
-//! `tensor.downscale_params_per_s`. It is also the one kernel here with a
+//! `tensor.downscale_params_per_s`. The upscale widens every training
+//! iteration's FP16 all-gather (`tensor.upscale_params_per_s`). Both have a
 //! hardware path: on x86-64 hosts that report AVX2 and F16C, [`downscale`]
-//! converts eight lanes per `vcvtps2ph` (in [`crate::simd`], the same bits,
-//! exhaustively), and the branchless loop remains what every other host
-//! runs. [`dispatch_path`] names which. `upscale` and `round_through_f16`
-//! stay portable: no measured workload spends its time there.
+//! converts eight lanes per `vcvtps2ph` and [`upscale`] eight per
+//! `vcvtph2ps` (in [`crate::simd`], the same bits, exhaustively), and the
+//! branchless loops remain what every other host runs. [`dispatch_path`]
+//! names which. `round_through_f16` stays portable: no measured workload
+//! spends its time there.
 //!
 //! The scalar twins of [`simd::tanh`]'s and [`simd::exp`]'s kernels live
 //! here too ([`tanh_reference`], [`exp_reference`]), with the libm
@@ -122,15 +124,16 @@ pub(crate) fn downscale_portable(src: &[f32], dst: &mut [F16]) {
 /// Names the kernel paths run-time dispatch chose on this host, reported
 /// by `dos-cli calibrate` so a measured rate says which kernel produced it.
 /// The first part names the one predicate behind [`downscale`] (`D_c`),
-/// `dos_optim::kernels::apply` (`U_c`) and the frame of `dos_nn::math`'s
-/// products; `", avx512f+fma products, tanh, exp"` follows when those
+/// [`upscale`], `dos_optim::kernels::apply` (`U_c`) and the frame of
+/// `dos_nn`'s products and attention; `", avx512f+fma products, tanh, exp"`
+/// follows when those
 /// products also run their full 4 × 64 blocks through [`simd::gemm_tile`]
 /// and [`simd::tanh`] and [`simd::exp`] run their 512-bit kernels instead
 /// of libm. The CPU picks; nothing configures it.
 pub fn dispatch_path() -> &'static str {
     match (simd::detected(), simd::detected_512()) {
-        (true, true) => "x86_64 avx2+f16c, avx512f+fma products, tanh, exp",
-        (true, false) => "x86_64 avx2+f16c",
+        (true, true) => "x86_64 avx2+f16c downscale, upscale, avx512f+fma products, tanh, exp",
+        (true, false) => "x86_64 avx2+f16c downscale, upscale",
         (false, true) => "portable, avx512f+fma products, tanh, exp",
         (false, false) => "portable",
     }
@@ -294,13 +297,23 @@ pub fn exp_reference(x: f32) -> f32 {
     (z.mul_add(r * r, y) * s) as f32
 }
 
-/// Vectorized FP16→FP32 upscale over equal-length slices.
+/// Vectorized FP16→FP32 upscale over equal-length slices: `vcvtph2ps`
+/// where the host has it ([`dispatch_path`]), the branchless loop
+/// everywhere else, the same bits either way.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn upscale(src: &[F16], dst: &mut [f32]) {
     assert_eq!(src.len(), dst.len(), "upscale length mismatch");
+    if !simd::upscale(src, dst) {
+        upscale_portable(src, dst);
+    }
+}
+
+/// The path [`upscale`] takes on every platform without a wider one, and
+/// the wide path's own fallback for sub-vector tails.
+pub(crate) fn upscale_portable(src: &[F16], dst: &mut [f32]) {
     for (s, d) in src.chunks(CHUNK).zip(dst.chunks_mut(CHUNK)) {
         for (x, y) in s.iter().zip(d.iter_mut()) {
             *y = f32_from_f16_bits(x.to_bits());
@@ -350,14 +363,32 @@ mod tests {
 
     #[test]
     fn upscale_matches_oracle_exhaustively() {
-        for bits in 0..=u16::MAX {
-            let want = F16::from_bits(bits).to_f32();
+        // Every half through the element formula and through both slice
+        // paths, dispatched and portable, in vector position; then every
+        // length 0..=40 from every offset 0..8, so the sub-vector tails and
+        // unaligned heads are covered too.
+        let halves: Vec<F16> = (0..=u16::MAX).map(F16::from_bits).collect();
+        let mut fast = vec![0.0f32; halves.len()];
+        let mut portable = fast.clone();
+        upscale(&halves, &mut fast);
+        upscale_portable(&halves, &mut portable);
+        for (((h, f), p), bits) in halves.iter().zip(&fast).zip(&portable).zip(0..=u16::MAX) {
+            let want = h.to_f32().to_bits();
             let got = f32_from_f16_bits(bits);
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "upscale({bits:#06x}) diverged: {got:?} vs {want:?}"
-            );
+            assert_eq!(got.to_bits(), want, "upscale({bits:#06x}) diverged: {got:?}");
+            assert_eq!(f.to_bits(), want, "{} upscale({bits:#06x})", dispatch_path());
+            assert_eq!(p.to_bits(), want, "portable upscale({bits:#06x})");
+        }
+        let base: Vec<F16> = (0..48u16).map(|i| F16::from_bits(i.wrapping_mul(0x1553))).collect();
+        for offset in 0..8 {
+            for len in 0..=40 {
+                let src = &base[offset..offset + len];
+                let mut got = vec![f32::NAN; len];
+                upscale(src, &mut got);
+                for (h, g) in src.iter().zip(&got) {
+                    assert_eq!(g.to_bits(), h.to_f32().to_bits(), "offset {offset} len {len}");
+                }
+            }
         }
     }
 

@@ -13,13 +13,13 @@
 //! the scalar oracle and used by every hot path; the scalar code remains
 //! the reference the conformance harness checks against. Where the host
 //! CPU reports AVX2 and F16C, the downscale (`D_c`) runs on `vcvtps2ph`
-//! instead, and where it reports AVX-512F and FMA, `dos-nn`'s matrix
-//! products run their full 4-row × 64-column blocks on
-//! [`simd::gemm_tile`], and its `tanh` and `exp` run lane-for-lane ports of
-//! glibc 2.36's `tanhf` and `expf` ([`simd::tanh`], [`simd::exp`]) instead
-//! of libm — same bits, chosen at run time, both named by
-//! [`kernels::dispatch_path`]. [`simd`] is this crate's one module allowed
-//! to contain `unsafe`; everything it exports is safe.
+//! and the upscale on `vcvtph2ps` instead, and where it reports AVX-512F
+//! and FMA, `dos-nn`'s matrix products run their full 4-row × 64-column
+//! blocks on [`simd::gemm_tile`], and its `tanh` and `exp` run
+//! lane-for-lane ports of glibc 2.36's `tanhf` and `expf` ([`simd::tanh`],
+//! [`simd::exp`]) instead of libm — same bits, chosen at run time, both
+//! named by [`kernels::dispatch_path`]. [`simd`] is this crate's one
+//! module allowed to contain `unsafe`; everything it exports is safe.
 //!
 //! ```
 //! use dos_tensor::{Tensor, DType, F16};

@@ -11,7 +11,8 @@
 //! * calling a `#[target_feature]` function from code compiled for the
 //!   baseline target — sound exactly when the feature was detected first;
 //! * the vector loads and stores, which take raw pointers: the 32-byte
-//!   load and 16-byte store around `vcvtps2ph`, the 64-byte `zmm` loads
+//!   load and 16-byte store around `vcvtps2ph` (and the 16-byte load and
+//!   32-byte store around `vcvtph2ps`), the 64-byte `zmm` loads
 //!   and stores of the products' register tile ([`gemm_tile`]) and of
 //!   [`tanh`], and the 32-byte ones of [`exp`].
 //!
@@ -19,8 +20,9 @@
 //! the bounds arithmetic themselves — or take arrays whose types fix the
 //! bounds, a slice's tail going through a zero-padded copy — so no input a
 //! safe caller can pass reaches an unchecked operation. Two predicates
-//! pick the paths: `avx2` + `f16c` for the frame and the downscale
-//! ([`avx2_frame`], [`crate::kernels::downscale`]), and `avx512f` + `fma`
+//! pick the paths: `avx2` + `f16c` for the frame and the two conversions
+//! ([`avx2_frame`], [`crate::kernels::downscale`],
+//! [`crate::kernels::upscale`]), and `avx512f` + `fma`
 //! for the products' tile, [`tanh`] and [`exp`];
 //! [`crate::kernels::dispatch_path`] names both. The CPU picks; there is
 //! no feature, flag or environment variable.
@@ -28,9 +30,10 @@
 use crate::f16::F16;
 
 /// Whether the wide paths run on this host: x86-64 reporting both `avx2`
-/// (the frame the update rules and `dos-nn`'s matrix products run in) and
-/// `f16c` (the downscale). One predicate for the frame and the downscale,
-/// so those are either wide or portable, never part of each; only the
+/// (the frame the update rules and `dos-nn`'s matrix products and
+/// attention run in) and `f16c` (the downscale and the upscale). One
+/// predicate for the frame and the conversions, so those are either wide
+/// or portable, never part of each; only the
 /// 512-bit kernels have their own ([`detected_512`]), since they need
 /// more than this.
 #[inline]
@@ -97,6 +100,26 @@ pub(crate) fn downscale(src: &[f32], dst: &mut [F16]) -> bool {
         // SAFETY: `downscale_f16c` requires `avx2` and `f16c`;
         // `detected()` just reported both on this CPU.
         unsafe { x86::downscale_f16c(src, dst) };
+        return true;
+    }
+    let _ = (src, dst);
+    false
+}
+
+/// FP16→FP32 over equal-length slices with `vcvtph2ps`, eight lanes per
+/// instruction. Returns `false`, having written nothing, when the host has
+/// no such path and the caller must run the portable loop.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length.
+#[inline]
+pub(crate) fn upscale(src: &[F16], dst: &mut [f32]) -> bool {
+    #[cfg(target_arch = "x86_64")]
+    if detected() {
+        // SAFETY: `upscale_f16c` requires `avx2` and `f16c`; `detected()`
+        // just reported both on this CPU.
+        unsafe { x86::upscale_f16c(src, dst) };
         return true;
     }
     let _ = (src, dst);
@@ -182,8 +205,8 @@ mod x86 {
     use super::{TILE_COLS, TILE_ROWS};
     use crate::f16::F16;
     use crate::kernels::{
-        downscale_portable, EXPF_C, EXPF_INVLN2N, EXPF_OVER, EXPF_SHIFT, EXPF_TAB, EXPF_UNDER,
-        EXPM1F_Q, INVLN2, LN2_HI, LN2_LO,
+        downscale_portable, upscale_portable, EXPF_C, EXPF_INVLN2N, EXPF_OVER, EXPF_SHIFT, EXPF_TAB,
+        EXPF_UNDER, EXPM1F_Q, INVLN2, LN2_HI, LN2_LO,
     };
 
     /// `zmm` registers per tile row.
@@ -223,6 +246,29 @@ mod x86 {
             i += 8;
         }
         downscale_portable(&src[i..], &mut dst[i..]);
+    }
+
+    /// `vcvtph2ps` is exact on every one of the 65,536 halves and quiets a
+    /// signalling NaN by setting the top mantissa bit, as `F16::to_f32`
+    /// does, so every vector takes it; the sub-vector tail takes the
+    /// portable formula.
+    #[target_feature(enable = "avx2,f16c")]
+    pub(super) fn upscale_f16c(src: &[F16], dst: &mut [f32]) {
+        let n = src.len();
+        assert_eq!(n, dst.len(), "upscale length mismatch");
+        let mut i = 0;
+        while i + 8 <= n {
+            // SAFETY: `i + 8 <= n == src.len()` and `F16` is
+            // `#[repr(transparent)]` over `u16`, so the 16 bytes at
+            // `src[i..i + 8]` are in bounds; `loadu` needs no alignment.
+            let h = unsafe { _mm_loadu_si128(src.as_ptr().add(i).cast::<__m128i>()) };
+            // SAFETY: `i + 8 <= n == dst.len()` (asserted above), so the
+            // eight `f32`s at `dst[i..i + 8]` are in bounds; `storeu`
+            // needs no alignment.
+            unsafe { _mm256_storeu_ps(dst.as_mut_ptr().add(i), _mm256_cvtph_ps(h)) };
+            i += 8;
+        }
+        upscale_portable(&src[i..], &mut dst[i..]);
     }
 
     // `#[inline]` lets these two join the tile's loop; without it each
