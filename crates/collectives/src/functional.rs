@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex;
 
 use dos_hal::RetryPolicy;
-use dos_tensor::F16;
+use dos_tensor::{kernels, F16};
 
 use crate::transport::{Frame, FrameKind, Payload, Transport, TransportError, CHECKSUM, HEADER};
 use crate::InProcTransport;
@@ -261,6 +261,44 @@ fn decode<const N: usize, T: Wire<N>>(bytes: &[u8]) -> impl Iterator<Item = T> +
 fn accumulate(out: &mut [f32], contribution: &[u8]) {
     for (o, c) in out.iter_mut().zip(decode::<4, f32>(contribution)) {
         *o += c;
+    }
+}
+
+/// `own[i] = (+0.0 + c₀[i] + … + c_{world−1}[i]) · scale`, the sum in rank
+/// order, where `got[p]` holds rank `p`'s contribution in received bytes
+/// and this rank's own is what `own` holds on entry: the reduce-scatter's
+/// one pass, a block at a time so that the sums stay in the cache.
+fn reduce_into(own: &mut [f32], got: &[Payload], rank: usize, scale: f32) {
+    const BLOCK: usize = 1024;
+    let mut sum = [0.0f32; BLOCK];
+    for (b, own) in own.chunks_mut(BLOCK).enumerate() {
+        let sum = &mut sum[..own.len()];
+        sum.fill(0.0);
+        for (p, contribution) in got.iter().enumerate() {
+            if p == rank {
+                for (s, o) in sum.iter_mut().zip(&*own) {
+                    *s += o;
+                }
+            } else {
+                accumulate(sum, &contribution[b * BLOCK * size_of::<f32>()..]);
+            }
+        }
+        for (o, s) in own.iter_mut().zip(&*sum) {
+            *o = s * scale;
+        }
+    }
+}
+
+/// Widens a payload of FP16 halves into `out` on [`kernels::upscale`],
+/// through a block of halves on the stack.
+fn upscale_into(out: &mut [f32], contribution: &[u8]) {
+    let mut halves = [F16::ZERO; 1024];
+    for (o, bytes) in out.chunks_mut(halves.len()).zip(contribution.chunks(2 * halves.len())) {
+        let halves = &mut halves[..o.len()];
+        for (h, v) in halves.iter_mut().zip(decode::<2, F16>(bytes)) {
+            *h = v;
+        }
+        kernels::upscale(halves, o);
     }
 }
 
@@ -619,14 +657,37 @@ impl Communicator {
     }
 
     /// [`Communicator::all_gather`] of FP16 halves, two bytes per element
-    /// on the wire: how the updated parameter shards travel (widen the
-    /// result once with `dos_tensor::kernels::upscale`).
+    /// on the wire: how the updated parameter shards travel
+    /// ([`Communicator::all_gather_f16_into`] widens them on arrival).
     ///
     /// # Errors
     ///
     /// As for [`Communicator::all_gather`].
     pub fn all_gather_f16(&self, data: &[F16]) -> Result<Vec<F16>, CollectiveError> {
         self.gather(data, true)
+    }
+
+    /// [`Communicator::all_gather_f16`] widened in place: rank `p`'s
+    /// halves are upscaled straight from its payload into chunk `p` of
+    /// `out` (the world-padded FP32 parameters every rank trains with),
+    /// bit for bit what `dos_tensor::kernels::upscale` of the gathered
+    /// vector gives.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Communicator::all_gather`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not `world` times as long as `data`.
+    pub fn all_gather_f16_into(&self, data: &[F16], out: &mut [f32]) -> Result<(), CollectiveError> {
+        assert_eq!(out.len(), self.world_size() * data.len(), "out holds one shard per rank");
+        let got = self.exchange_same("all_gather", encode(data))?;
+        same_lengths(&got, size_of::<F16>(), data.len())?;
+        for (p, contribution) in got.iter().enumerate() {
+            upscale_into(&mut out[p * data.len()..][..data.len()], contribution);
+        }
+        Ok(())
     }
 
     /// Gathers buffers of possibly different lengths, concatenated in rank
@@ -721,9 +782,26 @@ impl Communicator {
     }
 
     /// Reduces (sums) full-length buffers and returns this rank's 1/world
-    /// chunk (ZeRO's gradient partitioning primitive). Peer `p` is sent
-    /// chunk `p` only; the sum runs over the received bytes and this
-    /// rank's own chunk of `data`, in rank order from `0.0`.
+    /// chunk (ZeRO's gradient partitioning primitive): a copy of the
+    /// chunk [`Communicator::reduce_scatter_sum_in_place`] writes, unscaled.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Communicator::reduce_scatter_sum_in_place`].
+    pub fn reduce_scatter_sum(&self, data: &[f32]) -> Result<Vec<f32>, CollectiveError> {
+        let got = self.scatter_chunks(data)?;
+        let chunk = data.len() / self.world_size();
+        let mut out = data[self.rank() * chunk..][..chunk].to_vec();
+        reduce_into(&mut out, &got, self.rank(), 1.0);
+        Ok(out)
+    }
+
+    /// Reduces (sums) full-length buffers across ranks and writes the sum of
+    /// this rank's 1/world chunk, times `scale`, over that chunk of `data`
+    /// (the rest of `data` is left as it was). Peer `p` is sent chunk `p`
+    /// only; each sum runs over the received bytes and this rank's own
+    /// chunk in rank order from `+0.0`, and `scale` multiplies it in the
+    /// same pass — the bits of a sum followed by a separate scaling loop.
     ///
     /// # Errors
     ///
@@ -731,7 +809,21 @@ impl Communicator {
     /// multiple of the world size, [`CollectiveError::LengthMismatch`] if
     /// ranks disagree on length, or a robustness error as for
     /// [`Communicator::all_reduce_sum`].
-    pub fn reduce_scatter_sum(&self, data: &[f32]) -> Result<Vec<f32>, CollectiveError> {
+    pub fn reduce_scatter_sum_in_place(
+        &self,
+        data: &mut [f32],
+        scale: f32,
+    ) -> Result<(), CollectiveError> {
+        let got = self.scatter_chunks(data)?;
+        let chunk = data.len() / self.world_size();
+        reduce_into(&mut data[self.rank() * chunk..][..chunk], &got, self.rank(), scale);
+        Ok(())
+    }
+
+    /// The reduce-scatter's exchange: chunk `p` of `data` to peer `p`, and
+    /// back what every peer sent here (this rank's slot empty), each
+    /// checked to be one chunk long.
+    fn scatter_chunks(&self, data: &[f32]) -> Result<Vec<Payload>, CollectiveError> {
         let world = self.world_size();
         let rank = self.rank();
         if !data.len().is_multiple_of(world) {
@@ -753,17 +845,7 @@ impl Communicator {
                     .collect(),
             });
         }
-        let mut out = vec![0.0; chunk];
-        for (p, contribution) in got.iter().enumerate() {
-            if theirs(p) {
-                accumulate(&mut out, contribution);
-            } else {
-                for (o, c) in out.iter_mut().zip(chunk_of(rank)) {
-                    *o += c;
-                }
-            }
-        }
-        Ok(out)
+        Ok(got)
     }
 }
 

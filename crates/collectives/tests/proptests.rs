@@ -1,7 +1,7 @@
 //! Property tests: thread-based collectives match naive reference reductions.
 
 use dos_collectives::{CollectiveError, Communicator};
-use dos_tensor::F16;
+use dos_tensor::{kernels, F16};
 use proptest::prelude::*;
 use std::thread;
 
@@ -49,6 +49,22 @@ fn awkward_buffer(seed: u64, rank: usize, len: usize) -> Vec<f32> {
             } else {
                 ((pick % 20_011) as f32 - 10_000.0) * 0.37
             }
+        })
+        .collect()
+}
+
+/// Half bit patterns the widening gather must carry: signed zeros,
+/// subnormals, infinities, NaNs with payloads, ordinary values.
+const AWKWARD_F16: [u16; 10] =
+    [0x0000, 0x8000, 0x0001, 0x83ff, 0x7c00, 0xfc00, 0x7e01, 0xfd55, 0x3c01, 0xd7b7];
+
+/// [`awkward_buffer`]'s pattern as halves: awkward and random bits.
+fn awkward_halves(seed: u64, rank: usize, len: usize) -> Vec<F16> {
+    awkward_buffer(seed, rank, len)
+        .iter()
+        .map(|x| match x.to_bits() {
+            b if b % 3 == 0 => F16::from_bits(AWKWARD_F16[(b / 3) as usize % AWKWARD_F16.len()]),
+            b => F16::from_bits((b >> 7) as u16),
         })
         .collect()
 }
@@ -236,4 +252,64 @@ proptest! {
             prop_assert_eq!(&r[1..], &total[rank * chunks..(rank + 1) * chunks]);
         }
     }
+
+    /// The in-place forms the training loop runs on a model's world-padded
+    /// buffers give the bits of the copying forms and their separate
+    /// passes: the reduce-scatter with its `1/world` scale folded into its
+    /// one pass (the other chunks left as they were), and the FP16
+    /// all-gather widened on arrival.
+    #[test]
+    fn in_place_reduce_scatter_and_widening_gather_match_the_copying_forms_bitwise(
+        world in 1usize..5,
+        chunks in 0usize..40,
+        tail in 0usize..8,
+        seed in any::<u64>(),
+    ) {
+        // Zeros pad the last `tail` elements, as they pad a model's space.
+        let len = world * chunks;
+        let inputs: Vec<Vec<f32>> = (0..world)
+            .map(|r| {
+                let mut g = awkward_buffer(seed, r, len.saturating_sub(tail));
+                g.resize(len, 0.0);
+                g
+            })
+            .collect();
+        let results = run_collective(inputs, move |c, d| {
+            let (rank, inv) = (c.rank(), 1.0 / c.world_size() as f32);
+            let mut copied = c.reduce_scatter_sum(&d).unwrap();
+            for g in copied.iter_mut() {
+                *g *= inv;
+            }
+            let mut in_place = d.clone();
+            c.reduce_scatter_sum_in_place(&mut in_place, inv).unwrap();
+            let own = rank * chunks..(rank + 1) * chunks;
+            let mut rest = d.clone();
+            rest[own.clone()].copy_from_slice(&in_place[own.clone()]);
+
+            let shard = awkward_halves(seed, rank, chunks);
+            let halves = c.all_gather_f16(&shard).unwrap();
+            let mut widened = vec![0.0; halves.len()];
+            kernels::upscale(&halves, &mut widened);
+            let mut into = vec![f32::NAN; len];
+            c.all_gather_f16_into(&shard, &mut into).unwrap();
+            [copied, in_place[own].to_vec(), rest, in_place, widened, into].map(|v| bits(&v))
+        });
+        for [copied, in_place, rest, whole, widened, into] in results {
+            prop_assert_eq!(copied, in_place);
+            prop_assert_eq!(rest, whole, "only the rank's own chunk is written");
+            prop_assert_eq!(widened, into);
+        }
+    }
+}
+
+/// At world 1 the reduce-scatter still sums from `+0.0`, so a `−0.0`
+/// gradient comes out `+0.0`, in place as in the copying form: the world-1
+/// collective is not a no-op on the bits.
+#[test]
+fn a_negative_zero_gradient_comes_out_positive_at_world_1() {
+    let comm = Communicator::world(1).pop().unwrap();
+    let mut g = vec![-0.0f32, -1.5];
+    assert_eq!(bits(&comm.reduce_scatter_sum(&g).unwrap()), bits(&[0.0, -1.5]));
+    comm.reduce_scatter_sum_in_place(&mut g, 1.0).unwrap();
+    assert_eq!(bits(&g), bits(&[0.0, -1.5]));
 }

@@ -19,7 +19,8 @@ use dos_tensor::simd::{avx2_frame, exp};
 use rand::Rng;
 
 use crate::linear::Linear;
-use crate::param::{Param, VisitParams};
+use crate::math::{sized, zeroed};
+use crate::param::Params;
 
 /// Lanes of one accumulator row: two `ymm` registers in the AVX2 frame.
 /// A head's rows of `q`, `k`, `v` and `dO` are read this many lanes at a
@@ -186,6 +187,12 @@ pub struct CausalSelfAttention {
     pub qkv: Linear,
     /// Output projection `[dim, dim]`.
     pub proj: Linear,
+    core: Core,
+}
+
+/// The attention core between the two projections, with what it keeps.
+#[derive(Debug, Clone, Default)]
+struct Core {
     dim: usize,
     heads: usize,
     // caches: the fused projection's output `[batch * seq, 3 * dim]`,
@@ -195,31 +202,39 @@ pub struct CausalSelfAttention {
     probs: Vec<f32>,
     batch: usize,
     seq: usize,
+    // the context in forward, its padded gradient in backward; the fused
+    // projection's gradient; per-(batch, head) scratch
+    ctx: Vec<f32>,
+    dqkv: Vec<f32>,
+    scratch: [Vec<f32>; 3],
 }
 
 impl CausalSelfAttention {
-    /// Creates an attention module.
+    /// Creates an attention module, its parameters in `ps`.
     ///
     /// # Panics
     ///
     /// Panics if `dim` is not divisible by `heads`.
-    pub fn new<R: Rng>(name: &str, dim: usize, heads: usize, std: f32, rng: &mut R) -> Self {
+    pub fn new<R: Rng>(ps: &mut Params, dim: usize, heads: usize, std: f32, rng: &mut R) -> Self {
         assert_eq!(dim % heads, 0, "dim must be divisible by heads");
         CausalSelfAttention {
-            qkv: Linear::new(&format!("{name}.qkv"), dim, 3 * dim, std, rng),
-            proj: Linear::new(&format!("{name}.proj"), dim, dim, std, rng),
-            dim,
-            heads,
-            acts: Vec::new(),
-            probs: Vec::new(),
-            batch: 0,
-            seq: 0,
+            qkv: Linear::new(ps, dim, 3 * dim, std, rng),
+            proj: Linear::new(ps, dim, dim, std, rng),
+            core: Core { dim, heads, ..Core::default() },
         }
     }
 
     /// Head dimension (`dim / heads`).
     pub fn head_dim(&self) -> usize {
-        self.dim / self.heads
+        self.core.head_dim()
+    }
+
+    /// Sizes the buffers a forward/backward over `batch` sequences of
+    /// length `seq` writes.
+    pub(crate) fn reserve(&mut self, batch: usize, seq: usize) {
+        self.qkv.reserve(batch * seq);
+        self.proj.reserve(batch * seq);
+        self.core.reserve(batch, seq);
     }
 
     /// Forward pass for `batch` sequences of length `seq`.
@@ -227,28 +242,61 @@ impl CausalSelfAttention {
     /// # Panics
     ///
     /// Panics if `x.len() != batch * seq * dim`.
-    pub fn forward(&mut self, x: &[f32], batch: usize, seq: usize) -> Vec<f32> {
-        assert_eq!(x.len(), batch * seq * self.dim, "bad input size");
+    pub fn forward(&mut self, ps: &Params, x: &[f32], batch: usize, seq: usize) -> &[f32] {
+        assert_eq!(x.len(), batch * seq * self.core.dim, "bad input size");
         let rows = batch * seq;
-        let qkv = self.qkv.forward(x, rows);
-        let ctx = self.attend(qkv, batch, seq);
-        self.proj.forward(&ctx, rows)
+        let qkv = self.qkv.forward(ps, x, rows);
+        let ctx = self.core.attend(qkv, batch, seq);
+        self.proj.forward(ps, ctx, rows)
+    }
+
+    /// Backward pass given the last forward's input `x`; returns `dx`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `forward` has not run or `dy` has the wrong size.
+    pub fn backward(&mut self, ps: &mut Params, x: &[f32], dy: &[f32]) -> &[f32] {
+        assert!(self.core.batch > 0, "backward before forward");
+        // `proj`'s input is the context the core kept, read before the core
+        // reuses its buffer for the context's gradient.
+        let dctx = self.proj.backward(ps, &self.core.ctx, dy);
+        let dqkv = self.core.attend_backward(dctx);
+        self.qkv.backward(ps, x, dqkv)
+    }
+}
+
+impl Core {
+    fn head_dim(&self) -> usize {
+        self.dim / self.heads
+    }
+
+    /// Sizes what [`Core::attend`] and [`Core::attend_backward`] keep.
+    fn reserve(&mut self, batch: usize, seq: usize) {
+        let (rows, h, hd) = (batch * seq, self.heads, self.head_dim());
+        let (pad, sp) = (hd.next_multiple_of(LANES) - hd, seq.next_multiple_of(LANES));
+        let [a, b, c] = &mut self.scratch;
+        sized([(&mut self.acts, rows * 3 * self.dim + pad), (&mut self.probs, batch * h * seq * sp)]);
+        sized([(&mut self.ctx, rows * self.dim + pad), (&mut self.dqkv, rows * 3 * self.dim)]);
+        sized([(a, hd * sp), (b, (2 * sp).max(seq * sp)), (c, sp)]);
     }
 
     /// The core's forward: the fused `[batch * seq, 3 * dim]` projection
     /// to the `[batch * seq, dim]` context, keeping what backward reads.
-    fn attend(&mut self, mut qkv: Vec<f32>, batch: usize, seq: usize) -> Vec<f32> {
+    fn attend(&mut self, qkv: &[f32], batch: usize, seq: usize) -> &[f32] {
         let (d, h, hd) = (self.dim, self.heads, self.head_dim());
         let (width, sp, stride) = (hd.next_multiple_of(LANES), seq.next_multiple_of(LANES), 3 * d);
         // The last chunk of the last row's last head reads `width − hd`
         // past the end.
-        qkv.resize(qkv.len() + width - hd, 0.0);
+        self.acts.clear();
+        self.acts.extend_from_slice(qkv);
+        self.acts.resize(qkv.len() + width - hd, 0.0);
+        let qkv = &self.acts;
         // Every lane of it is written before it is read.
         self.probs.resize(batch * h * seq * sp, 0.0);
         let probs = &mut self.probs;
-        let mut ctx = vec![0.0; batch * seq * d];
-        let mut qt = vec![0.0; hd * sp];
-        let mut lanes = vec![0.0; 2 * sp];
+        let ctx = zeroed(&mut self.ctx, batch * seq * d);
+        let [qt, lanes, _] = &mut self.scratch;
+        let (qt, lanes) = (zeroed(qt, hd * sp), zeroed(lanes, 2 * sp));
         let scale = 1.0 / (hd as f32).sqrt();
         avx2_frame(
             #[inline(always)]
@@ -258,7 +306,7 @@ impl CausalSelfAttention {
                     // Row `t` of this head's q, k and v starts at `t * stride`.
                     let at = b * seq * stride + head * hd;
                     let (q, k, v) = (&qkv[at..], &qkv[at + d..], &qkv[at + 2 * d..]);
-                    transpose(q, (seq, hd, stride), &mut qt, sp);
+                    transpose(q, (seq, hd, stride), qt, sp);
                     let qt = &qt[..];
                     // Sᵀ[j][i] = −0.0 + Σ_t k_j[t] · q_i[t], for the lanes `i ≥ j`.
                     rows4(
@@ -272,7 +320,7 @@ impl CausalSelfAttention {
                         move |t| &qt[t * sp..][..sp],
                         |j, c, acc| put(&mut pt[j * sp + c..], acc, LANES),
                     );
-                    softmax_lanes(pt, sp, scale, &mut lanes);
+                    softmax_lanes(pt, sp, scale, lanes);
                     let pt = &*pt;
                     // ctx_i = +0.0 + Σ_{j ≤ i} p_ij · v_j.
                     rows4(
@@ -289,38 +337,27 @@ impl CausalSelfAttention {
                 }
             },
         );
-        self.acts = qkv;
         self.batch = batch;
         self.seq = seq;
-        ctx
-    }
-
-    /// Backward pass; returns `dx`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `forward` has not run or `dy` has the wrong size.
-    pub fn backward(&mut self, dy: &[f32]) -> Vec<f32> {
-        assert!(self.batch > 0, "backward before forward");
-        let dctx = self.proj.backward(dy);
-        let dqkv = self.attend_backward(dctx);
-        self.qkv.backward(&dqkv)
+        &self.ctx
     }
 
     /// The core's backward: the context's gradient to the fused
     /// projection's, in its `[batch * seq, 3 * dim]` layout.
-    fn attend_backward(&self, mut dctx: Vec<f32>) -> Vec<f32> {
+    fn attend_backward(&mut self, dctx: &[f32]) -> &[f32] {
         let (batch, seq) = (self.batch, self.seq);
         let (d, h, hd) = (self.dim, self.heads, self.head_dim());
         let (width, sp, stride) = (hd.next_multiple_of(LANES), seq.next_multiple_of(LANES), 3 * d);
         let scale = 1.0 / (hd as f32).sqrt();
-        dctx.resize(dctx.len() + width - hd, 0.0);
-        let mut dqkv = vec![0.0; batch * seq * stride];
+        self.ctx.clear();
+        self.ctx.extend_from_slice(dctx);
+        self.ctx.resize(dctx.len() + width - hd, 0.0);
+        let dctx = &self.ctx;
+        let dqkv = zeroed(&mut self.dqkv, batch * seq * stride);
         // One (batch, head)'s dO transposed, dPᵀ (then dSᵀ in place) as
         // [seq, sp], and the lanes' `dot_i`.
-        let mut dout_t = vec![0.0; hd * sp];
-        let mut dst = vec![0.0; seq * sp];
-        let mut dot = vec![0.0; sp];
+        let [dout_t, dst, dot] = &mut self.scratch;
+        let (dout_t, dst, dot) = (zeroed(dout_t, hd * sp), zeroed(dst, seq * sp), zeroed(dot, sp));
         avx2_frame(
             #[inline(always)]
             || {
@@ -331,7 +368,7 @@ impl CausalSelfAttention {
                     let (q, k, v) = (&acts[at..], &acts[at + d..], &acts[at + 2 * d..]);
                     // Row `i` of this head's dO starts at `i * d`.
                     let dout = &dctx[b * seq * d + head * hd..];
-                    transpose(dout, (seq, hd, d), &mut dout_t, sp);
+                    transpose(dout, (seq, hd, d), dout_t, sp);
                     let dout_t = &dout_t[..];
                     // Where row `r`'s lanes `c..` of part 0 (q), 1 (k) or
                     // 2 (v) go.
@@ -405,14 +442,7 @@ impl CausalSelfAttention {
                 }
             },
         );
-        dqkv
-    }
-}
-
-impl VisitParams for CausalSelfAttention {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.qkv.visit_params(f);
-        self.proj.visit_params(f);
+        &self.dqkv
     }
 }
 
@@ -421,6 +451,7 @@ mod tests {
     use super::*;
     use crate::math::tests::{assert_same_bits, on_each_path};
     use crate::testutil::gradcheck;
+    use crate::VisitParams;
     use dos_tensor::simd::exp;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -626,15 +657,15 @@ mod tests {
             qkv[0] = f32::INFINITY;
             qkv[dim] = -1.0;
         }
-        let mut attn = CausalSelfAttention::new("a", dim, HEADS, 0.1, rng);
-        let ctx = attn.attend(qkv.clone(), batch, seq);
+        let mut attn = CausalSelfAttention::new(&mut Params::default(), dim, HEADS, 0.1, rng);
+        let ctx = attn.core.attend(&qkv, batch, seq).to_vec();
         let (oracle, want) = Oracle::forward(&qkv, (batch, seq, dim, HEADS));
         let what = format!("hd {hd} seq {seq} batch {batch} seed {seed}");
         assert_same_bits(&format!("ctx, {what}"), &ctx, &want);
         for call in 0..2 {
             let dctx = salted(rng, batch * seq * dim, wild);
-            let got = attn.attend_backward(dctx.clone());
-            assert_same_bits(&format!("dqkv #{call}, {what}"), &got, &oracle.backward(&dctx));
+            let got = attn.core.attend_backward(&dctx);
+            assert_same_bits(&format!("dqkv #{call}, {what}"), got, &oracle.backward(&dctx));
         }
     }
 
@@ -666,27 +697,28 @@ mod tests {
             let shapes = [(64, 4, 4, 32), (16, 2, 2, 8), (48, 2, 1, 33), (8, 8, 3, 5)];
             for (i, (dim, heads, batch, seq)) in shapes.into_iter().enumerate() {
                 let rng = &mut StdRng::seed_from_u64(i as u64);
-                let mut attn = CausalSelfAttention::new("a", dim, heads, 0.3, rng);
-                let mut twin = attn.clone();
+                let mut ps = Params::default();
+                let mut attn = CausalSelfAttention::new(&mut ps, dim, heads, 0.3, rng);
+                let (mut twin, mut twin_ps) = (attn.clone(), ps.clone());
                 for round in 0..2 {
                     let x = salted(rng, batch * seq * dim, false);
                     let dy = salted(rng, batch * seq * dim, false);
-                    let y = attn.forward(&x, batch, seq);
-                    let dx = attn.backward(&dy);
+                    let y = attn.forward(&ps, &x, batch, seq).to_vec();
+                    let dx = attn.backward(&mut ps, &x, &dy);
                     let rows = batch * seq;
-                    let qkv = twin.qkv.forward(&x, rows);
-                    let (oracle, ctx) = Oracle::forward(&qkv, (batch, seq, dim, heads));
-                    let want_y = twin.proj.forward(&ctx, rows);
-                    let dqkv = oracle.backward(&twin.proj.backward(&dy));
-                    let want_dx = twin.qkv.backward(&dqkv);
+                    let qkv = twin.qkv.forward(&twin_ps, &x, rows);
+                    let (oracle, ctx) = Oracle::forward(qkv, (batch, seq, dim, heads));
+                    let want_y = twin.proj.forward(&twin_ps, &ctx, rows).to_vec();
+                    let dqkv = oracle.backward(twin.proj.backward(&mut twin_ps, &ctx, &dy));
+                    let want_dx = twin.qkv.backward(&mut twin_ps, &x, &dqkv);
                     let what =
                         format!("dim {dim} heads {heads} batch {batch} seq {seq} round {round}");
                     assert_same_bits(&format!("y, {what}"), &y, &want_y);
-                    assert_same_bits(&format!("dx, {what}"), &dx, &want_dx);
+                    assert_same_bits(&format!("dx, {what}"), dx, want_dx);
                     assert_same_bits(
                         &format!("grads, {what}"),
-                        &attn.gather_grads(),
-                        &twin.gather_grads(),
+                        &ps.gather_grads(),
+                        &twin_ps.gather_grads(),
                     );
                 }
             }
@@ -715,9 +747,10 @@ mod tests {
     #[test]
     fn output_shape_matches_input() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut attn = CausalSelfAttention::new("a", 8, 2, 0.2, &mut rng);
+        let mut ps = Params::default();
+        let mut attn = CausalSelfAttention::new(&mut ps, 8, 2, 0.2, &mut rng);
         let x = vec![0.1; 2 * 3 * 8];
-        let y = attn.forward(&x, 2, 3);
+        let y = attn.forward(&ps, &x, 2, 3);
         assert_eq!(y.len(), x.len());
         assert_eq!(attn.head_dim(), 4);
     }
@@ -725,14 +758,15 @@ mod tests {
     #[test]
     fn causality_later_tokens_do_not_affect_earlier_outputs() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut attn = CausalSelfAttention::new("a", 4, 2, 0.3, &mut rng);
+        let mut ps = Params::default();
+        let mut attn = CausalSelfAttention::new(&mut ps, 4, 2, 0.3, &mut rng);
         let mut x: Vec<f32> = (0..3 * 4).map(|i| (i as f32).sin()).collect();
-        let y1 = attn.forward(&x, 1, 3);
+        let y1 = attn.forward(&ps, &x, 1, 3).to_vec();
         // Change only the last token.
         for v in x[2 * 4..].iter_mut() {
             *v += 1.0;
         }
-        let y2 = attn.forward(&x, 1, 3);
+        let y2 = attn.forward(&ps, &x, 1, 3);
         // Tokens 0 and 1 unchanged, token 2 changed.
         assert_eq!(&y1[..8], &y2[..8]);
         assert_ne!(&y1[8..], &y2[8..]);
@@ -741,15 +775,17 @@ mod tests {
     #[test]
     fn gradcheck_attention() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut attn = CausalSelfAttention::new("a", 4, 2, 0.4, &mut rng);
+        let mut ps = Params::default();
+        let mut attn = CausalSelfAttention::new(&mut ps, 4, 2, 0.4, &mut rng);
         let x: Vec<f32> = (0..2 * 2 * 4).map(|i| (i as f32 * 0.37).cos()).collect();
         let (batch, seq) = (2usize, 2usize);
         gradcheck(
             &mut attn,
+            &mut ps,
             &x,
             batch * seq,
-            move |m, x, _| m.forward(x, batch, seq),
-            |m, dy| m.backward(dy),
+            move |m, ps, x, _| m.forward(ps, x, batch, seq).to_vec(),
+            |m, ps, x, dy| m.backward(ps, x, dy).to_vec(),
             3e-2,
         );
     }
@@ -758,6 +794,6 @@ mod tests {
     #[should_panic(expected = "divisible")]
     fn heads_must_divide_dim() {
         let mut rng = StdRng::seed_from_u64(0);
-        let _ = CausalSelfAttention::new("a", 6, 4, 0.1, &mut rng);
+        let _ = CausalSelfAttention::new(&mut Params::default(), 6, 4, 0.1, &mut rng);
     }
 }

@@ -2,7 +2,7 @@
 
 use rand::Rng;
 
-use crate::param::{Param, VisitParams};
+use crate::param::{Param, Params};
 
 /// Token + learned positional embedding: `x[t] = wte[token[t]] + wpe[pos(t)]`.
 #[derive(Debug, Clone)]
@@ -16,12 +16,14 @@ pub struct Embedding {
     dim: usize,
     cached_tokens: Vec<usize>,
     cached_seq: usize,
+    /// The last forward's output.
+    x: Vec<f32>,
 }
 
 impl Embedding {
-    /// Creates embedding tables with normal(0, `std`) entries.
+    /// Creates embedding tables with normal(0, `std`) entries in `ps`.
     pub fn new<R: Rng>(
-        name: &str,
+        ps: &mut Params,
         vocab: usize,
         max_seq: usize,
         dim: usize,
@@ -29,14 +31,20 @@ impl Embedding {
         rng: &mut R,
     ) -> Embedding {
         Embedding {
-            wte: Param::randn(format!("{name}.wte"), vocab * dim, std, rng),
-            wpe: Param::randn(format!("{name}.wpe"), max_seq * dim, std, rng),
+            wte: ps.randn(vocab * dim, std, rng),
+            wpe: ps.randn(max_seq * dim, std, rng),
             vocab,
             max_seq,
             dim,
             cached_tokens: Vec::new(),
             cached_seq: 0,
+            x: Vec::new(),
         }
+    }
+
+    /// Sizes the output of a forward over `rows` tokens.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.x.resize(rows * self.dim, 0.0);
     }
 
     /// Embeds `batch * seq` token ids into `[batch*seq, dim]`.
@@ -45,24 +53,27 @@ impl Embedding {
     ///
     /// Panics if a token id is out of vocabulary, `seq > max_seq`, or
     /// `tokens.len()` is not a multiple of `seq`.
-    pub fn forward(&mut self, tokens: &[usize], seq: usize) -> Vec<f32> {
+    pub fn forward(&mut self, ps: &Params, tokens: &[usize], seq: usize) -> &[f32] {
         assert!(seq <= self.max_seq, "sequence longer than max_seq");
         assert_eq!(tokens.len() % seq, 0, "tokens not a whole number of sequences");
         let d = self.dim;
-        let mut x = vec![0.0; tokens.len() * d];
+        let (wte, wpe) = (self.wte.of(&ps.w), self.wpe.of(&ps.w));
+        // Every element is written below.
+        self.reserve(tokens.len());
         for (t, &tok) in tokens.iter().enumerate() {
             assert!(tok < self.vocab, "token {tok} out of vocabulary {}", self.vocab);
             let pos = t % seq;
-            let out = &mut x[t * d..(t + 1) * d];
-            let te = &self.wte.w[tok * d..(tok + 1) * d];
-            let pe = &self.wpe.w[pos * d..(pos + 1) * d];
+            let out = &mut self.x[t * d..(t + 1) * d];
+            let te = &wte[tok * d..(tok + 1) * d];
+            let pe = &wpe[pos * d..(pos + 1) * d];
             for i in 0..d {
                 out[i] = te[i] + pe[i];
             }
         }
-        self.cached_tokens = tokens.to_vec();
+        self.cached_tokens.clear();
+        self.cached_tokens.extend_from_slice(tokens);
         self.cached_seq = seq;
-        x
+        &self.x
     }
 
     /// Backward pass: scatters `dx` into the embedding-table gradients.
@@ -70,7 +81,7 @@ impl Embedding {
     /// # Panics
     ///
     /// Panics if `forward` has not run or `dx` has the wrong size.
-    pub fn backward(&mut self, dx: &[f32]) {
+    pub fn backward(&mut self, ps: &mut Params, dx: &[f32]) {
         let d = self.dim;
         assert!(!self.cached_tokens.is_empty(), "backward before forward");
         assert_eq!(dx.len(), self.cached_tokens.len() * d, "bad grad size");
@@ -78,22 +89,15 @@ impl Embedding {
         for (t, &tok) in self.cached_tokens.iter().enumerate() {
             let pos = t % seq;
             let src = &dx[t * d..(t + 1) * d];
-            let te = &mut self.wte.g[tok * d..(tok + 1) * d];
+            let te = &mut self.wte.of_mut(&mut ps.g)[tok * d..(tok + 1) * d];
             for i in 0..d {
                 te[i] += src[i];
             }
-            let pe = &mut self.wpe.g[pos * d..(pos + 1) * d];
+            let pe = &mut self.wpe.of_mut(&mut ps.g)[pos * d..(pos + 1) * d];
             for i in 0..d {
                 pe[i] += src[i];
             }
         }
-    }
-}
-
-impl VisitParams for Embedding {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.wte);
-        f(&mut self.wpe);
     }
 }
 
@@ -106,40 +110,44 @@ mod tests {
     #[test]
     fn lookup_adds_token_and_position() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut emb = Embedding::new("e", 4, 3, 2, 0.1, &mut rng);
-        let x = emb.forward(&[1, 1], 2);
+        let mut ps = Params::default();
+        let mut emb = Embedding::new(&mut ps, 4, 3, 2, 0.1, &mut rng);
+        let x = emb.forward(&ps, &[1, 1], 2);
         // Same token at two positions differs only by positional embedding.
         let diff0 = x[0] - x[2];
-        let expected = emb.wpe.w[0] - emb.wpe.w[2];
+        let expected = emb.wpe.of(&ps.w)[0] - emb.wpe.of(&ps.w)[2];
         assert!((diff0 - expected).abs() < 1e-6);
     }
 
     #[test]
     fn backward_scatters_to_used_rows_only() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut emb = Embedding::new("e", 4, 2, 2, 0.1, &mut rng);
-        emb.forward(&[2, 2], 2);
-        emb.backward(&[1.0, 1.0, 1.0, 1.0]);
+        let mut ps = Params::default();
+        let mut emb = Embedding::new(&mut ps, 4, 2, 2, 0.1, &mut rng);
+        emb.forward(&ps, &[2, 2], 2);
+        emb.backward(&mut ps, &[1.0, 1.0, 1.0, 1.0]);
         // Token 2's row accumulated both steps; others untouched.
-        assert_eq!(&emb.wte.g[2 * 2..3 * 2], &[2.0, 2.0]);
-        assert_eq!(&emb.wte.g[0..2], &[0.0, 0.0]);
+        assert_eq!(&emb.wte.of(&ps.g)[2 * 2..3 * 2], &[2.0, 2.0]);
+        assert_eq!(&emb.wte.of(&ps.g)[0..2], &[0.0, 0.0]);
         // Both positions got one step each.
-        assert_eq!(&emb.wpe.g[..], &[1.0, 1.0, 1.0, 1.0]);
+        assert_eq!(emb.wpe.of(&ps.g), &[1.0, 1.0, 1.0, 1.0]);
     }
 
     #[test]
     #[should_panic(expected = "out of vocabulary")]
     fn rejects_out_of_vocab() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut emb = Embedding::new("e", 4, 2, 2, 0.1, &mut rng);
-        emb.forward(&[7], 1);
+        let mut ps = Params::default();
+        let mut emb = Embedding::new(&mut ps, 4, 2, 2, 0.1, &mut rng);
+        emb.forward(&ps, &[7], 1);
     }
 
     #[test]
     #[should_panic(expected = "max_seq")]
     fn rejects_long_sequences() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut emb = Embedding::new("e", 4, 2, 2, 0.1, &mut rng);
-        emb.forward(&[0, 1, 2], 3);
+        let mut ps = Params::default();
+        let mut emb = Embedding::new(&mut ps, 4, 2, 2, 0.1, &mut rng);
+        emb.forward(&ps, &[0, 1, 2], 3);
     }
 }

@@ -10,9 +10,11 @@
 //!
 //! Two things matter for the reproduction:
 //!
-//! * every parameter is reachable through [`VisitParams`] in a stable order,
-//!   defining the **flat parameter space** that `dos-zero` shards into the
-//!   optimizer *subgroups* the paper schedules across CPU and GPU;
+//! * every parameter is a range of one **flat parameter space**
+//!   ([`Params`]: one weight buffer, one gradient buffer, in a stable
+//!   order), which `dos-zero` shards into the optimizer *subgroups* the
+//!   paper schedules across CPU and GPU and the collectives reduce and
+//!   gather in place ([`VisitParams`] borrows it);
 //! * [`ModelSpec`] captures the paper's 7B–20B evaluation zoo (Table 2) with
 //!   the parameter/activation/FLOP formulas the simulator uses — the real
 //!   numerics run on [`GptConfig::tiny`]-sized models.
@@ -58,4 +60,4 @@ pub use linear::Linear;
 pub use loss::cross_entropy;
 pub use mlp::Mlp;
 pub use model::{Gpt, GptConfig, SamplingConfig};
-pub use param::{Param, VisitParams};
+pub use param::{Param, Params, VisitParams};

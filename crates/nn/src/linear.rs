@@ -2,8 +2,8 @@
 
 use rand::Rng;
 
-use crate::math::{matmul, matmul_a_bt_with, matmul_at_b_acc};
-use crate::param::{Param, VisitParams};
+use crate::math::{matmul, matmul_a_bt_with, matmul_at_b_acc, sized};
+use crate::param::{Param, Params};
 
 /// `y = x · W + b`, with `W` stored row-major as `[in_dim, out_dim]`.
 #[derive(Debug, Clone)]
@@ -14,29 +14,31 @@ pub struct Linear {
     pub b: Param,
     in_dim: usize,
     out_dim: usize,
-    cached_x: Vec<f32>,
     cached_rows: usize,
-    /// Scratch for the `Wᵀ` backward writes on every call; only its
-    /// capacity outlives one.
+    /// The last forward's output and the last backward's `dx`, each kept
+    /// until the next call; and scratch for the `Wᵀ` backward writes.
+    y: Vec<f32>,
+    dx: Vec<f32>,
     wt: Vec<f32>,
 }
 
 impl Linear {
-    /// Creates a layer with normal(0, `std`) weights and zero bias.
+    /// Creates a layer with normal(0, `std`) weights and zero bias in `ps`.
     pub fn new<R: Rng>(
-        name: &str,
+        ps: &mut Params,
         in_dim: usize,
         out_dim: usize,
         std: f32,
         rng: &mut R,
     ) -> Linear {
         Linear {
-            w: Param::randn(format!("{name}.w"), in_dim * out_dim, std, rng),
-            b: Param::zeros(format!("{name}.b"), out_dim),
+            w: ps.randn(in_dim * out_dim, std, rng),
+            b: ps.push(vec![0.0; out_dim]),
             in_dim,
             out_dim,
-            cached_x: Vec::new(),
             cached_rows: 0,
+            y: Vec::new(),
+            dx: Vec::new(),
             wt: Vec::new(),
         }
     }
@@ -51,56 +53,60 @@ impl Linear {
         self.out_dim
     }
 
-    /// Forward pass over `rows` rows; caches the input for backprop.
+    /// The last forward's output.
+    pub(crate) fn output(&self) -> &[f32] {
+        &self.y
+    }
+
+    /// Sizes the buffers a forward/backward over `rows` rows writes.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        let (i, o) = (self.in_dim, self.out_dim);
+        sized([(&mut self.y, rows * o), (&mut self.dx, rows * i), (&mut self.wt, i * o)]);
+    }
+
+    /// Forward pass over `rows` rows. The input is not copied: backward
+    /// takes it again (the producing layer keeps it).
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != rows * in_dim`.
-    pub fn forward(&mut self, x: &[f32], rows: usize) -> Vec<f32> {
+    pub fn forward(&mut self, ps: &Params, x: &[f32], rows: usize) -> &[f32] {
         assert_eq!(x.len(), rows * self.in_dim, "bad input size");
-        let mut y = vec![0.0; rows * self.out_dim];
-        matmul(x, &self.w.w, &mut y, rows, self.in_dim, self.out_dim);
-        for r in 0..rows {
-            let row = &mut y[r * self.out_dim..(r + 1) * self.out_dim];
-            for (v, b) in row.iter_mut().zip(self.b.w.iter()) {
+        // Each buffer is written in full before it is read.
+        self.reserve(rows);
+        matmul(x, self.w.of(&ps.w), &mut self.y, rows, self.in_dim, self.out_dim);
+        for row in self.y.chunks_exact_mut(self.out_dim) {
+            for (v, b) in row.iter_mut().zip(self.b.of(&ps.w)) {
                 *v += b;
             }
         }
-        self.cached_x.clear();
-        self.cached_x.extend_from_slice(x);
         self.cached_rows = rows;
-        y
+        &self.y
     }
 
-    /// Backward pass: accumulates `dW`, `db` and returns `dx`.
+    /// Backward pass given the last forward's input `x`: accumulates `dW`,
+    /// `db` and returns `dx`.
     ///
     /// # Panics
     ///
-    /// Panics if `forward` has not run or `dy` has the wrong size.
-    pub fn backward(&mut self, dy: &[f32]) -> Vec<f32> {
+    /// Panics if `forward` has not run or `x` or `dy` has the wrong size.
+    pub fn backward(&mut self, ps: &mut Params, x: &[f32], dy: &[f32]) -> &[f32] {
         let rows = self.cached_rows;
         assert!(rows > 0, "backward before forward");
         assert_eq!(dy.len(), rows * self.out_dim, "bad grad size");
+        let (w, g) = (&ps.w, &mut ps.g);
         // dW += x^T dy
-        matmul_at_b_acc(&self.cached_x, dy, &mut self.w.g, rows, self.in_dim, self.out_dim);
+        matmul_at_b_acc(x, dy, self.w.of_mut(g), rows, self.in_dim, self.out_dim);
         // db += column sums of dy
-        for r in 0..rows {
-            let row = &dy[r * self.out_dim..(r + 1) * self.out_dim];
-            for (g, d) in self.b.g.iter_mut().zip(row.iter()) {
-                *g += d;
+        for row in dy.chunks_exact(self.out_dim) {
+            for (gb, d) in self.b.of_mut(g).iter_mut().zip(row) {
+                *gb += d;
             }
         }
         // dx = dy W^T
-        let mut dx = vec![0.0; rows * self.in_dim];
-        matmul_a_bt_with(dy, &self.w.w, &mut dx, rows, self.out_dim, self.in_dim, &mut self.wt);
-        dx
-    }
-}
-
-impl VisitParams for Linear {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        f(&mut self.w);
-        f(&mut self.b);
+        let (i, o) = (self.in_dim, self.out_dim);
+        matmul_a_bt_with(dy, self.w.of(w), &mut self.dx, rows, o, i, &mut self.wt);
+        &self.dx
     }
 }
 
@@ -108,17 +114,18 @@ impl VisitParams for Linear {
 mod tests {
     use super::*;
     use crate::testutil::gradcheck;
+    use crate::VisitParams;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     #[test]
     fn forward_matches_manual() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut l = Linear::new("l", 2, 2, 0.1, &mut rng);
-        l.w.w = vec![1.0, 2.0, 3.0, 4.0];
-        l.b.w = vec![0.5, -0.5];
-        let y = l.forward(&[1.0, 1.0], 1);
-        assert_eq!(y, vec![4.5, 5.5]);
+        let mut ps = Params::default();
+        let mut l = Linear::new(&mut ps, 2, 2, 0.1, &mut rng);
+        ps.scatter_params(&[1.0, 2.0, 3.0, 4.0, 0.5, -0.5]);
+        let y = l.forward(&ps, &[1.0, 1.0], 1);
+        assert_eq!(y, [4.5, 5.5]);
         assert_eq!(l.in_dim(), 2);
         assert_eq!(l.out_dim(), 2);
     }
@@ -126,14 +133,16 @@ mod tests {
     #[test]
     fn gradcheck_weights_bias_and_input() {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut l = Linear::new("l", 3, 4, 0.5, &mut rng);
+        let mut ps = Params::default();
+        let mut l = Linear::new(&mut ps, 3, 4, 0.5, &mut rng);
         let x: Vec<f32> = (0..6).map(|i| (i as f32 * 0.7).sin()).collect();
         gradcheck(
             &mut l,
+            &mut ps,
             &x,
             2,
-            |l, x, rows| l.forward(x, rows),
-            |l, dy| l.backward(dy),
+            |l, ps, x, rows| l.forward(ps, x, rows).to_vec(),
+            |l, ps, x, dy| l.backward(ps, x, dy).to_vec(),
             2e-2,
         );
     }
@@ -141,14 +150,15 @@ mod tests {
     #[test]
     fn backward_accumulates_over_calls() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut l = Linear::new("l", 2, 1, 0.1, &mut rng);
+        let mut ps = Params::default();
+        let mut l = Linear::new(&mut ps, 2, 1, 0.1, &mut rng);
         let x = [1.0, 2.0];
-        l.forward(&x, 1);
-        l.backward(&[1.0]);
-        let g1 = l.w.g.clone();
-        l.forward(&x, 1);
-        l.backward(&[1.0]);
-        for (a, b) in l.w.g.iter().zip(g1.iter()) {
+        l.forward(&ps, &x, 1);
+        l.backward(&mut ps, &x, &[1.0]);
+        let g1 = l.w.of(&ps.g).to_vec();
+        l.forward(&ps, &x, 1);
+        l.backward(&mut ps, &x, &[1.0]);
+        for (a, b) in l.w.of(&ps.g).iter().zip(g1.iter()) {
             assert!((a - 2.0 * b).abs() < 1e-6);
         }
     }
@@ -157,7 +167,8 @@ mod tests {
     #[should_panic(expected = "backward before forward")]
     fn backward_requires_forward() {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut l = Linear::new("l", 2, 1, 0.1, &mut rng);
-        l.backward(&[1.0]);
+        let mut ps = Params::default();
+        let mut l = Linear::new(&mut ps, 2, 1, 0.1, &mut rng);
+        l.backward(&mut ps, &[1.0, 2.0], &[1.0]);
     }
 }

@@ -9,7 +9,8 @@ const BLOCK: usize = 8;
 const PARTS: usize = 16;
 
 /// Mean cross-entropy over `rows` of logits `[rows, vocab]` against integer
-/// targets; returns `(loss, dlogits)` where `dlogits = (softmax - onehot)/rows`.
+/// targets; returns the loss and writes `dlogits = (softmax - onehot)/rows`
+/// into the caller's buffer.
 ///
 /// Rows go eight at a time: both passes' exps are one
 /// [`dos_tensor::simd::exp`] over the block, and the block's sums run
@@ -22,13 +23,19 @@ const PARTS: usize = 16;
 /// # Panics
 ///
 /// Panics if sizes disagree or any target is out of range.
-pub fn cross_entropy(logits: &[f32], targets: &[usize], vocab: usize) -> (f32, Vec<f32>) {
+pub fn cross_entropy(
+    logits: &[f32],
+    targets: &[usize],
+    vocab: usize,
+    dlogits: &mut Vec<f32>,
+) -> f32 {
     let rows = targets.len();
     assert_eq!(logits.len(), rows * vocab, "bad logits size");
     for &target in targets {
         assert!(target < vocab, "target {target} out of vocab {vocab}");
     }
-    let mut dlogits = vec![0.0; logits.len()];
+    // Every element is written below.
+    dlogits.resize(logits.len(), 0.0);
     let mut loss = 0.0f64;
     let inv_rows = 1.0 / rows as f32;
     let blocks = logits.chunks(BLOCK * vocab.max(1)).zip(dlogits.chunks_mut(BLOCK * vocab.max(1)));
@@ -64,7 +71,7 @@ pub fn cross_entropy(logits: &[f32], targets: &[usize], vocab: usize) -> (f32, V
             drow[target] = (t - 1.0) * inv_rows;
         }
     }
-    ((loss / rows as f64) as f32, dlogits)
+    (loss / rows as f64) as f32
 }
 
 /// `max` folded from `−∞` over [`PARTS`] interleaved partial maxima.
@@ -105,6 +112,12 @@ mod tests {
     use crate::math::same_bits;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// [`cross_entropy`] into a fresh gradient vector.
+    fn ce(logits: &[f32], targets: &[usize], vocab: usize) -> (f32, Vec<f32>) {
+        let mut d = Vec::new();
+        (cross_entropy(logits, targets, vocab, &mut d), d)
+    }
 
     /// The one-row-at-a-time loop the blocked one replaced, verbatim: the
     /// oracle its bits are held to.
@@ -191,7 +204,7 @@ mod tests {
                         })
                         .collect();
                     let targets: Vec<usize> = (0..rows).map(|_| rng.gen_range(0..vocab)).collect();
-                    let (loss, d) = cross_entropy(&logits, &targets, vocab);
+                    let (loss, d) = ce(&logits, &targets, vocab);
                     let (want_loss, want_d) = cross_entropy_reference(&logits, &targets, vocab);
                     let what = format!("vocab {vocab} rows {rows} seed {seed}");
                     assert!(same_bits(loss, want_loss), "loss, {what}: {loss} vs {want_loss}");
@@ -203,14 +216,14 @@ mod tests {
 
     #[test]
     fn uniform_logits_give_log_vocab() {
-        let (loss, _) = cross_entropy(&[0.0; 8], &[0, 3], 4);
+        let (loss, _) = ce(&[0.0; 8], &[0, 3], 4);
         assert!((loss - (4.0f32).ln()).abs() < 1e-6);
     }
 
     #[test]
     fn confident_correct_prediction_has_low_loss() {
         let logits = vec![10.0, 0.0, 0.0];
-        let (loss, d) = cross_entropy(&logits, &[0], 3);
+        let (loss, d) = ce(&logits, &[0], 3);
         assert!(loss < 1e-3);
         // Gradient pushes the correct logit up (negative grad) only slightly.
         assert!(d[0] < 0.0 && d[0].abs() < 1e-3);
@@ -220,14 +233,14 @@ mod tests {
     fn gradient_matches_finite_difference() {
         let logits = vec![0.3, -0.7, 1.2, 0.1, 0.9, -0.2];
         let targets = [2usize, 0];
-        let (_, d) = cross_entropy(&logits, &targets, 3);
+        let (_, d) = ce(&logits, &targets, 3);
         let h = 1e-3;
         for i in 0..logits.len() {
             let mut lp = logits.clone();
             lp[i] += h;
             let mut lm = logits.clone();
             lm[i] -= h;
-            let fd = (cross_entropy(&lp, &targets, 3).0 - cross_entropy(&lm, &targets, 3).0)
+            let fd = (ce(&lp, &targets, 3).0 - ce(&lm, &targets, 3).0)
                 / (2.0 * h);
             assert!((d[i] - fd).abs() < 1e-3, "grad[{i}]: {} vs {fd}", d[i]);
         }
@@ -236,7 +249,7 @@ mod tests {
     #[test]
     fn gradients_sum_to_zero_per_row() {
         let logits = vec![0.5, 1.5, -0.5, 2.0, 0.0, 1.0];
-        let (_, d) = cross_entropy(&logits, &[1, 2], 3);
+        let (_, d) = ce(&logits, &[1, 2], 3);
         for r in 0..2 {
             let s: f32 = d[r * 3..(r + 1) * 3].iter().sum();
             assert!(s.abs() < 1e-6);
@@ -246,12 +259,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of vocab")]
     fn rejects_bad_target() {
-        cross_entropy(&[0.0; 3], &[5], 3);
+        ce(&[0.0; 3], &[5], 3);
     }
 
     #[test]
     fn is_stable_for_large_logits() {
-        let (loss, d) = cross_entropy(&[1000.0, 999.0], &[0], 2);
+        let (loss, d) = ce(&[1000.0, 999.0], &[0], 2);
         assert!(loss.is_finite());
         assert!(d.iter().all(|v| v.is_finite()));
     }

@@ -143,6 +143,21 @@ fn gemm<'b, const SKIP_ZERO: bool>(
     }
 }
 
+/// `buf` emptied and refilled with `n` zeros: `vec![0.0; n]` that keeps
+/// its allocation from one call of a layer to the next.
+pub(crate) fn zeroed(buf: &mut Vec<f32>, n: usize) -> &mut [f32] {
+    buf.clear();
+    buf.resize(n, 0.0);
+    buf
+}
+
+/// Gives each buffer its length (new elements zero): a layer's `reserve`.
+pub(crate) fn sized<const N: usize>(bufs: [(&mut Vec<f32>, usize); N]) {
+    for (buf, n) in bufs {
+        buf.resize(n, 0.0);
+    }
+}
+
 /// `c = a · b` where `a` is `[m, k]`, `b` is `[k, n]`, `c` is `[m, n]`.
 ///
 /// # Panics

@@ -4,8 +4,8 @@ use dos_tensor::simd::tanh;
 use rand::Rng;
 
 use crate::linear::Linear;
-use crate::math::{gelu_arg, gelu_from_tanh, gelu_grad_from_tanh};
-use crate::param::{Param, VisitParams};
+use crate::math::{gelu_arg, gelu_from_tanh, gelu_grad_from_tanh, sized};
+use crate::param::Params;
 
 /// Two-layer GELU MLP: `fc2(gelu(fc1(x)))` with hidden size
 /// `dim * expansion` (transformers use expansion 4).
@@ -15,62 +15,68 @@ pub struct Mlp {
     pub fc1: Linear,
     /// Contraction projection `[dim*expansion, dim]`.
     pub fc2: Linear,
-    cached_pre: Vec<f32>,
-    /// `gelu_tanh` of each `cached_pre` element: forward's one `tanh` per
-    /// activation, kept so backward does not pay for it again.
+    /// `gelu_tanh` of each element of `fc1`'s kept output: forward's one
+    /// `tanh` per activation, kept so backward does not pay for it again.
     cached_tanh: Vec<f32>,
+    /// The hidden activation (`fc2`'s input until its backward), then its
+    /// gradient.
+    hidden: Vec<f32>,
 }
 
 impl Mlp {
-    /// Creates an MLP with hidden size `dim * expansion`.
+    /// Creates an MLP with hidden size `dim * expansion`, its parameters
+    /// in `ps`.
     pub fn new<R: Rng>(
-        name: &str,
+        ps: &mut Params,
         dim: usize,
         expansion: usize,
         std: f32,
         rng: &mut R,
     ) -> Mlp {
         Mlp {
-            fc1: Linear::new(&format!("{name}.fc1"), dim, dim * expansion, std, rng),
-            fc2: Linear::new(&format!("{name}.fc2"), dim * expansion, dim, std, rng),
-            cached_pre: Vec::new(),
+            fc1: Linear::new(ps, dim, dim * expansion, std, rng),
+            fc2: Linear::new(ps, dim * expansion, dim, std, rng),
             cached_tanh: Vec::new(),
+            hidden: Vec::new(),
         }
     }
 
+    /// Sizes the buffers a forward/backward over `rows` rows writes.
+    pub(crate) fn reserve(&mut self, rows: usize) {
+        self.fc1.reserve(rows);
+        self.fc2.reserve(rows);
+        let n = rows * self.fc1.out_dim();
+        sized([(&mut self.cached_tanh, n), (&mut self.hidden, n)]);
+    }
+
     /// Forward pass over `rows` rows.
-    pub fn forward(&mut self, x: &[f32], rows: usize) -> Vec<f32> {
-        let pre = self.fc1.forward(x, rows);
+    pub fn forward(&mut self, ps: &Params, x: &[f32], rows: usize) -> &[f32] {
+        let pre = self.fc1.forward(ps, x, rows);
         self.cached_tanh.clear();
         self.cached_tanh.extend(pre.iter().map(|&v| gelu_arg(v)));
         tanh(&mut self.cached_tanh);
-        let hidden: Vec<f32> =
-            pre.iter().zip(&self.cached_tanh).map(|(&v, &t)| gelu_from_tanh(v, t)).collect();
-        self.cached_pre = pre;
-        self.fc2.forward(&hidden, rows)
+        self.hidden.clear();
+        self.hidden.extend(pre.iter().zip(&self.cached_tanh).map(|(&v, &t)| gelu_from_tanh(v, t)));
+        self.fc2.forward(ps, &self.hidden, rows)
     }
 
-    /// Backward pass; returns `dx`.
+    /// Backward pass given the last forward's input `x`; returns `dx`.
     ///
     /// # Panics
     ///
     /// Panics if `forward` has not run.
-    pub fn backward(&mut self, dy: &[f32]) -> Vec<f32> {
-        assert!(!self.cached_pre.is_empty(), "backward before forward");
-        let dhidden = self.fc2.backward(dy);
-        let dpre: Vec<f32> = dhidden
-            .iter()
-            .zip(self.cached_pre.iter().zip(&self.cached_tanh))
-            .map(|(&dh, (&p, &t))| dh * gelu_grad_from_tanh(p, t))
-            .collect();
-        self.fc1.backward(&dpre)
-    }
-}
-
-impl VisitParams for Mlp {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.fc1.visit_params(f);
-        self.fc2.visit_params(f);
+    pub fn backward(&mut self, ps: &mut Params, x: &[f32], dy: &[f32]) -> &[f32] {
+        assert!(!self.cached_tanh.is_empty(), "backward before forward");
+        let dhidden = self.fc2.backward(ps, &self.hidden, dy);
+        let pre = self.fc1.output();
+        self.hidden.clear();
+        self.hidden.extend(
+            dhidden
+                .iter()
+                .zip(pre.iter().zip(&self.cached_tanh))
+                .map(|(&dh, (&p, &t))| dh * gelu_grad_from_tanh(p, t)),
+        );
+        self.fc1.backward(ps, x, &self.hidden)
     }
 }
 
@@ -84,12 +90,13 @@ mod tests {
     #[test]
     fn shape_and_nonlinearity() {
         let mut rng = StdRng::seed_from_u64(0);
-        let mut mlp = Mlp::new("m", 3, 4, 0.3, &mut rng);
-        let y = mlp.forward(&[0.5, -0.5, 1.0, 0.1, 0.2, 0.3], 2);
+        let mut ps = Params::default();
+        let mut mlp = Mlp::new(&mut ps, 3, 4, 0.3, &mut rng);
+        let y = mlp.forward(&ps, &[0.5, -0.5, 1.0, 0.1, 0.2, 0.3], 2);
         assert_eq!(y.len(), 6);
         // Nonlinearity: f(2x) != 2 f(x)
-        let y1 = mlp.forward(&[1.0, 1.0, 1.0], 1);
-        let y2 = mlp.forward(&[2.0, 2.0, 2.0], 1);
+        let y1 = mlp.forward(&ps, &[1.0, 1.0, 1.0], 1).to_vec();
+        let y2 = mlp.forward(&ps, &[2.0, 2.0, 2.0], 1);
         assert!((y2[0] - 2.0 * y1[0]).abs() > 1e-6);
     }
 
@@ -101,14 +108,15 @@ mod tests {
     fn kept_tanh_gives_the_bits_of_gelu_and_gelu_grad() {
         use crate::math::{gelu, gelu_grad, gelu_sweep, same_bits};
         let mut rng = StdRng::seed_from_u64(0);
-        let mut mlp = Mlp::new("m", 1, 1, 0.0, &mut rng);
-        mlp.fc1.w.w = vec![1.0];
-        mlp.fc2.w.w = vec![1.0];
+        let mut ps = Params::default();
+        let mut mlp = Mlp::new(&mut ps, 1, 1, 0.0, &mut rng);
+        mlp.fc1.w.of_mut(&mut ps.w)[0] = 1.0;
+        mlp.fc2.w.of_mut(&mut ps.w)[0] = 1.0;
         let xs = gelu_sweep();
-        let _ = mlp.forward(&[0.5; 7], 7);
-        let y = mlp.forward(&xs, xs.len());
-        let dx = mlp.backward(&vec![1.0; xs.len()]);
-        for ((&x, &y), &dx) in xs.iter().zip(&y).zip(&dx) {
+        let _ = mlp.forward(&ps, &[0.5; 7], 7);
+        let y = mlp.forward(&ps, &xs, xs.len()).to_vec();
+        let dx = mlp.backward(&mut ps, &xs, &vec![1.0; xs.len()]);
+        for ((&x, &y), &dx) in xs.iter().zip(&y).zip(dx) {
             // Unit weights are exact except that the layers' `+0.0` start
             // and zero-skip turn a `−0.0` into `+0.0`, as `0.0 + v` does.
             let pre = 0.0 + x;
@@ -121,14 +129,16 @@ mod tests {
     #[test]
     fn gradcheck_mlp() {
         let mut rng = StdRng::seed_from_u64(2);
-        let mut mlp = Mlp::new("m", 3, 2, 0.5, &mut rng);
+        let mut ps = Params::default();
+        let mut mlp = Mlp::new(&mut ps, 3, 2, 0.5, &mut rng);
         let x: Vec<f32> = (0..6).map(|i| (i as f32 * 0.81).sin()).collect();
         gradcheck(
             &mut mlp,
+            &mut ps,
             &x,
             2,
-            |m, x, rows| m.forward(x, rows),
-            |m, dy| m.backward(dy),
+            |m, ps, x, rows| m.forward(ps, x, rows).to_vec(),
+            |m, ps, x, dy| m.backward(ps, x, dy).to_vec(),
             3e-2,
         );
     }

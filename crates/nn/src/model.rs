@@ -8,7 +8,7 @@ use crate::embedding::Embedding;
 use crate::layernorm::LayerNorm;
 use crate::linear::Linear;
 use crate::loss::cross_entropy;
-use crate::param::{Param, VisitParams};
+use crate::param::{Params, VisitParams};
 
 /// Architecture hyper-parameters of a [`Gpt`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,30 +61,64 @@ impl GptConfig {
 #[derive(Debug, Clone)]
 pub struct Gpt {
     cfg: GptConfig,
+    params: Params,
     emb: Embedding,
     blocks: Vec<Block>,
     ln_f: LayerNorm,
     head: Linear,
     cached_batch: usize,
     cached_seq: usize,
+    /// The loss gradient, and each block's input when recomputing: kept
+    /// so that forward and backward allocate nothing after the first call.
+    dlogits: Vec<f32>,
+    block_inputs: Vec<Vec<f32>>,
 }
 
 impl Gpt {
     /// Creates a model with randomly initialized weights.
     pub fn new<R: Rng>(cfg: GptConfig, rng: &mut R) -> Gpt {
-        let emb =
-            Embedding::new("emb", cfg.vocab_size, cfg.max_seq, cfg.dim, cfg.init_std, rng);
+        let ps = &mut Params::default();
+        let emb = Embedding::new(ps, cfg.vocab_size, cfg.max_seq, cfg.dim, cfg.init_std, rng);
         let blocks = (0..cfg.num_layers)
-            .map(|i| Block::new(&format!("blocks.{i}"), cfg.dim, cfg.num_heads, cfg.init_std, rng))
+            .map(|_| Block::new(ps, cfg.dim, cfg.num_heads, cfg.init_std, rng))
             .collect();
-        let ln_f = LayerNorm::new("ln_f", cfg.dim);
-        let head = Linear::new("head", cfg.dim, cfg.vocab_size, cfg.init_std, rng);
-        Gpt { cfg, emb, blocks, ln_f, head, cached_batch: 0, cached_seq: 0 }
+        let ln_f = LayerNorm::new(ps, cfg.dim);
+        let head = Linear::new(ps, cfg.dim, cfg.vocab_size, cfg.init_std, rng);
+        let params = std::mem::take(ps);
+        Gpt {
+            cfg,
+            params,
+            emb,
+            blocks,
+            ln_f,
+            head,
+            cached_batch: 0,
+            cached_seq: 0,
+            dlogits: Vec::new(),
+            block_inputs: Vec::new(),
+        }
     }
 
     /// The model configuration.
     pub fn config(&self) -> &GptConfig {
         &self.cfg
+    }
+
+    /// Sizes every buffer a forward/backward over `batch` sequences of
+    /// `seq` tokens writes, so that those calls allocate nothing, and so
+    /// that a clone carries them: a data-parallel run sizes its model on
+    /// the thread that clones it for the ranks, so the ranks' long-lived
+    /// buffers come from that thread's allocator instead of being grown on
+    /// each short-lived rank thread, whose arena would keep them.
+    pub fn reserve(&mut self, batch: usize, seq: usize) {
+        let rows = batch * seq;
+        self.emb.reserve(rows);
+        for blk in &mut self.blocks {
+            blk.reserve(batch, seq);
+        }
+        self.ln_f.reserve(rows);
+        self.head.reserve(rows);
+        self.dlogits.resize(rows * self.cfg.vocab_size, 0.0);
     }
 
     /// Forward pass: token ids (`batch * seq` of them) to logits
@@ -94,31 +128,32 @@ impl Gpt {
     ///
     /// Panics if `tokens.len() != batch * seq`.
     pub fn forward(&mut self, tokens: &[usize], batch: usize, seq: usize) -> Vec<f32> {
-        self.forward_keeping(tokens, batch, seq, None)
+        self.forward_keeping(tokens, batch, seq, false);
+        self.head.output().to_vec()
     }
 
-    /// [`Gpt::forward`], pushing each block's input onto `block_inputs`
-    /// when given (the activation checkpoints a recomputing backward needs).
-    fn forward_keeping(
-        &mut self,
-        tokens: &[usize],
-        batch: usize,
-        seq: usize,
-        mut block_inputs: Option<&mut Vec<Vec<f32>>>,
-    ) -> Vec<f32> {
+    /// [`Gpt::forward`] into the head's kept output, copying each block's
+    /// input into `block_inputs` when `keep` (the activation checkpoints
+    /// a recomputing backward needs).
+    fn forward_keeping(&mut self, tokens: &[usize], batch: usize, seq: usize, keep: bool) {
         assert_eq!(tokens.len(), batch * seq, "bad token count");
         let rows = batch * seq;
-        let mut x = self.emb.forward(tokens, seq);
-        for blk in &mut self.blocks {
-            if let Some(kept) = block_inputs.as_deref_mut() {
-                kept.push(x.clone());
-            }
-            x = blk.forward(&x, batch, seq);
+        let ps = &self.params;
+        if keep {
+            self.block_inputs.resize_with(self.blocks.len(), Vec::new);
         }
-        let x = self.ln_f.forward(&x, rows);
+        let mut x = self.emb.forward(ps, tokens, seq);
+        for (i, blk) in self.blocks.iter_mut().enumerate() {
+            if keep {
+                self.block_inputs[i].clear();
+                self.block_inputs[i].extend_from_slice(x);
+            }
+            x = blk.forward(ps, x, batch, seq);
+        }
+        let x = self.ln_f.forward(ps, x, rows);
+        self.head.forward(ps, x, rows);
         self.cached_batch = batch;
         self.cached_seq = seq;
-        self.head.forward(&x, rows)
     }
 
     /// Backward pass from logit gradients; accumulates into every parameter.
@@ -127,23 +162,24 @@ impl Gpt {
     ///
     /// Panics if `forward` has not run.
     pub fn backward(&mut self, dlogits: &[f32]) {
-        self.backward_recomputing(dlogits, &[]);
+        self.backward_recomputing(dlogits, false);
     }
 
     /// [`Gpt::backward`], re-running each block's forward from its kept
-    /// input immediately before its backward when `block_inputs` is
-    /// non-empty (one entry per block).
-    fn backward_recomputing(&mut self, dlogits: &[f32], block_inputs: &[Vec<f32>]) {
+    /// input immediately before its backward when `recompute`.
+    fn backward_recomputing(&mut self, dlogits: &[f32], recompute: bool) {
         assert!(self.cached_batch > 0, "backward before forward");
         let (batch, seq) = (self.cached_batch, self.cached_seq);
-        let mut dx = self.ln_f.backward(&self.head.backward(dlogits));
+        let ps = &mut self.params;
+        let dh = self.head.backward(ps, self.ln_f.output(), dlogits);
+        let mut dx = self.ln_f.backward(ps, dh);
         for (i, blk) in self.blocks.iter_mut().enumerate().rev() {
-            if let Some(input) = block_inputs.get(i) {
-                let _ = blk.forward(input, batch, seq);
+            if recompute {
+                let _ = blk.forward(ps, &self.block_inputs[i], batch, seq);
             }
-            dx = blk.backward(&dx);
+            dx = blk.backward(ps, dx);
         }
-        self.emb.backward(&dx);
+        self.emb.backward(ps, dx);
     }
 
     /// Convenience: forward + cross-entropy + backward; returns the loss.
@@ -191,23 +227,23 @@ impl Gpt {
     ) -> f32 {
         assert_eq!(targets.len(), tokens.len(), "targets must align with tokens");
         assert!(scale.is_none_or(|s| s > 0.0), "scale must be positive");
-        let mut block_inputs = Vec::new();
-        let keep = recompute.then_some(&mut block_inputs);
-        let logits = self.forward_keeping(tokens, batch, seq, keep);
-        let (loss, mut dlogits) = cross_entropy(&logits, targets, self.cfg.vocab_size);
+        self.forward_keeping(tokens, batch, seq, recompute);
+        let mut dlogits = std::mem::take(&mut self.dlogits);
+        let loss = cross_entropy(self.head.output(), targets, self.cfg.vocab_size, &mut dlogits);
         if let Some(scale) = scale {
             for d in dlogits.iter_mut() {
                 *d *= scale;
             }
         }
-        self.backward_recomputing(&dlogits, &block_inputs);
+        self.backward_recomputing(&dlogits, recompute);
+        self.dlogits = dlogits;
         loss
     }
 
     /// Forward + loss only (no gradient) — used for evaluation.
     pub fn loss_only(&mut self, tokens: &[usize], targets: &[usize], batch: usize, seq: usize) -> f32 {
-        let logits = self.forward(tokens, batch, seq);
-        cross_entropy(&logits, targets, self.cfg.vocab_size).0
+        self.forward_keeping(tokens, batch, seq, false);
+        cross_entropy(self.head.output(), targets, self.cfg.vocab_size, &mut self.dlogits)
     }
 
     /// Autoregressive generation: extends `prompt` with `max_new` tokens.
@@ -336,13 +372,12 @@ impl SamplingConfig {
 }
 
 impl VisitParams for Gpt {
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.emb.visit_params(f);
-        for blk in &mut self.blocks {
-            blk.visit_params(f);
-        }
-        self.ln_f.visit_params(f);
-        self.head.visit_params(f);
+    fn params(&self) -> &Params {
+        &self.params
+    }
+
+    fn params_mut(&mut self) -> &mut Params {
+        &mut self.params
     }
 }
 
@@ -367,7 +402,7 @@ mod tests {
 
     #[test]
     fn param_count_formula() {
-        let mut m = tiny_model(0);
+        let m = tiny_model(0);
         let cfg = GptConfig::tiny();
         let d = cfg.dim;
         let block = d * 3 * d + 3 * d + d * d + d + d * 4 * d + 4 * d + 4 * d * d + d + 4 * d;

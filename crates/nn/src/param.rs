@@ -1,108 +1,141 @@
-//! Named trainable parameters.
+//! The flat parameter space and the ranges that name it.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use dos_tensor::Tensor;
 
-/// A named trainable parameter with its gradient accumulator.
-///
-/// Parameters hold FP32 weights; mixed-precision device copies are derived
-/// by the training engines when needed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// One trainable parameter: its range of the model's [`Params`] buffers.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Param {
-    /// Qualified name, e.g. `"blocks.0.attn.qkv.w"`.
-    pub name: String,
-    /// Weights (row-major, shape tracked by the owning layer).
-    pub w: Vec<f32>,
-    /// Gradient accumulator, same length as `w`.
-    pub g: Vec<f32>,
+    pub(crate) off: usize,
+    len: usize,
 }
 
 impl Param {
-    /// A parameter initialized from the given weights.
-    pub fn new(name: impl Into<String>, w: Vec<f32>) -> Param {
-        let g = vec![0.0; w.len()];
-        Param { name: name.into(), w, g }
+    /// This parameter's part of one of its [`Params`]' two buffers.
+    pub fn of(self, flat: &[f32]) -> &[f32] {
+        &flat[self.off..self.off + self.len]
     }
 
-    /// A zero-initialized parameter of length `n`.
-    pub fn zeros(name: impl Into<String>, n: usize) -> Param {
-        Param::new(name, vec![0.0; n])
-    }
-
-    /// A parameter with i.i.d. normal weights of standard deviation `std`.
-    pub fn randn<R: Rng>(name: impl Into<String>, n: usize, std: f32, rng: &mut R) -> Param {
-        let t = Tensor::randn(&[n], std, rng);
-        Param::new(name, t.to_f32_vec())
-    }
-
-    /// Number of scalar weights.
-    pub fn len(&self) -> usize {
-        self.w.len()
-    }
-
-    /// Whether the parameter is empty.
-    pub fn is_empty(&self) -> bool {
-        self.w.is_empty()
-    }
-
-    /// Resets the gradient accumulator to zero.
-    pub fn zero_grad(&mut self) {
-        self.g.fill(0.0);
+    /// [`Param::of`], mutably.
+    pub fn of_mut(self, flat: &mut [f32]) -> &mut [f32] {
+        &mut flat[self.off..self.off + self.len]
     }
 }
 
-/// Visitor for walking every parameter of a module tree in a stable order.
-///
-/// The order defines the *flat parameter space* that `dos-zero` partitions
-/// into subgroups, so it must be deterministic; all layers visit their
-/// parameters in declaration order.
+/// The flat parameter space: every FP32 weight in one buffer and its
+/// gradient accumulator at the same offset of a second, in the order the
+/// layers were built (the order `dos-zero` shards over), then the zeros
+/// [`Params::pad_to_multiple`] appends. A data-parallel rank pads once and
+/// runs its collectives on the buffers themselves.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Params {
+    // weights and gradients, each `len` long plus the same padding
+    pub(crate) w: Vec<f32>,
+    pub(crate) g: Vec<f32>,
+    len: usize,
+}
+
+impl Params {
+    /// Appends a parameter holding `w`, with a zero gradient.
+    ///
+    /// # Panics
+    ///
+    /// Panics once the space has been padded.
+    pub(crate) fn push(&mut self, w: impl IntoIterator<Item = f32>) -> Param {
+        assert_eq!(self.w.len(), self.len, "parameters must be added before padding");
+        self.w.extend(w);
+        let p = Param { off: self.len, len: self.w.len() - self.len };
+        self.len = self.w.len();
+        self.g.resize(self.len, 0.0);
+        p
+    }
+
+    /// Appends a parameter of `n` i.i.d. normal weights of standard
+    /// deviation `std`.
+    pub(crate) fn randn<R: Rng>(&mut self, n: usize, std: f32, rng: &mut R) -> Param {
+        self.push(Tensor::randn(&[n], std, rng).to_f32_vec())
+    }
+
+    /// Every weight, padding excluded.
+    pub fn weights(&self) -> &[f32] {
+        &self.w[..self.len]
+    }
+
+    /// [`Params::weights`], mutably.
+    pub fn weights_mut(&mut self) -> &mut [f32] {
+        &mut self.w[..self.len]
+    }
+
+    /// Every gradient, padding excluded.
+    pub fn grads(&self) -> &[f32] {
+        &self.g[..self.len]
+    }
+
+    /// Both buffers, padding included: what a data-parallel rank's
+    /// collectives reduce and gather in place.
+    pub fn padded_mut(&mut self) -> (&mut [f32], &mut [f32]) {
+        (&mut self.w, &mut self.g)
+    }
+
+    /// Zero-pads both buffers to the next multiple of `world` (equal
+    /// shards for a data-parallel world).
+    pub fn pad_to_multiple(&mut self, world: usize) {
+        let n = self.len.next_multiple_of(world);
+        self.w.resize(n, 0.0);
+        self.g.resize(n, 0.0);
+    }
+}
+
+/// A model over one flat parameter space, which optimizers, checkpoints
+/// and the collectives borrow; the `gather_*` copies are for tests and
+/// benchmarks.
 pub trait VisitParams {
-    /// Calls `f` once per parameter, in a stable order.
-    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param));
+    /// The flat parameter space.
+    fn params(&self) -> &Params;
+
+    /// The flat parameter space, mutably.
+    fn params_mut(&mut self) -> &mut Params;
 
     /// Total number of scalar parameters.
-    fn num_params(&mut self) -> usize {
-        let mut n = 0;
-        self.visit_params(&mut |p| n += p.len());
-        n
+    fn num_params(&self) -> usize {
+        self.params().weights().len()
     }
 
-    /// Concatenates all weights into one flat vector (the order `dos-zero`
-    /// shards over).
-    fn gather_params(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        self.visit_params(&mut |p| out.extend_from_slice(&p.w));
-        out
+    /// A copy of every weight, in the flat order.
+    fn gather_params(&self) -> Vec<f32> {
+        self.params().weights().to_vec()
     }
 
-    /// Concatenates all gradients into one flat vector.
-    fn gather_grads(&mut self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_params());
-        self.visit_params(&mut |p| out.extend_from_slice(&p.g));
-        out
+    /// A copy of every gradient, in the flat order.
+    fn gather_grads(&self) -> Vec<f32> {
+        self.params().grads().to_vec()
     }
 
-    /// Writes a flat vector back into the parameters.
+    /// Overwrites every weight from a flat vector.
     ///
     /// # Panics
     ///
     /// Panics if `flat.len()` differs from [`VisitParams::num_params`].
     fn scatter_params(&mut self, flat: &[f32]) {
-        let mut off = 0;
-        self.visit_params(&mut |p| {
-            let n = p.len();
-            assert!(off + n <= flat.len(), "flat parameter vector has wrong length");
-            p.w.copy_from_slice(&flat[off..off + n]);
-            off += n;
-        });
-        assert_eq!(off, flat.len(), "flat parameter vector has wrong length");
+        let w = self.params_mut().weights_mut();
+        assert_eq!(flat.len(), w.len(), "flat parameter vector has wrong length");
+        w.copy_from_slice(flat);
     }
 
     /// Zeroes every gradient accumulator.
     fn zero_grads(&mut self) {
-        self.visit_params(&mut |p| p.zero_grad());
+        self.params_mut().g.fill(0.0);
+    }
+}
+
+impl VisitParams for Params {
+    fn params(&self) -> &Params {
+        self
+    }
+
+    fn params_mut(&mut self) -> &mut Params {
+        self
     }
 }
 
@@ -112,54 +145,62 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    struct Two {
-        a: Param,
-        b: Param,
-    }
-
-    impl VisitParams for Two {
-        fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-            f(&mut self.a);
-            f(&mut self.b);
-        }
+    fn two() -> (Params, Param, Param) {
+        let mut ps = Params::default();
+        let a = ps.push([1.0, 2.0]);
+        let b = ps.push([3.0]);
+        (ps, a, b)
     }
 
     #[test]
     fn param_construction() {
-        let p = Param::zeros("x", 4);
-        assert_eq!(p.len(), 4);
-        assert!(!p.is_empty());
-        assert_eq!(p.g, vec![0.0; 4]);
+        let mut ps = Params::default();
+        let p = ps.push([0.0; 4]);
+        assert_eq!(p.of(&ps.w).len(), 4);
+        assert_eq!(p.of(&ps.g), [0.0; 4]);
         let mut rng = StdRng::seed_from_u64(1);
-        let q = Param::randn("y", 100, 0.02, &mut rng);
-        assert!(q.w.iter().any(|&x| x != 0.0));
+        let q = ps.randn(100, 0.02, &mut rng);
+        assert!(q.of(&ps.w).iter().any(|&x| x != 0.0));
+        assert_eq!(ps.num_params(), 104);
     }
 
     #[test]
     fn gather_scatter_round_trip() {
-        let mut two = Two { a: Param::new("a", vec![1.0, 2.0]), b: Param::new("b", vec![3.0]) };
-        assert_eq!(two.num_params(), 3);
-        let flat = two.gather_params();
-        assert_eq!(flat, vec![1.0, 2.0, 3.0]);
-        two.scatter_params(&[9.0, 8.0, 7.0]);
-        assert_eq!(two.a.w, vec![9.0, 8.0]);
-        assert_eq!(two.b.w, vec![7.0]);
+        let (mut ps, a, b) = two();
+        assert_eq!(ps.num_params(), 3);
+        assert_eq!(ps.gather_params(), vec![1.0, 2.0, 3.0]);
+        ps.scatter_params(&[9.0, 8.0, 7.0]);
+        assert_eq!(a.of(&ps.w), [9.0, 8.0]);
+        assert_eq!(b.of(&ps.w), [7.0]);
     }
 
     #[test]
     fn zero_grads_clears_all() {
-        let mut two = Two { a: Param::new("a", vec![1.0]), b: Param::new("b", vec![2.0]) };
-        two.a.g[0] = 5.0;
-        two.b.g[0] = 6.0;
-        assert_eq!(two.gather_grads(), vec![5.0, 6.0]);
-        two.zero_grads();
-        assert_eq!(two.gather_grads(), vec![0.0, 0.0]);
+        let (mut ps, a, b) = two();
+        a.of_mut(&mut ps.g)[1] = 5.0;
+        b.of_mut(&mut ps.g)[0] = 6.0;
+        assert_eq!(ps.gather_grads(), vec![0.0, 5.0, 6.0]);
+        ps.zero_grads();
+        assert_eq!(ps.gather_grads(), vec![0.0; 3]);
+    }
+
+    #[test]
+    fn padding_is_zeros_outside_the_gathered_space() {
+        let (mut ps, ..) = two();
+        ps.g[0] = 1.0;
+        ps.pad_to_multiple(4);
+        assert_eq!((ps.w.len(), ps.g.len()), (4, 4));
+        assert_eq!((ps.w[3], ps.g[3]), (0.0, 0.0));
+        assert_eq!(ps.gather_params(), vec![1.0, 2.0, 3.0]);
+        assert_eq!(ps.gather_grads(), vec![1.0, 0.0, 0.0]);
+        ps.scatter_params(&[4.0, 5.0, 6.0]);
+        assert_eq!(ps.w, vec![4.0, 5.0, 6.0, 0.0]);
     }
 
     #[test]
     #[should_panic(expected = "wrong length")]
     fn scatter_rejects_wrong_length() {
-        let mut two = Two { a: Param::zeros("a", 2), b: Param::zeros("b", 1) };
-        two.scatter_params(&[1.0, 2.0]);
+        let (mut ps, ..) = two();
+        ps.scatter_params(&[1.0, 2.0]);
     }
 }

@@ -1,7 +1,7 @@
 //! Property tests of structural layer invariants (complementing the
 //! finite-difference gradchecks in the unit tests).
 
-use dos_nn::{CausalSelfAttention, Gpt, GptConfig, LayerNorm, Linear, VisitParams};
+use dos_nn::{CausalSelfAttention, Gpt, GptConfig, LayerNorm, Linear, Params, VisitParams};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,14 +18,15 @@ proptest! {
     #[test]
     fn linear_backward_is_linear(x in vec_strategy(6), dy in vec_strategy(8)) {
         let mut rng = StdRng::seed_from_u64(1);
-        let mut l = Linear::new("l", 3, 4, 0.5, &mut rng);
-        l.forward(&x, 2);
-        l.zero_grads();
-        let dx1 = l.backward(&dy);
+        let mut ps = Params::default();
+        let mut l = Linear::new(&mut ps, 3, 4, 0.5, &mut rng);
+        l.forward(&ps, &x, 2);
+        ps.zero_grads();
+        let dx1 = l.backward(&mut ps, &x, &dy).to_vec();
         let dy2: Vec<f32> = dy.iter().map(|d| d * 4.0).collect();
-        l.forward(&x, 2);
-        l.zero_grads();
-        let dx2 = l.backward(&dy2);
+        l.forward(&ps, &x, 2);
+        ps.zero_grads();
+        let dx2 = l.backward(&mut ps, &x, &dy2);
         for (a, b) in dx1.iter().zip(dx2.iter()) {
             prop_assert_eq!(a * 4.0, *b);
         }
@@ -34,10 +35,11 @@ proptest! {
     /// LayerNorm output is invariant to a constant shift of its input.
     #[test]
     fn layernorm_is_shift_invariant(x in vec_strategy(8), shift in -5.0f32..5.0) {
-        let mut ln = LayerNorm::new("ln", 8);
-        let y1 = ln.forward(&x, 1);
+        let mut ps = Params::default();
+        let mut ln = LayerNorm::new(&mut ps, 8);
+        let y1 = ln.forward(&ps, &x, 1).to_vec();
         let shifted: Vec<f32> = x.iter().map(|v| v + shift).collect();
-        let y2 = ln.forward(&shifted, 1);
+        let y2 = ln.forward(&ps, &shifted, 1);
         for (a, b) in y1.iter().zip(y2.iter()) {
             prop_assert!((a - b).abs() < 2e-2, "{a} vs {b} after shift {shift}");
         }
@@ -48,13 +50,14 @@ proptest! {
     #[test]
     fn attention_is_causal(x in vec_strategy(4 * 4), t in 1usize..4, delta in 0.1f32..2.0) {
         let mut rng = StdRng::seed_from_u64(3);
-        let mut attn = CausalSelfAttention::new("a", 4, 2, 0.4, &mut rng);
-        let y1 = attn.forward(&x, 1, 4);
+        let mut ps = Params::default();
+        let mut attn = CausalSelfAttention::new(&mut ps, 4, 2, 0.4, &mut rng);
+        let y1 = attn.forward(&ps, &x, 1, 4).to_vec();
         let mut x2 = x.clone();
         for v in x2[t * 4..(t + 1) * 4].iter_mut() {
             *v += delta;
         }
-        let y2 = attn.forward(&x2, 1, 4);
+        let y2 = attn.forward(&ps, &x2, 1, 4);
         prop_assert_eq!(&y1[..t * 4], &y2[..t * 4], "position {} leaked backward", t);
     }
 

@@ -80,7 +80,8 @@ impl ModelOptimizer {
         &mut self.state
     }
 
-    /// Gathers the model's gradients with the configured precision path.
+    /// A copy of the model's gradients through the configured precision
+    /// path.
     pub fn gather_grads(&self, model: &mut impl VisitParams) -> Vec<f32> {
         let mut grads = model.gather_grads();
         if self.grad_precision == GradPrecision::Fp16Flush {
@@ -89,11 +90,14 @@ impl ModelOptimizer {
         grads
     }
 
-    /// One full optimizer step: gather grads → update masters → write
-    /// parameters back to the model → zero grads.
+    /// One full optimizer step: update the masters from the model's
+    /// gradients (read in place on the FP32 path) → write parameters back
+    /// to the model → zero grads.
     pub fn step(&mut self, model: &mut impl VisitParams) {
-        let grads = self.gather_grads(model);
-        self.state.full_step(&grads);
+        match self.grad_precision {
+            GradPrecision::Fp32 => self.state.full_step(model.params().grads()),
+            GradPrecision::Fp16Flush => self.state.full_step(&self.gather_grads(model)),
+        }
         self.write_back(model);
         model.zero_grads();
     }
@@ -102,12 +106,9 @@ impl ModelOptimizer {
     /// FP16-device rounding if configured. Exposed separately so subgroup
     /// schedulers can update the state out-of-order first.
     pub fn write_back(&self, model: &mut impl VisitParams) {
+        model.scatter_params(self.state.params());
         if self.fp16_device_params {
-            let mut rounded = self.state.params().to_vec();
-            round_through_f16(&mut rounded);
-            model.scatter_params(&rounded);
-        } else {
-            model.scatter_params(self.state.params());
+            round_through_f16(model.params_mut().weights_mut());
         }
     }
 }

@@ -9,8 +9,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use dos_tensor::convert::downscale_f32_chunked;
-use dos_tensor::F16;
+use dos_tensor::{kernels, F16};
 
 use crate::rule::UpdateRule;
 
@@ -168,7 +167,7 @@ impl MixedPrecisionState {
         assert!(range.end <= self.p.len(), "range out of bounds");
         let src = &self.p[range];
         let mut out = vec![F16::ZERO; src.len()];
-        downscale_f32_chunked(src, &mut out, 0).expect("lengths match by construction");
+        kernels::downscale(src, &mut out);
         out
     }
 

@@ -24,7 +24,6 @@ use dos_data::{DataLoader, TokenDataset};
 use dos_nn::{Gpt, GptConfig, VisitParams};
 use dos_optim::{clip_grad_norm, DynamicLossScaler, LrSchedule, MixedPrecisionState, UpdateRule};
 use dos_telemetry::{SpanGuard, TraceEvent, Tracer};
-use dos_tensor::kernels;
 use dos_train::checkpoint::{AsyncCheckpointer, CheckpointError, CheckpointStore, TrainingCheckpoint};
 use dos_train::{Trainer, TrainerError};
 use dos_zero::rank_range;
@@ -277,15 +276,6 @@ pub fn evaluate(model: &mut Gpt, dataset: &TokenDataset) -> (f32, f32) {
     (mean, mean.exp())
 }
 
-/// Pads `v` with zeros to a multiple of `world`.
-fn pad_to_multiple(mut v: Vec<f32>, world: usize) -> Vec<f32> {
-    let rem = v.len() % world;
-    if rem != 0 {
-        v.resize(v.len() + world - rem, 0.0);
-    }
-    v
-}
-
 /// Trains `iterations` steps of data-parallel, ZeRO-sharded, interleaved
 /// hybrid training; returns per-iteration losses and a consistency check.
 ///
@@ -340,9 +330,14 @@ pub fn train_functional(
     let mut recoveries = 0usize;
     let (results, final_world) = loop {
         let comms = build_comms(cfg, world, plan.as_ref())?;
-        // Identical init on every rank: one seeded build, cloned for all
-        // but the last rank, which takes it.
-        let init = Gpt::new(cfg.model.clone(), &mut StdRng::seed_from_u64(cfg.seed));
+        // Identical init on every rank: one seeded build, padded to this
+        // world and sized for the micro-batch here, then cloned for all but
+        // the last rank, which takes it. Sized on the rank threads instead,
+        // each call's long-lived buffers stayed behind in those threads'
+        // allocator arenas (`train_dp2` peak RSS +40 %).
+        let mut init = Gpt::new(cfg.model.clone(), &mut StdRng::seed_from_u64(cfg.seed));
+        init.params_mut().pad_to_multiple(world);
+        init.reserve(cfg.micro_batch, dataset.seq_len());
         let models = std::iter::repeat_n(init, comms.len());
         let run: Result<Vec<RankRun>, TrainError> =
             std::thread::scope(|scope| {
@@ -524,17 +519,18 @@ fn run_rank(
     let mut loader = DataLoader::new(rank, world, cfg.micro_batch, cfg.seed ^ 0x5EED);
 
     // ZeRO-style shard: this rank owns the optimizer state of its range of
-    // the (padded) flat parameter space.
-    let init = pad_to_multiple(model.gather_params(), world);
-    let padded_n = init.len();
-    let shard = rank_range(padded_n, rank, world);
+    // the flat parameter space, which arrives padded to a multiple of the
+    // world so that the collectives below run on the model's own buffers.
+    let shard = rank_range(model.num_params().next_multiple_of(world), rank, world);
+    // This rank's shard of a full-space vector zero-padded the same way.
+    let sharded = |v: &[f32]| shard.clone().map(|i| v.get(i).copied().unwrap_or(0.0)).collect();
     let resume_at = resume.map_or(0, |c| c.iteration);
     let state = match resume {
         // Snapshots hold the full optimizer state, so any world size can
-        // resume: zero-pad the full space to this world's padded size and
-        // slice out this rank's shard. The pad region's state is exactly
-        // what a fresh run carries there (zero grads keep zero m/v, so the
-        // pad never moves), making re-sharded resume bitwise-correct.
+        // resume from this world's shard of it. The pad region's state is
+        // exactly what a fresh run carries there (zero grads keep zero
+        // m/v, so the pad never moves), making re-sharded resume
+        // bitwise-correct.
         Some(ckpt) => {
             let restored = ckpt.restore(&mut model)?;
             if restored.len() != model.num_params() {
@@ -544,24 +540,21 @@ fn run_rank(
                 }
                 .into());
             }
-            let p = pad_to_multiple(restored.params().to_vec(), world);
-            let m = pad_to_multiple(restored.momentum().to_vec(), world);
-            let v = pad_to_multiple(restored.variance().to_vec(), world);
             // Fast-forward the data stream past the iterations already done
             // so the resumed run sees the batches an uninterrupted one would.
             for _ in 0..ckpt.iteration {
                 let _ = loader.next_batch(dataset);
             }
             MixedPrecisionState::from_parts(
-                p[shard.clone()].to_vec(),
-                m[shard.clone()].to_vec(),
-                v[shard.clone()].to_vec(),
+                sharded(restored.params()),
+                sharded(restored.momentum()),
+                sharded(restored.variance()),
                 restored.rule(),
                 restored.lr(),
                 restored.step_count(),
             )
         }
-        None => MixedPrecisionState::new(init[shard.clone()].to_vec(), cfg.rule, cfg.lr),
+        None => MixedPrecisionState::new(sharded(model.params().weights()), cfg.rule, cfg.lr),
     };
     // Adaptive stride: each rank runs a wall-clock tuner that re-solves
     // Equation 1 from the pipeline's own spans every iteration. Stride
@@ -590,8 +583,6 @@ fn run_rank(
     let mut checkpointer = AsyncCheckpointer::new();
     let mut degraded_steps = 0usize;
     let mut losses = Vec::with_capacity(iterations);
-    // The widened device parameters, rewritten by every all-gather.
-    let mut full = vec![0.0f32; model.num_params()];
     // With a run tracer, the communicator's own byte counter is published
     // as it grows: into the registry as `collectives.bytes_sent|rank=N`,
     // and as the `work` of the communicate span the bytes were sent in.
@@ -626,45 +617,36 @@ fn run_rank(
         drop(fwd_span);
 
         // Average gradients across ranks; keep only this rank's shard
-        // (ZeRO's reduce-scatter).
+        // (ZeRO's reduce-scatter), in place in the model's gradients.
         let comm_span =
             cfg.tracer.as_ref().map(|t| t.span(&format!("grad-exchange:it{it}"), "communicate"));
-        let mut grads = pad_to_multiple(model.gather_grads(), world);
+        let (w, g) = model.params_mut().padded_mut();
         // Unscale (and overflow-check) before any reduction. Micro-batches
         // differ per rank, so one rank can overflow alone: the ranks agree
         // on the verdict, then back off and skip the step together (the
         // zeroed gradients keep the collectives below in lockstep).
         let mut skipped = false;
         if let Some(s) = scaler.as_mut() {
-            let mut overflowed = [if s.unscale(&mut grads) { 0.0 } else { 1.0 }];
+            let mut overflowed = [if s.unscale(g) { 0.0 } else { 1.0 }];
             comm.all_reduce_sum(&mut overflowed)?;
             skipped = overflowed[0] > 0.0;
             s.record(!skipped);
             if skipped {
-                grads.fill(0.0);
+                g.fill(0.0);
             }
         }
         let inv = 1.0 / world as f32;
-        // Global-norm clipping must see the *averaged full* gradient so all
-        // ranks compute the same scale; do it before the scatter.
         if let Some(max_norm) = cfg.grad_clip {
-            comm.all_reduce_sum(&mut grads)?;
-            for g in grads.iter_mut() {
-                *g *= inv;
+            // Global-norm clipping must see the *averaged full* gradient so
+            // all ranks compute the same scale: all-reduce it instead (the
+            // shard then needs no further reduction).
+            comm.all_reduce_sum(g)?;
+            for v in g.iter_mut() {
+                *v *= inv;
             }
-            clip_grad_norm(&mut grads, max_norm);
-            // Already averaged: scatter without re-reducing.
-        }
-        let mut shard_grads = if cfg.grad_clip.is_some() {
-            let shard = rank_range(grads.len(), rank, world);
-            grads[shard].to_vec()
+            clip_grad_norm(g, max_norm);
         } else {
-            comm.reduce_scatter_sum(&grads)?
-        };
-        if cfg.grad_clip.is_none() {
-            for g in shard_grads.iter_mut() {
-                *g *= inv;
-            }
+            comm.reduce_scatter_sum_in_place(g, inv)?;
         }
         publish_sent(comm_span);
         if let Some(schedule) = cfg.lr_schedule {
@@ -686,7 +668,7 @@ fn run_rank(
             let report = {
                 let _sp =
                     tracer.as_ref().map(|t| t.span(&format!("hybrid-update:it{it}"), "update"));
-                trainer.step(&shard_grads)
+                trainer.step(&g[shard.clone()])
             }?;
             if let (Some(tun), Some(tt)) = (&mut tuner, &tracer) {
                 let before = tun.decisions().len();
@@ -708,13 +690,11 @@ fn run_rank(
 
         // All-gather the updated FP16 parameters (the device copies every
         // rank trains the next iteration with): halves on the wire, widened
-        // once into the buffer the model reads.
+        // on arrival straight into the model's weights.
         let gather_span =
             cfg.tracer.as_ref().map(|t| t.span(&format!("all-gather:it{it}"), "communicate"));
-        let halves = comm.all_gather_f16(&shard_fp16)?;
-        kernels::upscale(&halves[..full.len()], &mut full);
-        model.scatter_params(&full);
-        model.zero_grads();
+        comm.all_gather_f16_into(&shard_fp16, w)?;
+        g.fill(0.0);
         publish_sent(gather_span);
 
         // Snapshot at update boundaries and write in the background (the
@@ -752,7 +732,7 @@ fn run_rank(
         }
 
         // Average the loss across ranks for reporting.
-        let mut l = vec![loss];
+        let mut l = [loss];
         comm.all_reduce_sum(&mut l)?;
         losses.push(l[0] * inv);
         publish_sent(None);
@@ -1527,6 +1507,13 @@ mod train_dp2_tests {
     #[test]
     fn seed_11_losses_and_final_parameters_are_pinned() {
         assert_pinned(11, 5.493_953_7, 0x2cb2_0937_b20f_d288, 0xca72_86fa_03f9_134a);
+    }
+
+    /// Captured at the commit before the iteration ran its collectives in
+    /// place on the model's flat buffers.
+    #[test]
+    fn seed_23_losses_and_final_parameters_are_pinned() {
+        assert_pinned(23, 5.478_227_6, 0x12e7_a683_ab1f_9cd1, 0x82b5_f767_a18a_dec8);
     }
 
     #[test]

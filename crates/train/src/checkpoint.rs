@@ -540,7 +540,7 @@ mod tests {
 
     fn setup() -> (Gpt, MixedPrecisionState) {
         let mut rng = StdRng::seed_from_u64(11);
-        let mut model = Gpt::new(GptConfig::tiny(), &mut rng);
+        let model = Gpt::new(GptConfig::tiny(), &mut rng);
         let state =
             MixedPrecisionState::new(model.gather_params(), UpdateRule::adam(), 1e-2);
         (model, state)
