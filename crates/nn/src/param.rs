@@ -2,8 +2,6 @@
 
 use rand::Rng;
 
-use dos_tensor::Tensor;
-
 /// One trainable parameter: its range of the model's [`Params`] buffers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Param {
@@ -52,9 +50,21 @@ impl Params {
     }
 
     /// Appends a parameter of `n` i.i.d. normal weights of standard
-    /// deviation `std`.
+    /// deviation `std` (Box–Muller over the supplied RNG, two samples per
+    /// draw; deterministic for a seeded RNG).
     pub(crate) fn randn<R: Rng>(&mut self, n: usize, std: f32, rng: &mut R) -> Param {
-        self.push(Tensor::randn(&[n], std, rng).to_f32_vec())
+        let mut data = Vec::with_capacity(n);
+        while data.len() < n {
+            let u1: f32 = rng.gen_range(f32::EPSILON..1.0);
+            let u2: f32 = rng.gen_range(0.0..1.0);
+            let r = (-2.0 * u1.ln()).sqrt();
+            let theta = 2.0 * std::f32::consts::PI * u2;
+            data.push(r * theta.cos() * std);
+            if data.len() < n {
+                data.push(r * theta.sin() * std);
+            }
+        }
+        self.push(data)
     }
 
     /// Every weight, padding excluded.
@@ -162,6 +172,40 @@ mod tests {
         let q = ps.randn(100, 0.02, &mut rng);
         assert!(q.of(&ps.w).iter().any(|&x| x != 0.0));
         assert_eq!(ps.num_params(), 104);
+    }
+
+    #[test]
+    fn randn_is_deterministic_and_plausible() {
+        let draw = |seed| {
+            let mut ps = Params::default();
+            ps.randn(1000, 0.02, &mut StdRng::seed_from_u64(seed));
+            ps
+        };
+        let a = draw(7);
+        assert_eq!(a, draw(7));
+        let w = a.weights();
+        let mean: f32 = w.iter().sum::<f32>() / 1000.0;
+        assert!(mean.abs() < 0.005, "mean {mean} too far from 0");
+        let var: f32 = w.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / 1000.0;
+        assert!((var.sqrt() - 0.02).abs() < 0.005, "std {} off", var.sqrt());
+    }
+
+    /// The initial weights' bits, pinned: an FNV-1a fold over each f32's
+    /// bits, recorded before the draw moved here from `dos-tensor`. An odd
+    /// `n` covers the draw whose second sample is dropped.
+    #[test]
+    fn randn_bits_are_pinned() {
+        for (seed, n, pin) in [
+            (7, 1001, 0x3160_9e0c_a1cb_e237_u64),
+            (2026, 4096, 0xdbad_8c2f_17da_5a1b),
+        ] {
+            let mut ps = Params::default();
+            ps.randn(n, 0.02, &mut StdRng::seed_from_u64(seed));
+            let h = ps.weights().iter().fold(0xcbf2_9ce4_8422_2325_u64, |h, x| {
+                (h ^ u64::from(x.to_bits())).wrapping_mul(0x0100_0000_01b3)
+            });
+            assert_eq!(h, pin, "seed {seed}, n {n}");
+        }
     }
 
     #[test]

@@ -3,28 +3,10 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::dtype::DType;
-
 /// Errors produced by tensor operations.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum TensorError {
-    /// The number of elements implied by a shape did not match the data.
-    ShapeMismatch {
-        /// Expected element count.
-        expected: usize,
-        /// Actual element count.
-        actual: usize,
-        /// The offending shape.
-        shape: Vec<usize>,
-    },
-    /// An operation required a specific storage precision.
-    DTypeMismatch {
-        /// Required dtype.
-        expected: DType,
-        /// Actual dtype.
-        actual: DType,
-    },
     /// Source and destination buffers of a conversion differ in length.
     LengthMismatch {
         /// Source length.
@@ -37,13 +19,6 @@ pub enum TensorError {
 impl fmt::Display for TensorError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            TensorError::ShapeMismatch { expected, actual, shape } => write!(
-                f,
-                "shape mismatch: shape {shape:?} implies {expected} elements, got {actual}"
-            ),
-            TensorError::DTypeMismatch { expected, actual } => {
-                write!(f, "dtype mismatch: expected {expected}, got {actual}")
-            }
             TensorError::LengthMismatch { src, dst } => {
                 write!(f, "length mismatch: source has {src} elements, destination {dst}")
             }
@@ -59,8 +34,6 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = TensorError::DTypeMismatch { expected: DType::F32, actual: DType::F16 };
-        assert_eq!(e.to_string(), "dtype mismatch: expected fp32, got fp16");
         let e = TensorError::LengthMismatch { src: 3, dst: 4 };
         assert!(e.to_string().contains("3"));
     }

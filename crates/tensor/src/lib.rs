@@ -1,10 +1,10 @@
-//! # dos-tensor — tensors and mixed-precision numerics
+//! # dos-tensor — mixed-precision numerics
 //!
-//! Storage substrate for the *Deep Optimizer States* reproduction: dense
-//! row-major [`Tensor`]s backed by FP32, software-emulated IEEE [`F16`], or
-//! [`Bf16`], plus the chunk-wise precision-conversion kernels
-//! ([`convert`]) that the paper's optimized gradient path relies on
-//! (§4.1 "PCIe transfers with higher precision", Figure 6, Table 1).
+//! Mixed-precision numerics for the *Deep Optimizer States* reproduction:
+//! software-emulated IEEE [`F16`] and [`Bf16`], plus the chunk-wise
+//! precision-conversion kernels ([`convert`]) that the paper's optimized
+//! gradient path relies on (§4.1 "PCIe transfers with higher precision",
+//! Figure 6, Table 1).
 //!
 //! The half-precision types are bit-exact (round-to-nearest-even, verified
 //! exhaustively over all 65 536 bit patterns), so mixed-precision rounding
@@ -22,13 +22,14 @@
 //! module allowed to contain `unsafe`; everything it exports is safe.
 //!
 //! ```
-//! use dos_tensor::{Tensor, DType, F16};
+//! use dos_tensor::{kernels, F16};
 //!
 //! // FP32 master weights -> FP16 device copy, as in mixed-precision training.
-//! let master = Tensor::from_vec(&[4], vec![0.1, 0.2, 0.3, 0.4])?;
-//! let device = master.to_dtype(DType::F16);
-//! assert_eq!(device.size_bytes(), master.size_bytes() / 2);
-//! # Ok::<(), dos_tensor::TensorError>(())
+//! let master = [0.1f32, 0.2, 0.3, 0.4];
+//! let mut device = [F16::ZERO; 4];
+//! kernels::downscale(&master, &mut device);
+//! assert_eq!(device[0], F16::from_f32(0.1));
+//! assert_eq!(std::mem::size_of_val(&device), std::mem::size_of_val(&master) / 2);
 //! ```
 
 #![warn(missing_docs)]
@@ -37,16 +38,12 @@
 
 mod bf16;
 pub mod convert;
-mod dtype;
 mod error;
 mod f16;
 pub mod kernels;
 #[allow(unsafe_code)]
 pub mod simd;
-mod tensor;
 
 pub use bf16::Bf16;
-pub use dtype::DType;
 pub use error::TensorError;
 pub use f16::F16;
-pub use tensor::Tensor;
