@@ -102,8 +102,7 @@ pub fn f32_from_f16_bits(h: u16) -> f32 {
 ///
 /// # Panics
 ///
-/// Panics if the slices differ in length (the fallible, chunk-configurable
-/// surface is [`crate::convert::downscale_f32_chunked`]).
+/// Panics if the slices differ in length.
 pub fn downscale(src: &[f32], dst: &mut [F16]) {
     assert_eq!(src.len(), dst.len(), "downscale length mismatch");
     if !simd::downscale(src, dst) {

@@ -1,10 +1,9 @@
 //! # dos-tensor — mixed-precision numerics
 //!
 //! Mixed-precision numerics for the *Deep Optimizer States* reproduction:
-//! software-emulated IEEE [`F16`] and [`Bf16`], plus the chunk-wise
-//! precision-conversion kernels ([`convert`]) that the paper's optimized
-//! gradient path relies on (§4.1 "PCIe transfers with higher precision",
-//! Figure 6, Table 1).
+//! software-emulated IEEE [`F16`] and [`Bf16`], plus the FP32↔FP16
+//! conversion [`kernels`] that the paper's optimized gradient path relies
+//! on (§4.1 "PCIe transfers with higher precision", Figure 6, Table 1).
 //!
 //! The half-precision types are bit-exact (round-to-nearest-even, verified
 //! exhaustively over all 65 536 bit patterns), so mixed-precision rounding
@@ -37,13 +36,10 @@
 #![deny(unsafe_code)]
 
 mod bf16;
-pub mod convert;
-mod error;
 mod f16;
 pub mod kernels;
 #[allow(unsafe_code)]
 pub mod simd;
 
 pub use bf16::Bf16;
-pub use error::TensorError;
 pub use f16::F16;

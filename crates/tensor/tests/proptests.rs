@@ -1,6 +1,5 @@
 //! Property-based tests for dos-tensor invariants.
 
-use dos_tensor::convert::{accumulate, downscale_f32_chunked, upscale_f16_chunked};
 use dos_tensor::{Bf16, F16};
 use proptest::prelude::*;
 
@@ -56,38 +55,5 @@ proptest! {
         let v = F16::from_f32(x).to_f32();
         let rel = ((x - v) / x).abs();
         prop_assert!(rel <= 1.0 / 2048.0, "relative error {} too large for {}", rel, x);
-    }
-
-    /// Chunked downscale/upscale is independent of the chunk size.
-    #[test]
-    fn chunking_is_transparent(
-        data in proptest::collection::vec(-1000.0f32..1000.0, 1..300),
-        chunk in 1usize..64,
-    ) {
-        let n = data.len();
-        let mut whole = vec![F16::ZERO; n];
-        let mut chunked = vec![F16::ZERO; n];
-        downscale_f32_chunked(&data, &mut whole, 0).unwrap();
-        downscale_f32_chunked(&data, &mut chunked, chunk).unwrap();
-        prop_assert_eq!(&whole, &chunked);
-
-        let mut up_whole = vec![0.0f32; n];
-        let mut up_chunked = vec![0.0f32; n];
-        upscale_f16_chunked(&whole, &mut up_whole, 0).unwrap();
-        upscale_f16_chunked(&chunked, &mut up_chunked, chunk).unwrap();
-        prop_assert_eq!(up_whole, up_chunked);
-    }
-
-    /// Accumulation is element-wise addition.
-    #[test]
-    fn accumulate_is_addition(
-        a in proptest::collection::vec(-1e6f32..1e6, 1..64),
-    ) {
-        let b: Vec<f32> = a.iter().map(|x| x * 0.5).collect();
-        let mut dst = a.clone();
-        accumulate(&mut dst, &b).unwrap();
-        for i in 0..a.len() {
-            prop_assert_eq!(dst[i], a[i] + b[i]);
-        }
     }
 }
