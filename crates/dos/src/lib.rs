@@ -6,7 +6,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`hal`] | `dos-hal` | discrete-event hardware simulator + calibrated profiles |
-//! | [`tensor`] | `dos-tensor` | tensors, software f16/bf16, conversion kernels |
+//! | [`tensor`] | `dos-tensor` | software f16, FP32↔FP16 conversion kernels, SIMD kernels |
 //! | [`nn`] | `dos-nn` | from-scratch transformer with manual backprop |
 //! | [`data`] | `dos-data` | synthetic corpus, BPE tokenizer, data loading |
 //! | [`optim`] | `dos-optim` | Adam-family rules, mixed-precision sharded state |

@@ -1,16 +1,16 @@
 //! # dos-tensor — mixed-precision numerics
 //!
-//! Mixed-precision numerics for the *Deep Optimizer States* reproduction:
-//! software-emulated IEEE [`F16`] and [`Bf16`], plus the FP32↔FP16
-//! conversion [`kernels`] that the paper's optimized gradient path relies
-//! on (§4.1 "PCIe transfers with higher precision", Figure 6, Table 1).
+//! The numerics the *Deep Optimizer States* reproduction moves and updates
+//! parameters with: FP32 optimizer state, FP16 parameters (the paper's §1;
+//! §4.1 "PCIe transfers with higher precision", Figure 6, Table 1).
+//! [`F16`] is a software IEEE half, bit-exact (round-to-nearest-even,
+//! verified exhaustively over all 65 536 bit patterns), so mixed-precision
+//! rounding behaves as it would on real FP16 hardware.
 //!
-//! The half-precision types are bit-exact (round-to-nearest-even, verified
-//! exhaustively over all 65 536 bit patterns), so mixed-precision rounding
-//! behaves as it would on real FP16 hardware. The [`kernels`] module holds
-//! branchless, autovectorizable twins of the conversions, bit-identical to
-//! the scalar oracle and used by every hot path; the scalar code remains
-//! the reference the conformance harness checks against. Where the host
+//! The [`kernels`] module holds the FP32↔FP16 slice conversions every hot
+//! path calls: branchless, autovectorizable twins of [`F16`]'s scalar
+//! conversions, bit-identical to them, and the scalar code remains the
+//! reference the conformance harness checks against. Where the host
 //! CPU reports AVX2 and F16C, the downscale (`D_c`) runs on `vcvtps2ph`
 //! and the upscale on `vcvtph2ps` instead, and where it reports AVX-512F
 //! and FMA, `dos-nn`'s matrix products run their full 4-row × 64-column
@@ -35,11 +35,9 @@
 // `deny`, not `forbid`, for the sake of exactly one module: see `simd`.
 #![deny(unsafe_code)]
 
-mod bf16;
 mod f16;
 pub mod kernels;
 #[allow(unsafe_code)]
 pub mod simd;
 
-pub use bf16::Bf16;
 pub use f16::F16;

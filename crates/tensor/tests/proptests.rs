@@ -1,6 +1,6 @@
 //! Property-based tests for dos-tensor invariants.
 
-use dos_tensor::{Bf16, F16};
+use dos_tensor::F16;
 use proptest::prelude::*;
 
 proptest! {
@@ -10,14 +10,6 @@ proptest! {
         let h = F16::from_bits(bits);
         prop_assume!(!h.is_nan());
         prop_assert_eq!(F16::from_f32(h.to_f32()).to_bits(), bits);
-    }
-
-    /// bf16 -> f32 -> bf16 is the identity for every non-NaN value.
-    #[test]
-    fn bf16_f32_round_trip(bits in any::<u16>()) {
-        let b = Bf16::from_bits(bits);
-        prop_assume!(!b.is_nan());
-        prop_assert_eq!(Bf16::from_f32(b.to_f32()).to_bits(), bits);
     }
 
     /// The f32 -> f16 conversion picks a *nearest* representable value: no
