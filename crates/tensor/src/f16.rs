@@ -37,8 +37,6 @@ impl F16 {
     pub const MAX: F16 = F16(0x7BFF);
     /// Smallest positive normal value, 2⁻¹⁴.
     pub const MIN_POSITIVE: F16 = F16(0x0400);
-    /// Smallest positive subnormal value, 2⁻²⁴.
-    pub const MIN_SUBNORMAL: F16 = F16(0x0001);
     /// Positive infinity.
     pub const INFINITY: F16 = F16(0x7C00);
     /// Negative infinity.
@@ -132,11 +130,6 @@ impl F16 {
         (self.0 & 0x7C00) == 0x7C00 && (self.0 & 0x03FF) != 0
     }
 
-    /// Whether the value is positive or negative infinity.
-    pub fn is_infinite(self) -> bool {
-        (self.0 & 0x7FFF) == 0x7C00
-    }
-
     /// Whether the value is finite (neither infinite nor NaN).
     pub fn is_finite(self) -> bool {
         (self.0 & 0x7C00) != 0x7C00
@@ -176,7 +169,7 @@ mod tests {
         assert_eq!(F16::from_f32(65504.0).to_bits(), 0x7BFF);
         assert_eq!(F16::MAX.to_f32(), 65504.0);
         assert_eq!(F16::MIN_POSITIVE.to_f32(), 6.103_515_6e-5);
-        assert_eq!(F16::MIN_SUBNORMAL.to_f32(), 5.960_464_5e-8);
+        assert_eq!(F16::from_bits(0x0001).to_f32(), 5.960_464_5e-8);
     }
 
     #[test]
@@ -203,7 +196,6 @@ mod tests {
         assert_eq!(F16::from_f32(f32::INFINITY), F16::INFINITY);
         assert_eq!(F16::INFINITY.to_f32(), f32::INFINITY);
         assert_eq!(F16::NEG_INFINITY.to_f32(), f32::NEG_INFINITY);
-        assert!(F16::INFINITY.is_infinite());
         assert!(!F16::INFINITY.is_finite());
         assert!(!F16::INFINITY.is_nan());
     }
@@ -223,10 +215,10 @@ mod tests {
     #[test]
     fn subnormal_rounding() {
         // Half of the smallest subnormal rounds to zero (ties-to-even).
-        let tiny = F16::MIN_SUBNORMAL.to_f32();
+        let tiny = F16::from_bits(0x0001).to_f32();
         assert_eq!(F16::from_f32(tiny / 2.0).to_bits(), 0x0000);
         // 0.75x of the smallest subnormal rounds up to it.
-        assert_eq!(F16::from_f32(tiny * 0.75), F16::MIN_SUBNORMAL);
+        assert_eq!(F16::from_f32(tiny * 0.75).to_bits(), 0x0001);
     }
 
     /// Every one of the 65 536 bit patterns must survive an exact

@@ -44,7 +44,7 @@ pub const CHUNK: usize = 4096;
 /// * **NaN** keeps its truncated payload but stays NaN
 ///   (`0x0200 | payload.max(1)`), matching the oracle.
 #[inline]
-pub fn f16_bits_from_f32_bits(bits: u32) -> u16 {
+pub(crate) fn f16_bits_from_f32_bits(bits: u32) -> u16 {
     let sign = ((bits >> 16) & 0x8000) as u16;
     let abs = bits & 0x7FFF_FFFF;
 
@@ -76,7 +76,7 @@ pub fn f16_bits_from_f32_bits(bits: u32) -> u16 {
 /// Converts one f16 bit pattern to the f32 bits/value `F16::to_f32` would
 /// produce, without data-dependent branches.
 #[inline]
-pub fn f32_from_f16_bits(h: u16) -> f32 {
+pub(crate) fn f32_from_f16_bits(h: u16) -> f32 {
     let sign = ((h & 0x8000) as u32) << 16;
     let exp = ((h >> 10) & 0x1F) as u32;
     let man = (h & 0x03FF) as u32;
@@ -429,7 +429,7 @@ mod tests {
             f32::from_bits(0x3380_0000), // 2^-24 (half of min subnormal: tie)
             f32::from_bits(0x3380_0001), // just above the tie
             6.103_515_6e-5,              // F16::MIN_POSITIVE
-            5.960_464_5e-8,              // F16::MIN_SUBNORMAL
+            5.960_464_5e-8,              // the smallest F16 subnormal
         ] {
             check_f32(x);
         }
