@@ -190,9 +190,10 @@ mod tests {
         assert!((var.sqrt() - 0.02).abs() < 0.005, "std {} off", var.sqrt());
     }
 
-    /// The initial weights' bits, pinned: an FNV-1a fold over each f32's
-    /// bits, recorded before the draw moved here from `dos-tensor`. An odd
-    /// `n` covers the draw whose second sample is dropped.
+    /// The initial weights' bits, pinned by an FNV-1a-style fold over each
+    /// f32's bits: any change to the draw's RNG calls or float operations
+    /// moves them. An odd `n` covers the draw whose second sample is
+    /// dropped.
     #[test]
     fn randn_bits_are_pinned() {
         for (seed, n, pin) in [
