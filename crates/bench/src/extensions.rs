@@ -1,8 +1,9 @@
 //! Extension experiments beyond the paper's figures: the §6 future-work
-//! directions (NVMe-tier offloading, next-generation interconnects) and
-//! asynchronous checkpointing.
+//! direction of next-generation interconnects, asynchronous checkpointing,
+//! gradient accumulation, ZeRO stages and ZenFlow-style asynchronous
+//! updates.
 
-use dos::core::{DeepOptimizerStates, NvmeOffload, PerfModel, ZenFlowAsync, Zero3Offload};
+use dos::core::{DeepOptimizerStates, PerfModel, ZenFlowAsync, Zero3Offload};
 use dos::hal::HardwareProfile;
 use dos::nn::ModelSpec;
 use dos::sim::{
@@ -12,45 +13,6 @@ use dos::sim::{
 use std::num::NonZeroUsize;
 
 use crate::support::{secs, speedup, TextTable};
-
-/// Extension: NVMe-tier optimizer offloading (§6) for models whose FP32
-/// state exceeds even the host DRAM.
-pub fn extension_nvme_tier() -> String {
-    let profile = HardwareProfile::jlse_h100();
-    let mut t = TextTable::new([
-        "model",
-        "host offload",
-        "host iter (s)",
-        "nvme offload",
-        "nvme iter (s)",
-    ]);
-    let models: Vec<ModelSpec> = ModelSpec::table2_zoo()
-        .into_iter()
-        .filter(|m| m.name == "20B")
-        .chain(ModelSpec::extended_zoo())
-        .collect();
-    for m in models {
-        let host_cfg = TrainConfig::deep_optimizer_states(m.clone(), profile.clone());
-        let host = simulate_iteration(&host_cfg, &DeepOptimizerStates::default()).unwrap();
-        let mut nvme_cfg = host_cfg.clone();
-        nvme_cfg.offload.optimizer_on_nvme = true;
-        let nvme = simulate_iteration(&nvme_cfg, &NvmeOffload::default()).unwrap();
-        t.row([
-            m.name.clone(),
-            if host.host_oom.is_some() { "DRAM OOM".into() } else { "fits".to_string() },
-            if host.host_oom.is_some() { "-".into() } else { secs(host.total_secs) },
-            if nvme.host_oom.is_some() { "OOM".into() } else { "fits".to_string() },
-            secs(nvme.total_secs),
-        ]);
-    }
-    format!(
-        "== Extension: NVMe-tier optimizer offloading (§6 future work) ==\n{}\
-         33B/65B overflow the 512 GB host DRAM (as §5.3 notes for LLaMA-33B);\n\
-         the NVMe tier makes them trainable at streaming cost. The generalized\n\
-         Eq. 1 (B capped by the drive) keeps every update on the CPU there.\n",
-        t.render()
-    )
-}
 
 /// Extension: checkpointing cost — blocking vs asynchronous NVMe writes.
 pub fn extension_checkpointing() -> String {
@@ -251,25 +213,6 @@ pub fn extension_zenflow() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn nvme_enables_33b_and_65b() {
-        let s = extension_nvme_tier();
-        let rows: Vec<&str> = s
-            .lines()
-            .filter(|l| {
-                matches!(l.split_whitespace().next(), Some("20B" | "33B" | "65B"))
-            })
-            .collect();
-        assert_eq!(rows.len(), 3, "{s}");
-        assert!(rows[0].contains("fits"), "20B fits in DRAM: {}", rows[0]);
-        assert!(rows[1].contains("DRAM OOM"), "33B should not fit DRAM: {}", rows[1]);
-        assert!(rows[2].contains("DRAM OOM"), "65B should not fit DRAM: {}", rows[2]);
-        for r in &rows[1..] {
-            let last = r.split_whitespace().last().unwrap();
-            assert!(last.parse::<f64>().is_ok(), "NVMe run should produce a time: {r}");
-        }
-    }
 
     #[test]
     fn async_checkpoint_overhead_is_small() {

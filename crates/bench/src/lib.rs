@@ -97,7 +97,6 @@ pub fn all_experiments() -> Vec<Experiment> {
         ("ablation_pinned", Artifact(ablations::ablation_pinned)),
         ("ablation_stacked", Artifact(ablations::ablation_stacked)),
         ("ablation_critical_path", Artifact(ablations::ablation_critical_path)),
-        ("extension_nvme_tier", Artifact(extensions::extension_nvme_tier)),
         ("extension_checkpointing", Artifact(extensions::extension_checkpointing)),
         ("extension_grace_hopper", Artifact(extensions::extension_grace_hopper)),
         ("extension_grad_accumulation", Artifact(extensions::extension_grad_accumulation)),

@@ -63,7 +63,6 @@ mod calibration;
 mod explain;
 #[allow(unsafe_code)]
 mod lend;
-mod nvme;
 mod perf_model;
 mod pipeline;
 mod schedulers;
@@ -73,7 +72,6 @@ pub use dos_sync as sync;
 pub use arena::{ArenaPool, PooledF16, PooledF32};
 pub use calibration::{calibrate, calibrate_with, CalibrationReport, CalibrationSpread};
 pub use explain::{explain_schedule, ScheduleExplanation};
-pub use nvme::NvmeOffload;
 pub use perf_model::{PerfModel, SweepOutcome};
 pub use pipeline::{
     hybrid_update, hybrid_update_into, hybrid_update_pooled, take_fp16_buffer, DeviceFault,

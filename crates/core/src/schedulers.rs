@@ -14,8 +14,7 @@
 //! stride (Equation 1, §4.2), and [`UpdatePlan`] the only place a stride
 //! becomes a placement (Algorithm 1, §4.1: every k-th dynamic subgroup on
 //! the GPU, static residents at the tail). The threaded pipeline, the
-//! simulated schedulers, the NVMe tier, the controller's contention
-//! bookkeeping, `--explain` and the serving cost model all ask the plan
+//! simulated schedulers, the controller's contention bookkeeping, `--explain` and the serving cost model all ask the plan
 //! where subgroup `i` runs and how many run where. (`dos-oracle::perf`
 //! re-derives both on purpose: it is the independent reference the
 //! conformance matrix compares against.)
@@ -63,8 +62,8 @@ impl StridePolicy {
     /// stays on the CPU). `Fixed(k)` is clamped to at least 1; `Auto` and
     /// `Adaptive` take whatever Equation 1 source the caller hands in — a
     /// hardware profile's inputs in the simulator and the serving cost
-    /// model, the drive-capped inputs on the NVMe tier, a tenant's retune
-    /// loop in the coordinator, [`DEFAULT_STRIDE`] in the threaded pipeline.
+    /// model, a tenant's retune loop in the coordinator, [`DEFAULT_STRIDE`]
+    /// in the threaded pipeline.
     pub fn resolve(self, equation_1: impl FnOnce() -> Option<usize>) -> Option<usize> {
         match self {
             StridePolicy::Auto | StridePolicy::Adaptive => equation_1(),

@@ -130,9 +130,9 @@ impl ModelSpec {
         ]
     }
 
-    /// Models beyond the paper's evaluation, for the NVMe-offload
-    /// extension (§5.3 notes LLaMA-33B's optimizer state already exceeds
-    /// the testbed's 512 GB DRAM; §6 proposes NVMe offloading for them).
+    /// Models beyond the paper's evaluation whose host-offloaded optimizer
+    /// state overflows the testbed's 512 GB DRAM (§5.3 notes this for
+    /// LLaMA-33B): the subjects of the simulator's `host_oom` diagnostic.
     pub fn extended_zoo() -> Vec<ModelSpec> {
         let spec = |name: &str, nominal: f64, layers, hidden, heads| ModelSpec {
             name: name.to_string(),

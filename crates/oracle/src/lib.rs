@@ -185,5 +185,13 @@ mod tests {
         assert_eq!(o.models.len(), 5);
         assert_eq!(o.strides, vec![1, 2, 3, 4, 5]);
         assert_eq!(o.ratios.len(), 6);
+        // Per model: ZeRO-3 and cpu-only DOS once; per ratio TwinFlow, DOS
+        // auto and five fixed strides; ZenFlow at the five nonzero ratios.
+        let specs = perf::matrix_specs(&o.models, &o.strides, &o.ratios);
+        assert_eq!(specs.len(), 245);
+        for model in &o.models {
+            assert_eq!(specs.iter().filter(|(m, _, _)| m == model).count(), 49, "{model}");
+        }
+        assert!(specs.iter().all(|(_, k, _)| !format!("{k:?}").to_lowercase().contains("nvme")));
     }
 }

@@ -15,8 +15,7 @@
 use serde::{Deserialize, Serialize};
 
 use dos_core::{
-    DeepOptimizerStates, NvmeOffload, PerfModel, StridePolicy, TwinFlow, ZenFlowAsync,
-    Zero3Offload,
+    DeepOptimizerStates, PerfModel, StridePolicy, TwinFlow, ZenFlowAsync, Zero3Offload,
 };
 use dos_hal::HardwareProfile;
 use dos_nn::ModelSpec;
@@ -39,9 +38,6 @@ pub enum SchedulerKind {
     /// the cold bulk spills past the iteration barrier and the joined
     /// update phase is the hot subset only.
     ZenFlowAsync,
-    /// NVMe-tier streaming offload (ZeRO-Infinity-style CPU pipeline; the
-    /// auto stride refuses GPU interleaving on this tier).
-    NvmeOffload,
 }
 
 impl SchedulerKind {
@@ -51,7 +47,6 @@ impl SchedulerKind {
             SchedulerKind::TwinFlow => "twinflow",
             SchedulerKind::DeepOptimizerStates(_) => "deep-optimizer-states",
             SchedulerKind::ZenFlowAsync => "zenflow-async",
-            SchedulerKind::NvmeOffload => "nvme",
         }
     }
 
@@ -63,7 +58,6 @@ impl SchedulerKind {
             SchedulerKind::DeepOptimizerStates(StridePolicy::CpuOnly) => "cpu-only".to_string(),
             SchedulerKind::DeepOptimizerStates(StridePolicy::Fixed(k)) => format!("k={k}"),
             SchedulerKind::ZenFlowAsync => "S=1".to_string(),
-            SchedulerKind::NvmeOffload => "auto".to_string(),
         }
     }
 }
@@ -100,17 +94,12 @@ impl ToleranceBand {
 /// * ZenFlowAsync's joined update phase is just the hot subgroups
 ///   serialized on the GPU — a single-resource chain like ZeRO-3's, so
 ///   the band is near-exact (partial-subgroup rounding only).
-/// * The NVMe stream alternates reads and writes with each write gated on
-///   its CPU update; the closed form counts whole subgroups on the drive
-///   plus that per-subgroup CPU stall, leaving pipeline fill/tail effects
-///   inside a ±10% band.
 pub fn band_for(kind: SchedulerKind) -> ToleranceBand {
     match kind {
         SchedulerKind::Zero3Offload => ToleranceBand { lo: 0.99, hi: 1.01 },
         SchedulerKind::TwinFlow => ToleranceBand { lo: 0.98, hi: 1.02 },
         SchedulerKind::DeepOptimizerStates(_) => ToleranceBand { lo: 0.92, hi: 1.12 },
         SchedulerKind::ZenFlowAsync => ToleranceBand { lo: 0.98, hi: 1.02 },
-        SchedulerKind::NvmeOffload => ToleranceBand { lo: 0.90, hi: 1.10 },
     }
 }
 
@@ -234,15 +223,6 @@ pub fn predict_update_secs(cfg: &TrainConfig, kind: SchedulerKind) -> f64 {
             let hot_params: f64 = sgs[..n_static].iter().map(|s| s.len() as f64).sum();
             hot_params / inputs.ug
         }
-        SchedulerKind::NvmeOffload => {
-            // Reads and writes alternate on the single NVMe stream, and
-            // each subgroup's write waits for its CPU update (the
-            // downscale/H2D leg rides off the critical path): per subgroup
-            // 12S/read + S/Uc + 12S/write, whole-state totals below.
-            let read = 12.0 * params / cfg.profile.nvme_read_bw;
-            let write = 12.0 * params / cfg.profile.nvme_write_bw;
-            read + write + params / inputs.uc
-        }
     }
 }
 
@@ -290,14 +270,11 @@ pub fn evaluate_cell(
         SchedulerKind::Zero3Offload | SchedulerKind::TwinFlow | SchedulerKind::ZenFlowAsync => {
             TrainConfig::baseline(spec, profile.clone())
         }
-        SchedulerKind::DeepOptimizerStates(_) | SchedulerKind::NvmeOffload => {
+        SchedulerKind::DeepOptimizerStates(_) => {
             TrainConfig::deep_optimizer_states(spec, profile.clone())
         }
     };
     cfg.offload.gpu_resident_ratio = resident_ratio;
-    if kind == SchedulerKind::NvmeOffload {
-        cfg.offload.optimizer_on_nvme = true;
-    }
 
     let report = match kind {
         SchedulerKind::Zero3Offload => simulate_iteration(&cfg, &Zero3Offload),
@@ -309,7 +286,6 @@ pub fn evaluate_cell(
         SchedulerKind::ZenFlowAsync => {
             simulate_iteration(&cfg, &ZenFlowAsync::new(resident_ratio, 1))
         }
-        SchedulerKind::NvmeOffload => simulate_iteration(&cfg, &NvmeOffload::default()),
     }
     .expect("conformance simulation failed");
 
@@ -326,7 +302,7 @@ pub fn evaluate_cell(
 
 /// Enumerates every `(model, scheduler, ratio)` coordinate of the matrix
 /// without evaluating anything.
-fn matrix_specs(
+pub(crate) fn matrix_specs(
     models: &[String],
     strides: &[usize],
     ratios: &[f64],
@@ -339,7 +315,6 @@ fn matrix_specs(
             SchedulerKind::DeepOptimizerStates(StridePolicy::CpuOnly),
             0.0,
         ));
-        specs.push((model.clone(), SchedulerKind::NvmeOffload, 0.0));
         for &ratio in ratios {
             // Ratio 0 would leave the hot set (and the prediction) empty.
             if ratio > 0.0 {
@@ -523,27 +498,7 @@ mod tests {
     }
 
     #[test]
-    fn nvme_prediction_holds_on_the_streaming_tier() {
-        for model in ["7B", "20B"] {
-            let cell = evaluate_cell(
-                model,
-                &HardwareProfile::jlse_h100(),
-                SchedulerKind::NvmeOffload,
-                0.0,
-            );
-            assert!(
-                cell.conformant(),
-                "{model}: sim/pred {:.3} outside {:?} (sim {:.3}s pred {:.3}s)",
-                cell.ratio(),
-                cell.band,
-                cell.simulated_secs,
-                cell.predicted_secs
-            );
-        }
-    }
-
-    #[test]
-    fn matrix_includes_the_zenflow_and_nvme_arms() {
+    fn matrix_includes_the_zenflow_arm() {
         let specs = matrix_specs(&["20B".to_string()], &[2], &[0.0, 0.3]);
         let zen: Vec<_> = specs
             .iter()
@@ -551,10 +506,6 @@ mod tests {
             .collect();
         assert_eq!(zen.len(), 1, "zenflow only at nonzero ratios: {zen:?}");
         assert_eq!(zen[0].2, 0.3);
-        assert_eq!(
-            specs.iter().filter(|(_, k, _)| *k == SchedulerKind::NvmeOffload).count(),
-            1
-        );
     }
 
     #[test]

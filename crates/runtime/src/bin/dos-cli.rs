@@ -22,8 +22,7 @@
 //!   --json           emit the DivergenceReport as JSON instead of a table
 //!   --filter SUBSTR  only run cells whose coordinates contain SUBSTR,
 //!                    e.g. `20B/`, `zero3-offload`, `adamw/k=3`,
-//!                    `zenflow-async` (stall-free updates), `nvme/`
-//!                    (ZeRO-Infinity-style NVMe offload)
+//!                    `zenflow-async` (stall-free updates)
 //!
 //! chaos: run a seeded fault-injection campaign (device-worker kills,
 //! torn checkpoints, PCIe degradation windows, transient transfer

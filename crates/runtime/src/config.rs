@@ -99,10 +99,6 @@ pub struct RuntimeConfig {
     /// TwinFlow-style static GPU residency ratio in `[0, 1]`.
     #[serde(default)]
     pub gpu_resident_ratio: f64,
-    /// Offload the FP32 optimizer state to NVMe instead of host DRAM
-    /// (ZeRO-Infinity tier; §6 future work).
-    #[serde(default)]
-    pub nvme_offload: bool,
     /// Activation checkpointing (paper default: on).
     #[serde(default = "default_true")]
     pub activation_checkpointing: bool,
@@ -201,7 +197,6 @@ impl RuntimeConfig {
                 gpu_resident_ratio: self.gpu_resident_ratio,
                 activation_checkpointing: self.activation_checkpointing,
                 subgroup_params: self.subgroup_size,
-                optimizer_on_nvme: self.nvme_offload,
             },
             gradient_path: if dos.enabled && dos.fp32_gradient_path {
                 GradientPath::Fp32OnGpu

@@ -1,6 +1,6 @@
 //! Simulation entry points driven by a [`RuntimeConfig`].
 
-use dos_core::{DeepOptimizerStates, NvmeOffload, TwinFlow, Zero3Offload};
+use dos_core::{DeepOptimizerStates, TwinFlow, Zero3Offload};
 use dos_sim::{
     simulate_iteration_with, simulate_training, IterationOptions, IterationReport,
     TrainingReport, UpdateScheduler,
@@ -15,12 +15,6 @@ use crate::config::{ConfigError, RuntimeConfig};
 /// and a zero ratio selects plain ZeRO-3 CPU offload — matching how a
 /// DeepSpeed user would fall back.
 pub fn scheduler_for(config: &RuntimeConfig) -> Box<dyn UpdateScheduler> {
-    if config.nvme_offload {
-        return Box::new(NvmeOffload {
-            interleave: config.deep_optimizer_states.enabled,
-            stride: config.deep_optimizer_states.update_stride,
-        });
-    }
     if config.deep_optimizer_states.enabled {
         Box::new(DeepOptimizerStates {
             stride: config.deep_optimizer_states.update_stride,
@@ -141,24 +135,6 @@ mod tests {
         let fast = run_iteration(&on).unwrap();
         let slow = run_iteration(&off).unwrap();
         assert!(slow.total_secs / fast.total_secs > 1.8);
-    }
-
-    #[test]
-    fn nvme_offload_selects_the_nvme_scheduler() {
-        let cfg = RuntimeConfig::from_json(
-            r#"{ "model": "33B", "nvme_offload": true }"#,
-        )
-        .unwrap();
-        assert_eq!(scheduler_for(&cfg).name(), "dos-nvme-offload");
-        let r = run_iteration(&cfg).unwrap();
-        assert!(r.host_oom.is_none(), "NVMe tier must fit 33B: {:?}", r.host_oom);
-
-        let plain = RuntimeConfig::from_json(
-            r#"{ "model": "33B", "nvme_offload": true,
-                 "deep_optimizer_states": { "enabled": false } }"#,
-        )
-        .unwrap();
-        assert_eq!(scheduler_for(&plain).name(), "zero-infinity-nvme");
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub struct IterationReport {
     /// Out-of-memory diagnostic, if the configuration overflows HBM.
     pub oom: Option<String>,
     /// Out-of-memory diagnostic for the host DRAM tier (e.g., a 33B model's
-    /// optimizer state without NVMe offloading).
+    /// optimizer state on the paper's 512 GB testbed).
     pub host_oom: Option<String>,
     /// Resource busy fractions during the update phase.
     pub update_utilization: ResourceUtilization,

@@ -35,7 +35,6 @@ pub struct IterationScenario {
     subgroups: Vec<SubgroupSpec>,
     nvlink_stream: StreamId,
     flush_stream: StreamId,
-    nvme_stream: StreamId,
     iteration: usize,
     micro_step: usize,
 }
@@ -62,7 +61,6 @@ impl IterationScenario {
         let mut rank = RankSim::new(&cfg.profile);
         let nvlink_stream = rank.sim.add_stream("nvlink");
         let flush_stream = rank.sim.add_stream("grad-flush");
-        let nvme_stream = rank.sim.add_stream("nvme");
         let part = ZeroPartition::new(cfg.stage, cfg.world, dp_rank);
         let total = cfg.spec.param_count() as usize;
         let subgroups = part.subgroups(total, cfg.offload.subgroup_params);
@@ -74,16 +72,9 @@ impl IterationScenario {
         if static_bytes > 0 {
             rank.hbm.alloc(SimTime::ZERO, static_bytes, "static-optimizer");
         }
-        // Host-side optimizer state + FP32 gradient buffer. With the NVMe
-        // tier the host keeps only a 4-subgroup staging window.
+        // Host-side optimizer state + FP32 gradient buffer.
         let per_rank = (total / cfg.world) as u64;
-        let host_opt = if cfg.offload.optimizer_on_nvme {
-            (12 * cfg.offload.subgroup_params as u64 * 4)
-                .min(12 * per_rank - static_bytes)
-        } else {
-            12 * per_rank - static_bytes
-        };
-        rank.dram.alloc(SimTime::ZERO, host_opt, "host-optimizer");
+        rank.dram.alloc(SimTime::ZERO, 12 * per_rank - static_bytes, "host-optimizer");
         rank.dram.alloc(SimTime::ZERO, 4 * per_rank, "host-grads");
         // Pinned FP16 staging (downscaled params awaiting H2D + flush window).
         rank.dram.alloc(SimTime::ZERO, 2 * per_rank, "host-pinned-staging");
@@ -94,7 +85,6 @@ impl IterationScenario {
             subgroups,
             nvlink_stream,
             flush_stream,
-            nvme_stream,
             iteration: 0,
             micro_step: 0,
         }
@@ -618,55 +608,6 @@ impl IterationScenario {
         let t = self.rank.sim.finish_time(join);
         self.rank.hbm.free(t, sg.optimizer_bytes(), format!("sg-buffer:{}", sg.id));
         Ok(FlushHandles { params_ready: halve, flushed: join })
-    }
-
-    /// Reads one subgroup's FP32 optimizer state (p, m, v) from NVMe into
-    /// the host staging window (ZeRO-Infinity tier; §6 future work).
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn nvme_read_subgroup(
-        &mut self,
-        sg: &SubgroupSpec,
-        after: &[OpId],
-    ) -> Result<OpId, SimError> {
-        let bytes = sg.optimizer_bytes() as f64;
-        self.rank.sim.submit(
-            OpSpec::occupy(
-                self.rank.res.nvme,
-                SimTime::from_secs(bytes / self.cfg.profile.nvme_read_bw),
-                bytes,
-            )
-            .on(self.nvme_stream)
-            .after_all(after.iter().copied())
-            .label(format!("nvme-read:sg{}", sg.id))
-            .phase("update"),
-        )
-    }
-
-    /// Writes one subgroup's updated FP32 state back to NVMe.
-    ///
-    /// # Errors
-    ///
-    /// Propagates engine errors.
-    pub fn nvme_write_subgroup(
-        &mut self,
-        sg: &SubgroupSpec,
-        after: &[OpId],
-    ) -> Result<OpId, SimError> {
-        let bytes = sg.optimizer_bytes() as f64;
-        self.rank.sim.submit(
-            OpSpec::occupy(
-                self.rank.res.nvme,
-                SimTime::from_secs(bytes / self.cfg.profile.nvme_write_bw),
-                bytes,
-            )
-            .on(self.nvme_stream)
-            .after_all(after.iter().copied())
-            .label(format!("nvme-write:sg{}", sg.id))
-            .phase("update"),
-        )
     }
 
     /// Converts the engine trace into a telemetry [`Timeline`].

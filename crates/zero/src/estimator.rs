@@ -25,10 +25,6 @@ pub struct OffloadConfig {
     pub activation_checkpointing: bool,
     /// Subgroup size in parameters (paper default: 100 M).
     pub subgroup_params: usize,
-    /// Push the FP32 optimizer state one tier further, to NVMe
-    /// (ZeRO-Infinity style; the paper's §6 future work). The host then
-    /// holds only a small staging window of subgroups.
-    pub optimizer_on_nvme: bool,
 }
 
 impl Default for OffloadConfig {
@@ -37,7 +33,6 @@ impl Default for OffloadConfig {
             gpu_resident_ratio: 0.0,
             activation_checkpointing: true,
             subgroup_params: 100_000_000,
-            optimizer_on_nvme: false,
         }
     }
 }
@@ -146,14 +141,6 @@ impl MemoryEstimator {
         let optimizer_total = 12 * per_rank_params;
         let gpu_optimizer_static =
             (optimizer_total as f64 * self.offload.gpu_resident_ratio) as u64;
-        let offloaded = optimizer_total - gpu_optimizer_static;
-        // On NVMe, the host keeps a staging window of 4 subgroups instead
-        // of the full state.
-        let host_optimizer = if self.offload.optimizer_on_nvme {
-            (12 * self.offload.subgroup_params as u64 * 4).min(offloaded)
-        } else {
-            offloaded
-        };
 
         RankMemory {
             gpu_params: part.gpu_param_bytes(p),
@@ -162,7 +149,7 @@ impl MemoryEstimator {
             gpu_recompute_workspace,
             gpu_optimizer_static,
             gpu_subgroup_buffer: 12 * self.offload.subgroup_params as u64,
-            host_optimizer,
+            host_optimizer: optimizer_total - gpu_optimizer_static,
             host_grads: 4 * per_rank_params,
             host_staging: 2 * per_rank_params,
         }
