@@ -98,18 +98,6 @@ impl ModelSpec {
         2.0 * p * tokens + attn
     }
 
-    /// FLOPs of one backward pass (2× forward), optionally with the 33 %
-    /// recomputation overhead of activation checkpointing (§5.3: "at the
-    /// expense of 33 % additional recomputations during the backward pass").
-    pub fn backward_flops(&self, micro_batch: usize, activation_checkpointing: bool) -> f64 {
-        let f = self.forward_flops(micro_batch);
-        if activation_checkpointing {
-            2.0 * f + f // recompute forward once more
-        } else {
-            2.0 * f
-        }
-    }
-
     /// The five evaluation models of Table 2.
     pub fn table2_zoo() -> Vec<ModelSpec> {
         let spec = |name: &str, nominal: f64, layers, hidden, heads| ModelSpec {
@@ -221,8 +209,6 @@ mod tests {
         let f1 = m.forward_flops(1);
         let f2 = m.forward_flops(2);
         assert!((f2 / f1 - 2.0).abs() < 1e-9);
-        assert!(m.backward_flops(1, false) > f1);
-        assert!(m.backward_flops(1, true) > m.backward_flops(1, false));
     }
 
     #[test]

@@ -59,5 +59,5 @@ pub use layernorm::LayerNorm;
 pub use linear::Linear;
 pub use loss::cross_entropy;
 pub use mlp::Mlp;
-pub use model::{Gpt, GptConfig, SamplingConfig};
+pub use model::{Gpt, GptConfig};
 pub use param::{Param, Params, VisitParams};

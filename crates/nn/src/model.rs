@@ -250,12 +250,12 @@ impl Gpt {
     ///
     /// `temperature == 0` is greedy decoding; otherwise logits are divided
     /// by the temperature and sampled. The context is truncated to the last
-    /// `max_seq` tokens as it grows. Equivalent to
-    /// [`Gpt::generate_with`] with an unrestricted [`SamplingConfig`].
+    /// `max_seq` tokens as it grows.
     ///
     /// # Panics
     ///
-    /// Panics if `prompt` is empty or contains out-of-vocabulary ids.
+    /// Panics if `prompt` is empty, contains out-of-vocabulary ids, or
+    /// `temperature` is negative.
     pub fn generate<R: Rng>(
         &mut self,
         prompt: &[usize],
@@ -263,112 +263,46 @@ impl Gpt {
         temperature: f32,
         rng: &mut R,
     ) -> Vec<usize> {
-        self.generate_with(
-            prompt,
-            max_new,
-            SamplingConfig { temperature, top_k: None, top_p: None },
-            rng,
-        )
-    }
-
-    /// Autoregressive generation with full sampling controls (temperature,
-    /// top-k truncation, top-p nucleus sampling).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `prompt` is empty, contains out-of-vocabulary ids, or the
-    /// sampling configuration is invalid.
-    pub fn generate_with<R: Rng>(
-        &mut self,
-        prompt: &[usize],
-        max_new: usize,
-        sampling: SamplingConfig,
-        rng: &mut R,
-    ) -> Vec<usize> {
         assert!(!prompt.is_empty(), "prompt must not be empty");
-        sampling.validate();
+        assert!(temperature >= 0.0, "temperature must be non-negative");
         let mut tokens = prompt.to_vec();
         for _ in 0..max_new {
             let start = tokens.len().saturating_sub(self.cfg.max_seq);
             let context = &tokens[start..];
             let logits = self.forward(context, 1, context.len());
             let last = &logits[(context.len() - 1) * self.cfg.vocab_size..];
-            tokens.push(sampling.pick(last, rng));
+            tokens.push(pick(last, temperature, rng));
         }
         tokens
     }
 }
 
-/// Decoding controls for [`Gpt::generate_with`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SamplingConfig {
-    /// Softmax temperature; `0` means greedy decoding.
-    pub temperature: f32,
-    /// Keep only the k most likely tokens before sampling.
-    pub top_k: Option<usize>,
-    /// Keep the smallest set of tokens whose cumulative probability reaches
-    /// `p` (nucleus sampling).
-    pub top_p: Option<f32>,
-}
-
-impl SamplingConfig {
-    /// Greedy decoding.
-    pub fn greedy() -> SamplingConfig {
-        SamplingConfig { temperature: 0.0, top_k: None, top_p: None }
+/// Picks the next token from a logit row: the argmax at temperature 0,
+/// otherwise a draw from the softmax at `temperature`, walking the
+/// candidates from most to least likely.
+fn pick<R: Rng>(logits: &[f32], temperature: f32, rng: &mut R) -> usize {
+    if temperature <= 0.0 {
+        return logits
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
+            .map(|(i, _)| i)
+            .expect("non-empty vocab");
     }
-
-    fn validate(&self) {
-        assert!(self.temperature >= 0.0, "temperature must be non-negative");
-        if let Some(k) = self.top_k {
-            assert!(k > 0, "top_k must be positive");
+    let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+    let mut weights: Vec<f32> = logits.iter().map(|&v| (v - max) / temperature).collect();
+    dos_tensor::simd::exp(&mut weights);
+    let mut entries: Vec<(usize, f32)> = weights.into_iter().enumerate().collect();
+    entries.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
+    let total: f32 = entries.iter().map(|(_, w)| w).sum();
+    let mut u: f32 = rng.gen::<f32>() * total;
+    for (i, w) in &entries {
+        if u <= *w {
+            return *i;
         }
-        if let Some(p) = self.top_p {
-            assert!((0.0..=1.0).contains(&p) && p > 0.0, "top_p must be in (0, 1]");
-        }
+        u -= w;
     }
-
-    /// Picks the next token from a logit row.
-    fn pick<R: Rng>(&self, logits: &[f32], rng: &mut R) -> usize {
-        if self.temperature <= 0.0 {
-            return logits
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite logits"))
-                .map(|(i, _)| i)
-                .expect("non-empty vocab");
-        }
-        // Probabilities at the given temperature, as (index, weight).
-        let max = logits.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut weights: Vec<f32> = logits.iter().map(|&v| (v - max) / self.temperature).collect();
-        dos_tensor::simd::exp(&mut weights);
-        let mut entries: Vec<(usize, f32)> = weights.into_iter().enumerate().collect();
-        entries.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite weights"));
-        if let Some(k) = self.top_k {
-            entries.truncate(k.max(1));
-        }
-        if let Some(p) = self.top_p {
-            let total: f32 = entries.iter().map(|(_, w)| w).sum();
-            let mut cum = 0.0;
-            let mut keep = entries.len();
-            for (n, (_, w)) in entries.iter().enumerate() {
-                cum += w / total;
-                if cum >= p {
-                    keep = n + 1;
-                    break;
-                }
-            }
-            entries.truncate(keep);
-        }
-        let total: f32 = entries.iter().map(|(_, w)| w).sum();
-        let mut u: f32 = rng.gen::<f32>() * total;
-        for (i, w) in &entries {
-            if u <= *w {
-                return *i;
-            }
-            u -= w;
-        }
-        entries.last().expect("at least one candidate").0
-    }
+    entries.last().expect("at least one candidate").0
 }
 
 impl VisitParams for Gpt {
@@ -639,57 +573,5 @@ mod loss_scaling_tests {
         let l3 = both.loss_and_backward_with(&tokens, &targets, 1, 4, Some(1024.0), true);
         assert_eq!(l1, l3);
         assert_eq!(both.gather_grads(), g2, "scaled + recomputed == scaled, bitwise");
-    }
-}
-
-#[cfg(test)]
-mod sampling_tests {
-    use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    #[test]
-    fn top_k_one_equals_greedy() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut m = Gpt::new(GptConfig::tiny(), &mut rng);
-        let cfg = SamplingConfig { temperature: 1.0, top_k: Some(1), top_p: None };
-        let mut r1 = StdRng::seed_from_u64(1);
-        let topk = m.generate_with(&[1, 2], 6, cfg, &mut r1);
-        let mut r2 = StdRng::seed_from_u64(2);
-        let greedy = m.generate_with(&[1, 2], 6, SamplingConfig::greedy(), &mut r2);
-        assert_eq!(topk, greedy, "top-k=1 must reduce to greedy");
-    }
-
-    #[test]
-    fn top_k_restricts_candidates() {
-        // Direct pick() check on a synthetic logit row.
-        let logits = vec![0.0f32, 5.0, 4.0, -2.0, 3.0];
-        let cfg = SamplingConfig { temperature: 1.0, top_k: Some(2), top_p: None };
-        let mut rng = StdRng::seed_from_u64(3);
-        for _ in 0..50 {
-            let pick = cfg.pick(&logits, &mut rng);
-            assert!(pick == 1 || pick == 2, "pick {pick} outside top-2");
-        }
-    }
-
-    #[test]
-    fn nucleus_keeps_high_probability_mass() {
-        // One dominant token: tiny p keeps only it.
-        let logits = vec![10.0f32, 0.0, 0.0, 0.0];
-        let cfg = SamplingConfig { temperature: 1.0, top_k: None, top_p: Some(0.5) };
-        let mut rng = StdRng::seed_from_u64(4);
-        for _ in 0..20 {
-            assert_eq!(cfg.pick(&logits, &mut rng), 0);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "top_p must be in (0, 1]")]
-    fn top_p_validated() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let mut m = Gpt::new(GptConfig::tiny(), &mut rng);
-        let cfg = SamplingConfig { temperature: 1.0, top_k: None, top_p: Some(1.5) };
-        let mut r = StdRng::seed_from_u64(0);
-        let _ = m.generate_with(&[1], 1, cfg, &mut r);
     }
 }
