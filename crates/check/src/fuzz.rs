@@ -39,8 +39,7 @@ use dos_optim::{MixedPrecisionState, UpdateRule};
 use dos_oracle::perf::{evaluate_cell, SchedulerKind};
 use dos_train::Trainer;
 
-/// The model names fuzz cases draw from (Table 2 zoo + the extended zoo's
-/// 33B, whose optimizer state overflows host DRAM).
+/// The model names fuzz cases draw from (Table 2 zoo + the host-DRAM-overflowing 33B).
 const MODELS: &[&str] = &["7B", "8.3B", "10B", "13B", "20B", "33B"];
 
 /// One fuzz configuration; everything needed to reproduce both arms.
