@@ -14,10 +14,11 @@
 //! stride (Equation 1, §4.2), and [`UpdatePlan`] the only place a stride
 //! becomes a placement (Algorithm 1, §4.1: every k-th dynamic subgroup on
 //! the GPU, static residents at the tail). The threaded pipeline, the
-//! simulated schedulers, the controller's contention bookkeeping, `--explain` and the serving cost model all ask the plan
-//! where subgroup `i` runs and how many run where. (`dos-oracle::perf`
-//! re-derives both on purpose: it is the independent reference the
-//! conformance matrix compares against.)
+//! simulated schedulers, the controller's contention bookkeeping,
+//! `--explain` and the serving cost model all ask the plan where subgroup
+//! `i` runs and how many run where. (`dos-oracle::perf` re-derives both on
+//! purpose: it is the independent reference the conformance matrix
+//! compares against.)
 
 use std::cell::RefCell;
 use std::collections::VecDeque;

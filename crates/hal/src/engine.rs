@@ -53,7 +53,7 @@ pub enum ResourceKind {
     LinkD2D,
     /// Host DRAM bandwidth (allocation, memcpy, conversion on host).
     HostMemory,
-    /// NVMe storage bandwidth (checkpointing / optional offload tier).
+    /// NVMe storage bandwidth (checkpoint writes and restores).
     Nvme,
 }
 

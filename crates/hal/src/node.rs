@@ -32,7 +32,7 @@ pub struct RankResources {
     /// Host DRAM bandwidth share (bytes) — models allocation and host-side
     /// conversion contention.
     pub host_mem: ResourceId,
-    /// NVMe bandwidth (bytes) for checkpoint/offload extensions.
+    /// NVMe bandwidth (bytes) for checkpoint writes.
     pub nvme: ResourceId,
 }
 

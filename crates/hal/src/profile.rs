@@ -101,7 +101,7 @@ pub struct HardwareProfile {
     pub dram_contention_cpu_factor: f64,
     /// Fixed kernel-launch / DMA-setup latency per operation.
     pub op_latency: SimTime,
-    /// NVMe read bandwidth, bytes/s (checkpoint/offload extension).
+    /// NVMe read bandwidth, bytes/s (prices checkpoint restores).
     pub nvme_read_bw: f64,
     /// NVMe write bandwidth, bytes/s.
     pub nvme_write_bw: f64,
