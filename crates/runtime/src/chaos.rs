@@ -21,6 +21,7 @@
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use dos_collectives::TransportFaultPlan;
@@ -251,10 +252,14 @@ pub fn with_quiet_injected_panics<T>(f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Runs `f` over a fresh per-process, per-seed scratch directory and
-/// removes it afterwards, whatever the verdict.
+/// Runs `f` over a fresh scratch directory of its own and removes it
+/// afterwards, whatever the verdict. The name counts calls, so campaigns
+/// that run at once in one process (same tag and seed) never share one.
 fn with_scratch_dir<T>(tag: &str, seed: u64, f: impl FnOnce(&Path) -> T) -> T {
-    let dir = std::env::temp_dir().join(format!("dos-chaos-{tag}-{}-{seed:x}", std::process::id()));
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir()
+        .join(format!("dos-chaos-{tag}-{}-{seed:x}-{call}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let out = f(&dir);
     let _ = std::fs::remove_dir_all(&dir);
