@@ -120,11 +120,9 @@ impl CheckReport {
             self.fuzz.corpus_replayed,
             self.fuzz.failures.len()
         ));
-        out.push_str(&format!(
-            "hygiene: {} files scanned, {} facade bypass(es)\n",
-            self.hygiene.scanned_files,
-            self.hygiene.findings.len()
-        ));
+        // The file count stays in `--json`: here it would make any added or
+        // deleted file change this output.
+        out.push_str(&format!("hygiene: {} facade bypass(es)\n", self.hygiene.findings.len()));
         for f in &self.hygiene.findings {
             out.push_str(&format!("  FAIL {}:{} raw std::sync {}: {}\n", f.file, f.line, f.pattern, f.snippet));
         }

@@ -200,6 +200,12 @@ fn worker_lifetime_scenarios_clear_five_hundred_distinct_schedules() {
     assert_eq!(report.scenarios.len(), CheckScenario::worker_suite().len());
     assert!(report.scenarios.iter().all(|s| s.scenario.starts_with("plw-")));
     assert!(report.scenarios.iter().all(|s| s.completed > 0), "{}", report.render_human());
+    // The text says what the hygiene scan found; how many files it read is
+    // in the JSON only, so adding a file does not change the text.
+    let human = report.render_human();
+    assert!(human.lines().any(|l| l == "hygiene: 0 facade bypass(es)"), "{human}");
+    assert!(!human.contains("files scanned"), "{human}");
+    assert!(report.render_json().contains("\"scanned_files\""));
 }
 
 #[test]
