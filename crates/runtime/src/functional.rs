@@ -338,16 +338,22 @@ pub fn train_functional(
         let mut init = Gpt::new(cfg.model.clone(), &mut StdRng::seed_from_u64(cfg.seed));
         init.params_mut().pad_to_multiple(world);
         init.reserve(cfg.micro_batch, dataset.seq_len());
+        // Each rank's optimizer shard is built here too, fresh or from the
+        // snapshot restored into the shared initial model, for the same
+        // reason.
+        let restored = resume.as_ref().map(|ckpt| restore(ckpt, &mut init)).transpose()?;
+        let states: Vec<_> =
+            (0..world).map(|rank| shard_state(cfg, &init, restored.as_ref(), rank, world)).collect();
         let models = std::iter::repeat_n(init, comms.len());
         let run: Result<Vec<RankRun>, TrainError> =
             std::thread::scope(|scope| {
-                let resume_ref = resume.as_ref();
+                let resume_at = resume.as_ref().map_or(0, |c| c.iteration);
                 let handles: Vec<_> = comms
                     .into_iter()
-                    .zip(models)
-                    .map(|(comm, model)| {
+                    .zip(models.zip(states))
+                    .map(|(comm, (model, state))| {
                         scope.spawn(move || {
-                            run_rank(cfg, dataset, model, remaining, comm, resume_ref)
+                            run_rank(cfg, dataset, model, state, remaining, comm, resume_at)
                         })
                     })
                     .collect();
@@ -502,14 +508,60 @@ fn iteration_events(tracer: &Tracer, mark: f64, shared: bool) -> Vec<TraceEvent>
 /// degraded-step count).
 type RankRun = (Vec<f32>, Vec<f32>, usize);
 
-/// One rank's training loop, from its copy of the seeded initial model.
+/// Restores `ckpt` into `model`; returns the full optimizer state to shard.
+fn restore(ckpt: &TrainingCheckpoint, model: &mut Gpt) -> Result<MixedPrecisionState, TrainError> {
+    let restored = ckpt.restore(model)?;
+    if restored.len() != model.num_params() {
+        return Err(CheckpointError::ShapeMismatch {
+            expected: model.num_params(),
+            got: restored.len(),
+        }
+        .into());
+    }
+    Ok(restored)
+}
+
+/// Rank `rank`'s ZeRO-style optimizer shard: the state of its range of the
+/// flat parameter space, padded to a multiple of the world so that the
+/// collectives run on the model's own buffers.
+fn shard_state(
+    cfg: &FunctionalConfig,
+    model: &Gpt,
+    restored: Option<&MixedPrecisionState>,
+    rank: usize,
+    world: usize,
+) -> MixedPrecisionState {
+    let shard = rank_range(model.num_params().next_multiple_of(world), rank, world);
+    // This rank's shard of a full-space vector zero-padded the same way.
+    let sharded = |v: &[f32]| shard.clone().map(|i| v.get(i).copied().unwrap_or(0.0)).collect();
+    match restored {
+        // Snapshots hold the full optimizer state, so any world size can
+        // resume from this world's shard of it. The pad region's state is
+        // exactly what a fresh run carries there (zero grads keep zero
+        // m/v, so the pad never moves), making re-sharded resume
+        // bitwise-correct.
+        Some(full) => MixedPrecisionState::from_parts(
+            sharded(full.params()),
+            sharded(full.momentum()),
+            sharded(full.variance()),
+            full.rule(),
+            full.lr(),
+            full.step_count(),
+        ),
+        None => MixedPrecisionState::new(sharded(model.params().weights()), cfg.rule, cfg.lr),
+    }
+}
+
+/// One rank's training loop, from its copy of the seeded initial model and
+/// its optimizer shard, `resume_at` iterations into the run.
 fn run_rank(
     cfg: &FunctionalConfig,
     dataset: &TokenDataset,
     mut model: Gpt,
+    state: MixedPrecisionState,
     iterations: usize,
     comm: Communicator,
-    resume: Option<&TrainingCheckpoint>,
+    resume_at: usize,
 ) -> Result<RankRun, TrainError> {
     let rank = comm.rank();
     let world = comm.world_size();
@@ -517,45 +569,12 @@ fn run_rank(
         t.set_thread_track(&format!("rank{rank}"));
     }
     let mut loader = DataLoader::new(rank, world, cfg.micro_batch, cfg.seed ^ 0x5EED);
-
-    // ZeRO-style shard: this rank owns the optimizer state of its range of
-    // the flat parameter space, which arrives padded to a multiple of the
-    // world so that the collectives below run on the model's own buffers.
+    // Fast-forward the data stream past the iterations already done, so a
+    // resumed run sees the batches an uninterrupted one would.
+    for _ in 0..resume_at {
+        let _ = loader.next_batch(dataset);
+    }
     let shard = rank_range(model.num_params().next_multiple_of(world), rank, world);
-    // This rank's shard of a full-space vector zero-padded the same way.
-    let sharded = |v: &[f32]| shard.clone().map(|i| v.get(i).copied().unwrap_or(0.0)).collect();
-    let resume_at = resume.map_or(0, |c| c.iteration);
-    let state = match resume {
-        // Snapshots hold the full optimizer state, so any world size can
-        // resume from this world's shard of it. The pad region's state is
-        // exactly what a fresh run carries there (zero grads keep zero
-        // m/v, so the pad never moves), making re-sharded resume
-        // bitwise-correct.
-        Some(ckpt) => {
-            let restored = ckpt.restore(&mut model)?;
-            if restored.len() != model.num_params() {
-                return Err(CheckpointError::ShapeMismatch {
-                    expected: model.num_params(),
-                    got: restored.len(),
-                }
-                .into());
-            }
-            // Fast-forward the data stream past the iterations already done
-            // so the resumed run sees the batches an uninterrupted one would.
-            for _ in 0..ckpt.iteration {
-                let _ = loader.next_batch(dataset);
-            }
-            MixedPrecisionState::from_parts(
-                sharded(restored.params()),
-                sharded(restored.momentum()),
-                sharded(restored.variance()),
-                restored.rule(),
-                restored.lr(),
-                restored.step_count(),
-            )
-        }
-        None => MixedPrecisionState::new(sharded(model.params().weights()), cfg.rule, cfg.lr),
-    };
     // Adaptive stride: each rank runs a wall-clock tuner that re-solves
     // Equation 1 from the pipeline's own spans every iteration. Stride
     // changes never affect the numerics (§4.1), so ranks may retune
