@@ -238,13 +238,21 @@ pub(crate) fn matmul_a_bt_with(
     // outputs accumulated together, each still one `q`-ascending chain.
     // `bᵀ` is written panel by panel — the `n × w` block of columns
     // `j0..j0 + w` contiguous, in the order `gemm` reads it — so a tile's
-    // panel is one dense run of memory instead of `n` rows `k` apart.
+    // panel is one dense run of memory instead of `n` rows `k` apart. A
+    // panel outgrows L1d, so it is written `QB` values of `q` at a time:
+    // that block's source lines and destination lines both stay resident.
+    const QB: usize = 16;
     bt.resize(n * k, 0.0);
-    for (p, brow) in b.chunks_exact(n.max(1)).enumerate() {
-        let (j0, t) = (p - p % TILE, p % TILE);
+    for j0 in (0..k).step_by(TILE) {
         let w = TILE.min(k - j0);
-        for (q, &bv) in brow.iter().enumerate() {
-            bt[j0 * n + q * w + t] = bv;
+        let panel = &mut bt[j0 * n..][..n * w];
+        for q0 in (0..n).step_by(QB) {
+            for t in 0..w {
+                let src = &b[(j0 + t) * n..][q0..n.min(q0 + QB)];
+                for (q, &bv) in (q0..).zip(src) {
+                    panel[q * w + t] = bv;
+                }
+            }
         }
     }
     let bt = &bt[..];
