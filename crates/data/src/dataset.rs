@@ -31,9 +31,10 @@ impl TokenDataset {
     /// Panics if `seq_len` is zero.
     pub fn pack(corpus: &Corpus, tokenizer: &BpeTokenizer, seq_len: usize) -> TokenDataset {
         assert!(seq_len > 0, "seq_len must be positive");
+        let ranks = tokenizer.ranks();
         let mut stream: Vec<usize> = Vec::new();
         for r in corpus.records() {
-            stream.extend(tokenizer.encode(&r.text).into_iter().map(|t| t as usize));
+            stream.extend(tokenizer.encode_ranked(&ranks, &r.text).into_iter().map(|t| t as usize));
         }
         let stride = seq_len + 1;
         let sequences = stream.chunks_exact(stride).map(|c| c.to_vec()).collect();
@@ -220,6 +221,21 @@ mod tests {
         assert!(!ds.is_empty());
         let (x, _) = ds.sample(0);
         assert!(x.iter().all(|&t| t < tok.vocab_size()));
+    }
+
+    /// The stream `train_dp2`'s data path packs, captured from the
+    /// one-pass-per-merge trainer and encoder.
+    #[test]
+    fn packed_corpus_streams_are_pinned() {
+        for (seed, want) in
+            [(7, 0x2ce6_b668_fdf3_4fa4), (11, 0x2cd2_9859_7248_46f9), (23, 0xe806_16b8_646c_618a)]
+        {
+            let corpus = Corpus::synthetic(seed, 400);
+            let tok = BpeTokenizer::train(&corpus.joined_text(), 512);
+            let ds = TokenDataset::pack(&corpus, &tok, 32);
+            let got = crate::bpe::tests::fnv1a(ds.sequences.concat().into_iter().map(|t| t as u64));
+            assert_eq!(got, want, "seed {seed}: stream digest {got:#018x}");
+        }
     }
 
     #[test]
