@@ -258,16 +258,17 @@ impl BpeTokenizer {
     ///
     /// # Errors
     ///
-    /// Returns I/O or deserialization errors, and
-    /// [`std::io::ErrorKind::InvalidData`] for a file no training writes: a
-    /// vocabulary other than the 256 bytes plus one entry per merge, a merge
-    /// naming an id at or above its own, or an entry other than its byte or
-    /// the bytes of its merge's halves.
+    /// Returns I/O errors, and [`std::io::ErrorKind::InvalidData`] for a
+    /// file no training writes: one that does not parse, a vocabulary other
+    /// than the 256 bytes plus one entry per merge, a merge naming an id at
+    /// or above its own, or an entry other than its byte or the bytes of its
+    /// merge's halves.
     pub fn load(path: &std::path::Path) -> std::io::Result<BpeTokenizer> {
-        let file = std::fs::File::open(path)?;
-        let tok: BpeTokenizer = serde_json::from_reader(std::io::BufReader::new(file))
-            .map_err(std::io::Error::other)?;
-        tok.validate().map_err(|msg| std::io::Error::new(std::io::ErrorKind::InvalidData, msg))?;
+        let invalid = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+        let bytes = std::fs::read(path)?;
+        let tok: BpeTokenizer =
+            serde_json::from_slice(&bytes).map_err(|e| invalid(e.to_string()))?;
+        tok.validate().map_err(invalid)?;
         Ok(tok)
     }
 
@@ -523,6 +524,18 @@ pub(crate) mod tests {
 
     fn trained() -> BpeTokenizer {
         BpeTokenizer::train("persistence persistence persist", 300)
+    }
+
+    #[test]
+    fn load_refuses_a_file_that_does_not_parse() {
+        let path = saved(&trained(), "truncated");
+        let json = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &json[..json.len() / 2]).unwrap();
+        let err = BpeTokenizer::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let missing = std::env::temp_dir().join("dos-bpe-no-such-file.json");
+        assert_eq!(BpeTokenizer::load(&missing).unwrap_err().kind(), std::io::ErrorKind::NotFound);
     }
 
     #[test]
