@@ -173,18 +173,10 @@ impl BpeTokenizer {
 
     /// Encodes text into token ids.
     pub fn encode(&self, text: &str) -> Vec<u32> {
-        self.encode_ranked(&self.ranks(), text)
-    }
-
-    /// Each merge's rank by its pair; of a repeated pair the first, as
-    /// the later ones never find it.
-    pub(crate) fn ranks(&self) -> HashMap<(u32, u32), u32> {
-        self.merges.iter().enumerate().rev().map(|(rank, &pair)| (pair, rank as u32)).collect()
-    }
-
-    /// [`BpeTokenizer::encode`] with the ranks of [`BpeTokenizer::ranks`],
-    /// built once by a caller that encodes many texts.
-    pub(crate) fn encode_ranked(&self, ranks: &HashMap<(u32, u32), u32>, text: &str) -> Vec<u32> {
+        // Each merge's rank by its pair; of a repeated pair the first, as
+        // the later ones never find it.
+        let ranks: HashMap<(u32, u32), u32> =
+            self.merges.iter().enumerate().rev().map(|(rank, &pair)| (pair, rank as u32)).collect();
         let mut chain = Chain::new(text);
         // Keyed `rank << 32 | position`, lowest first: the merges' passes
         // in training order, each left to right. A merge only creates pairs
@@ -473,9 +465,8 @@ pub(crate) mod tests {
         for seed in 0..20 {
             let corpus = Corpus::synthetic(seed, 400);
             let tok = matches_twins(&corpus.joined_text(), 512);
-            let ranks = tok.ranks();
             for r in corpus.records() {
-                assert_eq!(tok.encode_ranked(&ranks, &r.text), encode_reference(&tok, &r.text));
+                assert_eq!(tok.encode(&r.text), encode_reference(&tok, &r.text));
             }
         }
     }

@@ -31,10 +31,9 @@ impl TokenDataset {
     /// Panics if `seq_len` is zero.
     pub fn pack(corpus: &Corpus, tokenizer: &BpeTokenizer, seq_len: usize) -> TokenDataset {
         assert!(seq_len > 0, "seq_len must be positive");
-        let ranks = tokenizer.ranks();
         let mut stream: Vec<usize> = Vec::new();
         for r in corpus.records() {
-            stream.extend(tokenizer.encode_ranked(&ranks, &r.text).into_iter().map(|t| t as usize));
+            stream.extend(tokenizer.encode(&r.text).into_iter().map(|t| t as usize));
         }
         let stride = seq_len + 1;
         let sequences = stream.chunks_exact(stride).map(|c| c.to_vec()).collect();
